@@ -189,6 +189,8 @@ def cmd_walk(args) -> int:
     if args.action is None:
         raise SystemExit2("walk needs an action: "
                           "from-trajectory | census | enumerate")
+    if args.k0 < 2:
+        raise SystemExit2("--k0 must be >= 2, got %d" % args.k0)
     if args.action in ("from-trajectory", "census"):
         traj = wk.Trajectory.from_string(args.trajectory)
         walk = wk.walk_from_trajectory(traj)

@@ -107,9 +107,8 @@ def walk_weight(walk: wk.Walk, spec: MomentSpec) -> Fraction:
     """Product of pair weights over the distinct pairs of the walk."""
     if walk.has_loops:
         return Fraction(0)
-    g = wk.walk_graph(walk)
     out = Fraction(1)
-    for mult in g.pair_multiplicity.values():
+    for mult in walk.analysis.pair_multiplicity.values():
         out *= pair_weight(mult, spec)
         if out == 0:
             return out
@@ -142,12 +141,24 @@ def exact_moment_trajectory(spec: MomentSpec,
 
 
 def exact_moment_walk(spec: MomentSpec) -> Fraction:
-    """M_2s as a sum over canonical even walks weighted by class sizes."""
+    """M_2s as a sum over canonical even walks weighted by class sizes.
+
+    Class size and weight depend only on a walk's shape, its vertex count
+    and its sorted pair multiplicities, so each shape is weighed once, on
+    its first walk, times the number of walks of that shape.
+    """
+    shapes: Counter = Counter()
+    first: dict[tuple, wk.Walk] = {}
+    for walk in wk.enumerate_even_walks(spec.s):
+        shape = (walk.n_letters,
+                 tuple(sorted(walk.analysis.pair_multiplicity.values())))
+        shapes[shape] += 1
+        first.setdefault(shape, walk)
     total = Fraction(0)
-    for walk in wk.enumerate_even_walks(spec.s, cap=max(spec.s, wk.DEFAULT_ENUM_CAP)):
-        size = wk.class_size(walk, spec.n)
+    for shape, count in shapes.items():
+        size = wk.class_size(first[shape], spec.n)
         if size:
-            total += size * walk_weight(walk, spec)
+            total += count * size * walk_weight(first[shape], spec)
     return total
 
 
@@ -233,7 +244,7 @@ def class_weight_audit(s: int, n: int, rho, k0: int,
     table = ct.height_table(s)
     groups: dict[tuple, list[wk.Walk]] = {}
     census_of: dict[tuple, wk.DiagramParams] = {}
-    for walk in wk.enumerate_even_walks(s, cap=max(s, wk.DEFAULT_ENUM_CAP)):
+    for walk in wk.enumerate_even_walks(s):
         lab = wk.label_steps(walk)
         dp = wk.diagram_params(walk, k0)
         # the full census including mu1 and sigma: walks that lose a vertex
@@ -250,19 +261,19 @@ def class_weight_audit(s: int, n: int, rho, k0: int,
         dp = census_of[key]
         weight = Fraction(0)
         max_d = 0
-        eq_5_15 = True
         for walk in walks_in:
             size = wk.class_size(walk, n)
             weight += size * walk_weight(walk, spec)
             _, d = wk.max_exit_degree(walk)
             max_d = max(max_d, d)
-            g = wk.walk_graph(walk)
-            sigma = g.sigma
-            prod = Fraction(1)
-            for k in range(1, s - sigma + 1):
-                prod *= Fraction(n - k, n)
-            if float(prod) > math.exp(-((s - sigma) ** 2) / (2.0 * n)) * (1 + 1e-12):
-                eq_5_15 = False
+        # sigma is part of the class key, so the class-size factor is the
+        # same for every walk in the class
+        sigma = dp.sigma
+        prod = Fraction(1)
+        for k in range(1, s - sigma + 1):
+            prod *= Fraction(n - k, n)
+        eq_5_15 = float(prod) <= \
+            math.exp(-((s - sigma) ** 2) / (2.0 * n)) * (1 + 1e-12)
         normalized = weight / n
         bound = ct.bound_3_7(dp, u, max_d, s, n, rho_f, u_hat_sq, v2_hat, k0,
                              table)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -137,14 +138,14 @@ class Walk:
         w = self.letters
         return any(w[t] == w[t + 1] for t in range(len(w) - 1))
 
-    def steps(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (t, tail, head) for steps t = 1 .. 2s."""
-        w = self.letters
-        for t in range(1, len(w)):
-            yield t, w[t - 1], w[t]
-
     def to_string(self) -> str:
         return ",".join(str(v) for v in self.letters)
+
+    @cached_property
+    def analysis(self) -> "WalkAnalysis":
+        """The facts of one sweep over the steps, computed on first use; kept
+        outside the dataclass fields, so equality and hashing ignore it."""
+        return WalkAnalysis(self)
 
 
 def walk_from_trajectory(traj: Trajectory) -> Walk:
@@ -214,23 +215,71 @@ class StepLabeling:
         return tuple(t + 1 for t, m in enumerate(self.marked) if m)
 
 
+# condition sets of an arrival, indexed by o + 2*Delta + 4*Lambda
+_CONDITION_SETS = tuple(map(frozenset, (
+    (), ("o",), ("Delta",), ("o", "Delta"), ("Lambda",), ("o", "Lambda"),
+    ("Delta", "Lambda"), ("o", "Delta", "Lambda"))))
+
+
+class WalkAnalysis:
+    """Everything one left-to-right sweep over a walk's 2s steps determines.
+
+    A step is marked when its vertex pair has odd multiplicity after it.  At
+    each marked arrival the sweep records the conditions of
+    `arrival_conditions` that hold just before the step, read off the running
+    pair parity, the odd-pair count per vertex and the set of marked directed
+    edges.  arrivals[v] and arrival_conds[v] follow the marked steps arriving
+    at v in time order; exits[v] counts those leaving v; reductions memoises
+    `_reduce` per spare vertex (None for the strong reduction).
+    """
+
+    def __init__(self, walk: Walk):
+        w = walk.letters
+        mult: dict[frozenset, int] = {}
+        odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
+        marked_directed: set[tuple[int, int]] = set()
+        marked, heights, marked_edges = [], [0], []
+        arrivals: dict[int, list[int]] = {}
+        conds: dict[int, list[frozenset]] = {}
+        exits: dict[int, int] = {}
+        for t in range(1, len(w)):
+            tail, head = w[t - 1], w[t]
+            pair = frozenset((tail, head))
+            mult[pair] = mult.get(pair, 0) + 1
+            m = mult[pair] % 2 == 1
+            if m:
+                flags = _CONDITION_SETS[
+                    (odd_at[head] > 0)
+                    + 2 * ((tail, head) in marked_directed)
+                    + 4 * ((head, tail) in marked_directed)]
+                marked_directed.add((tail, head))
+                marked_edges.append((tail, head, t))
+                arrivals.setdefault(head, []).append(t)
+                conds.setdefault(head, []).append(flags)
+                exits[tail] = exits.get(tail, 0) + 1
+            step = 1 if m else -1
+            odd_at[tail] += step    # a loop counts twice; only > 0 is read
+            odd_at[head] += step
+            marked.append(m)
+            heights.append(heights[-1] + step)
+        count = len(marked_edges)
+        dyck = None
+        if count * 2 == len(marked) and min(heights) >= 0 and heights[-1] == 0:
+            dyck = DyckPath(tuple(1 if m else -1 for m in marked))
+        is_even = all(c % 2 == 0 for c in mult.values())
+        self.labeling = StepLabeling(tuple(marked), is_even, count,
+                                     tuple(heights), dyck)
+        self.pair_multiplicity = mult
+        self.marked_edges = tuple(marked_edges)
+        self.arrivals = arrivals
+        self.arrival_conds = conds
+        self.exits = exits
+        self.reductions: dict[Optional[int], ReducedWalk] = {}
+
+
 def label_steps(walk: Walk) -> StepLabeling:
     """Mark each step whose vertex pair has odd multiplicity after the step."""
-    parity: Counter = Counter()
-    marked = []
-    heights = [0]
-    for _, tail, head in walk.steps():
-        pair = frozenset((tail, head))
-        parity[pair] ^= 1
-        m = parity[pair] == 1
-        marked.append(m)
-        heights.append(heights[-1] + (1 if m else -1))
-    is_even = all(v == 0 for v in parity.values())
-    count = sum(marked)
-    dyck = None
-    if count * 2 == len(marked) and min(heights) >= 0 and heights[-1] == 0:
-        dyck = DyckPath(tuple(1 if m else -1 for m in marked))
-    return StepLabeling(tuple(marked), is_even, count, tuple(heights), dyck)
+    return walk.analysis.labeling
 
 
 @dataclass(frozen=True)
@@ -337,29 +386,15 @@ class WalkGraph:
 
 
 def walk_graph(walk: Walk) -> WalkGraph:
-    labeling = label_steps(walk)
-    mult: dict[frozenset, int] = {}
-    marked_edges = []
+    a = walk.analysis
     kappa: dict[int, int] = {1: 1}  # zero instant at the root
-    for (t, tail, head), m in zip(walk.steps(), labeling.marked):
-        pair = frozenset((tail, head))
-        mult[pair] = mult.get(pair, 0) + 1
-        if m:
-            marked_edges.append((tail, head, t))
-            kappa[head] = kappa.get(head, 0) + 1
+    for _tail, head, _t in a.marked_edges:
+        kappa[head] = kappa.get(head, 0) + 1
     vertices = tuple(range(1, walk.n_letters + 1))
     for v in vertices:
         kappa.setdefault(v, 0)
-    return WalkGraph(vertices, mult, tuple(marked_edges), kappa,
-                     labeling.is_even)
-
-
-def _marked_arrival_times(walk: Walk, labeling: StepLabeling,
-                          vertex: int) -> list[int]:
-    """Times of marked steps arriving at vertex, excluding the zero instant."""
-    w = walk.letters
-    return [t for t, m in zip(range(1, len(w)), labeling.marked)
-            if m and w[t] == vertex]
+    return WalkGraph(vertices, dict(a.pair_multiplicity), a.marked_edges,
+                     kappa, a.labeling.is_even)
 
 
 def arrival_conditions(walk: Walk, vertex: int,
@@ -375,31 +410,12 @@ def arrival_conditions(walk: Walk, vertex: int,
                 with the same tail and head,
       Lambda -- the reversed marked edge already exists.
     """
-    labeling = label_steps(walk)
-    arrivals = _marked_arrival_times(walk, labeling, vertex)
-    if arrival_index < 2 or arrival_index > len(arrivals):
+    conds = walk.analysis.arrival_conds.get(vertex, ())
+    if arrival_index < 2 or arrival_index > len(conds):
         raise IndexError(
             "arrival_index %d out of range 2..%d for vertex %d"
-            % (arrival_index, len(arrivals), vertex))
-    t = arrivals[arrival_index - 1]
-    w = walk.letters
-    parity: Counter = Counter()
-    marked_directed: set[tuple[int, int]] = set()
-    for (tt, tail, head), m in zip(walk.steps(), labeling.marked):
-        if tt >= t:
-            break
-        parity[frozenset((tail, head))] ^= 1
-        if m:
-            marked_directed.add((tail, head))
-    conds: set[str] = set()
-    if any(v == 1 for pair, v in parity.items() if vertex in pair):
-        conds.add("o")
-    gamma = w[t - 1]
-    if (gamma, vertex) in marked_directed:
-        conds.add("Delta")
-    if (vertex, gamma) in marked_directed:
-        conds.add("Lambda")
-    return conds
+            % (arrival_index, len(conds), vertex))
+    return set(conds[arrival_index - 1])
 
 
 def classify_arrival(walk: Walk, vertex: int, arrival_index: int) -> str:
@@ -500,15 +516,14 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
     """
     if k0 < 2:
         raise ValueError("k0 must be >= 2")
-    labeling = label_steps(walk)
-    if not labeling.is_even:
+    a = walk.analysis
+    if not a.labeling.is_even:
         raise ClassificationError("census requires an even walk")
     s = walk.s
     mu1 = r = p = q = mu2_pp = u2 = mu3_p = mu3_pp = u3 = 0
     nu: Counter = Counter()
     for vertex in range(1, walk.n_letters + 1):
-        arrivals = _marked_arrival_times(walk, labeling, vertex)
-        k = len(arrivals)
+        k = len(a.arrivals.get(vertex, ()))
         if k == 0:
             continue  # the root when no marked step returns to it
         if k == 1:
@@ -548,13 +563,7 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
 
 def max_exit_degree(walk: Walk) -> tuple[int, int]:
     """(vertex, D): D marked edges leave the vertex; ties go to the first letter."""
-    labeling = label_steps(walk)
-    exits: Counter = Counter()
-    for (t, tail, _head), m in zip(walk.steps(), labeling.marked):
-        if m:
-            exits[tail] += 1
-    if not exits:
-        return 1, 0
+    exits = walk.analysis.exits   # never empty: step 1 is always marked
     d_max = max(exits.values())
     vertex = min(v for v, d in exits.items() if d == d_max)
     return vertex, d_max
@@ -577,32 +586,31 @@ class ReducedWalk:
 
 
 def _reduce(walk: Walk, spare_vertex: Optional[int]) -> ReducedWalk:
-    labeling = label_steps(walk)
+    """Remove, leftmost first, each marked step directly followed by a
+    non-marked step back to its tail, unless it arrives at spare_vertex.
+
+    Two such pairs never overlap (the first step is marked, the second is
+    not), so a removal only joins the kept step before it to the step after
+    it: a stack of kept steps removes the same pairs in the same order as
+    rescanning from the start after each removal.
+    """
+    memo = walk.analysis.reductions
+    if spare_vertex in memo:
+        return memo[spare_vertex]
     w = walk.letters
-    # (orig index, tail, head, marked); adjacency is positional in `steps`
-    steps = [(t, w[t - 1], w[t], m)
-             for t, m in zip(range(1, len(w)), labeling.marked)]
+    marked = walk.analysis.labeling.marked
+    kept: list[int] = []
     removed = []
-    while True:
-        hit = None
-        for i in range(len(steps) - 1):
-            t1, tail1, head1, m1 = steps[i]
-            t2, _tail2, head2, m2 = steps[i + 1]
-            if m1 and not m2 and tail1 == head2:
-                if spare_vertex is not None and head1 == spare_vertex:
-                    continue
-                hit = i
-                break
-        if hit is None:
-            break
-        removed.append((steps[hit][0], steps[hit + 1][0]))
-        del steps[hit:hit + 2]
-    kept = tuple(t for t, _, _, _ in steps)
-    if steps:
-        letters = tuple([steps[0][1]] + [head for _, _, head, _ in steps])
-    else:
-        letters = ()
-    return ReducedWalk(letters, kept, tuple(removed))
+    for t in range(1, len(w)):
+        top = kept[-1] if kept else None
+        if (top and marked[top - 1] and not marked[t - 1]
+                and w[top - 1] == w[t] and w[top] != spare_vertex):
+            removed.append((kept.pop(), t))
+        else:
+            kept.append(t)
+    letters = tuple([w[kept[0] - 1]] + [w[t] for t in kept]) if kept else ()
+    memo[spare_vertex] = ReducedWalk(letters, tuple(kept), tuple(removed))
+    return memo[spare_vertex]
 
 
 def strong_reduce(walk: Walk) -> ReducedWalk:
@@ -667,21 +675,16 @@ class CellReport:
 
 def bts_and_cells(walk: Walk) -> CellReport:
     """Classify the arrival cells at the vertex of maximal exit degree."""
-    labeling = label_steps(walk)
+    a = walk.analysis
     w = walk.letters
     breve, d_max = max_exit_degree(walk)
     hat = strong_reduce(walk)
     brv = _reduce(walk, spare_vertex=breve)
     hat_set = set(hat.kept_steps)
     brv_set = set(brv.kept_steps)
-    marked = labeling.marked
+    marked = a.labeling.marked
     # marked instant = rank of a marked step among marked steps, 1-based
-    instant_of: dict[int, int] = {}
-    rank = 0
-    for t, m in zip(range(1, len(w)), marked):
-        if m:
-            rank += 1
-            instant_of[t] = rank
+    instant_of = {t: i for i, (_, _, t) in enumerate(a.marked_edges, 1)}
 
     proper_I: list[int] = []           # times of I proper cells
     mirrors_of: dict[int, int] = {}    # I-cell time -> mirror count
@@ -767,9 +770,8 @@ def bts_and_cells(walk: Walk) -> CellReport:
         for psi in psis:
             pos += psi
             ok = ok and w[pos] == breve
-    g = walk_graph(walk)
-    kappa_breve = g.kappa[breve] - (1 if breve == 1 else 0)
-    ok = ok and kappa_breve == I + K
+    # every marked arrival at breve_beta must survive as an I or K cell
+    ok = ok and len(a.arrivals.get(breve, ())) == I + K
 
     return CellReport(breve, d_max, proper, tuple(local_bts),
                       tuple(remote_bts), I, M, K, J, F_p, F_pp, ok)
@@ -778,18 +780,14 @@ def bts_and_cells(walk: Walk) -> CellReport:
 def exit_arrival_balance(walk: Walk) -> tuple[int, int]:
     """(marked exits, non-marked arrivals) at the max-exit vertex within the
     weak-reduced walk; the two numbers coincide for even walks."""
-    labeling = label_steps(walk)
     w = walk.letters
+    marked = walk.analysis.labeling.marked
     breve, _ = max_exit_degree(walk)
-    brv = _reduce(walk, spare_vertex=breve)
-    kept = set(brv.kept_steps)
     exits = arrivals = 0
-    for t in range(1, len(w)):
-        if t not in kept:
-            continue
-        if labeling.marked[t - 1] and w[t - 1] == breve:
+    for t in _reduce(walk, spare_vertex=breve).kept_steps:
+        if marked[t - 1] and w[t - 1] == breve:
             exits += 1
-        if not labeling.marked[t - 1] and w[t] == breve:
+        if not marked[t - 1] and w[t] == breve:
             arrivals += 1
     return exits, arrivals
 

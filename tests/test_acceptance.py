@@ -7,6 +7,8 @@ so a red run still shows the full scoreboard in the terminal summary.
 import time
 from fractions import Fraction
 
+import pytest
+
 from wignerlab import catalan as ct
 from wignerlab import oracle as orc
 from wignerlab import reports
@@ -129,6 +131,7 @@ def test_criterion_6_simulation_vs_oracle():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_semicircle_moments():
     t0 = time.monotonic()
     n = 2000
@@ -147,6 +150,7 @@ def test_criterion_7_semicircle_moments():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_8_edge_moment_lower_bound():
     # report-grade: finite-size trend of the dilution-crossover lower bound;
     # the criterion never hard-fails

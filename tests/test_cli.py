@@ -48,6 +48,15 @@ class TestWalk:
         assert code == 3
         assert "refused" in err
 
+    @pytest.mark.parametrize("action", [
+        ["census", W16_TRAJ], ["from-trajectory", W16_TRAJ],
+        ["enumerate", "--s", "3"]])
+    def test_k0_below_two(self, capsys, action):
+        code, out, err = run_cli(["walk"] + action + ["--k0", "1"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "k0" in err
+        assert "Traceback" not in err and out == ""
+
     def test_bad_trajectory(self, capsys):
         code, _, err = run_cli(["walk", "from-trajectory", "1,x,3"], capsys)
         assert code == 2
@@ -98,6 +107,19 @@ class TestOracle:
              "--method", "trajectory"], capsys)
         assert code == 3
         assert "estimated work" in err
+
+    def test_walk_method_guardrail(self, capsys, monkeypatch):
+        from wignerlab import walks as wk
+
+        def no_walks(*args):
+            raise AssertionError("walk enumeration started")
+        monkeypatch.setattr(wk, "Walk", no_walks)
+        code, out, err = run_cli(
+            ["oracle", "--n", "4", "--rho", "2", "--s", "9",
+             "--method", "walk"], capsys)
+        assert code == 3
+        assert err.startswith("refused:") and "estimated work" in err
+        assert "Traceback" not in err and out == ""
 
     def test_bad_rho(self, capsys):
         code, _, err = run_cli(

@@ -1,6 +1,7 @@
 """Unit tests for walk canonicalization, labeling, census and reduction."""
 
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -12,6 +13,123 @@ from wignerlab import walks as wk
 def W16():
     traj = wk.Trajectory.from_string("5,2,7,9,7,1,2,7,9,7,2,7,2,1,7,2,5")
     return wk.walk_from_trajectory(traj)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: from-scratch replays of the walk, one per fact,
+# as the library computed them before the single sweep of WalkAnalysis.
+# ---------------------------------------------------------------------------
+
+def ref_label_steps(walk):
+    w = walk.letters
+    parity = Counter()
+    marked = []
+    heights = [0]
+    for t in range(1, len(w)):
+        pair = frozenset((w[t - 1], w[t]))
+        parity[pair] ^= 1
+        m = parity[pair] == 1
+        marked.append(m)
+        heights.append(heights[-1] + (1 if m else -1))
+    is_even = all(v == 0 for v in parity.values())
+    count = sum(marked)
+    dyck = None
+    if count * 2 == len(marked) and min(heights) >= 0 and heights[-1] == 0:
+        dyck = wk.DyckPath(tuple(1 if m else -1 for m in marked))
+    return wk.StepLabeling(tuple(marked), is_even, count, tuple(heights), dyck)
+
+
+def ref_walk_graph(walk):
+    w = walk.letters
+    labeling = ref_label_steps(walk)
+    mult = {}
+    marked_edges = []
+    kappa = {1: 1}
+    for t, m in zip(range(1, len(w)), labeling.marked):
+        pair = frozenset((w[t - 1], w[t]))
+        mult[pair] = mult.get(pair, 0) + 1
+        if m:
+            marked_edges.append((w[t - 1], w[t], t))
+            kappa[w[t]] = kappa.get(w[t], 0) + 1
+    vertices = tuple(range(1, walk.n_letters + 1))
+    for v in vertices:
+        kappa.setdefault(v, 0)
+    return wk.WalkGraph(vertices, mult, tuple(marked_edges), kappa,
+                        labeling.is_even)
+
+
+def ref_arrival_conditions(walk, vertex, arrival_index):
+    """Replay the walk prefix up to the arrival and test the conditions."""
+    w = walk.letters
+    marked = ref_label_steps(walk).marked
+    arrivals = [t for t in range(1, len(w)) if marked[t - 1] and w[t] == vertex]
+    if arrival_index < 2 or arrival_index > len(arrivals):
+        raise IndexError(arrival_index)
+    t = arrivals[arrival_index - 1]
+    parity = Counter()
+    marked_directed = set()
+    for tt in range(1, t):
+        parity[frozenset((w[tt - 1], w[tt]))] ^= 1
+        if marked[tt - 1]:
+            marked_directed.add((w[tt - 1], w[tt]))
+    conds = set()
+    if any(v == 1 for pair, v in parity.items() if vertex in pair):
+        conds.add("o")
+    if (w[t - 1], vertex) in marked_directed:
+        conds.add("Delta")
+    if (vertex, w[t - 1]) in marked_directed:
+        conds.add("Lambda")
+    return conds
+
+
+def ref_reduce(walk, spare_vertex):
+    """Delete the leftmost removable pair, then rescan from the start."""
+    w = walk.letters
+    marked = ref_label_steps(walk).marked
+    steps = [(t, w[t - 1], w[t], marked[t - 1]) for t in range(1, len(w))]
+    removed = []
+    while True:
+        hit = None
+        for i in range(len(steps) - 1):
+            _, tail1, head1, m1 = steps[i]
+            _, _, head2, m2 = steps[i + 1]
+            if m1 and not m2 and tail1 == head2 and head1 != spare_vertex:
+                hit = i
+                break
+        if hit is None:
+            break
+        removed.append((steps[hit][0], steps[hit + 1][0]))
+        del steps[hit:hit + 2]
+    kept = tuple(t for t, _, _, _ in steps)
+    letters = (steps[0][1],) + tuple(h for _, _, h, _ in steps) if steps else ()
+    return wk.ReducedWalk(letters, kept, tuple(removed))
+
+
+def assert_views_match_reference(walk):
+    assert pickle.dumps(wk.label_steps(walk)) == \
+        pickle.dumps(ref_label_steps(walk))
+    graph = ref_walk_graph(walk)
+    assert pickle.dumps(wk.walk_graph(walk)) == pickle.dumps(graph)
+    for v in graph.vertices:
+        k = graph.kappa[v] - (v == 1)    # marked arrivals, no zero instant
+        for i in range(2, k + 1):
+            assert wk.arrival_conditions(walk, v, i) == \
+                ref_arrival_conditions(walk, v, i)
+        for i in (1, k + 1):
+            with pytest.raises(IndexError):
+                wk.arrival_conditions(walk, v, i)
+    exits = Counter(tail for tail, _, _ in graph.marked_edges)
+    d_max = max(exits.values())
+    assert wk.max_exit_degree(walk) == \
+        (min(v for v, d in exits.items() if d == d_max), d_max)
+    for spare in (None,) + graph.vertices:
+        red = wk._reduce(walk, spare)
+        ref = ref_reduce(walk, spare)
+        assert red.removed_pairs == ref.removed_pairs
+        assert red == ref
+    assert wk.strong_reduce(walk) == ref_reduce(walk, None)
+    assert wk.weak_reduce(walk) == \
+        ref_reduce(walk, wk.max_exit_degree(walk)[0])
 
 
 class TestCanonicalization:
@@ -78,6 +196,28 @@ class TestLabeling:
     def test_odd_walk_flagged(self):
         w = wk.walk_from_trajectory(wk.Trajectory((1, 2, 2, 1), 2))
         assert not wk.label_steps(w).is_even
+
+
+class TestSweepAgainstReference:
+    def test_every_even_walk(self):
+        for s in range(1, 6):
+            for w in wk.enumerate_even_walks(s):
+                assert_views_match_reference(w)
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_trajectories(self, s, data):
+        # loops and odd pairs included: most drawn walks are not even
+        steps = data.draw(st.lists(st.integers(1, 6), min_size=2 * s,
+                                   max_size=2 * s))
+        assert_views_match_reference(
+            wk.walk_from_trajectory(wk.Trajectory(tuple(steps), 6)))
+
+    def test_analysis_outside_equality(self):
+        a, b = W16(), W16()
+        assert a.analysis is a.analysis
+        assert a == b and hash(a) == hash(b)
+        assert "analysis" not in repr(a)
 
 
 class TestDyckTree:
