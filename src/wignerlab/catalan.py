@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .walks import DiagramParams, all_trees
+from .walks import DiagramParams, all_dyck_paths
 
 DEFAULT_SERIES_ORDER = 256
 
@@ -29,10 +28,14 @@ def catalan(s: int) -> int:
 
 
 def catalan_table_recurrence(s_max: int) -> list[int]:
-    """t_0..t_{s_max} from t_{s+1} = sum_j t_j t_{s-j}."""
+    """t_0..t_{s_max} from t_{s+1} = sum_j t_j t_{s-j}, summing each
+    symmetric pair j, s-j once: 2 sum_{j < s/2} t_j t_{s-j} (+ t_{s/2}^2)."""
     t = [1]
     for s in range(s_max):
-        t.append(sum(t[j] * t[s - j] for j in range(s + 1)))
+        total = 2 * sum(t[j] * t[s - j] for j in range((s + 1) // 2))
+        if s % 2 == 0:
+            total += t[s // 2] ** 2
+        t.append(total)
     return t
 
 
@@ -101,6 +104,8 @@ class SeriesExact:
         return SeriesExact(out, self.order - 1)
 
     def pow(self, e: int) -> "SeriesExact":
+        if e < 0:
+            raise ValueError("exponent must be >= 0, got %d" % e)
         out = SeriesExact.from_list([1], self.order)
         base = self
         while e:
@@ -143,12 +148,15 @@ def root_subcluster_table(s_max: int) -> list[list[int]]:
 
 
 def root_subcluster_conv_table(s_max: int) -> list[list[int]]:
-    """Same quantity by convolution: t~_s(d) = [x^{s-d}] f(x)^d."""
+    """Same quantity by convolution: t~_s(d) = [x^{s-d}] f(x)^d.
+
+    Row d reads f^d only up to x^{s_max-d}, so each power is carried to that
+    order and no further."""
     f = catalan_series(s_max)
     table: list[list[int]] = [[0] * (s_max + 1) for _ in range(s_max + 1)]
     power = SeriesExact.from_list([1], s_max)
     for d in range(1, s_max + 1):
-        power = power * f
+        power = SeriesExact.from_list(power.coeffs, s_max - d) * f
         for s in range(d, s_max + 1):
             table[s][d] = power[s - d]
     return table
@@ -206,50 +214,43 @@ def check_6_6(s_max: int) -> bool:
 # Multi-edge counts N^(l)_s
 # ---------------------------------------------------------------------------
 
-DEFAULT_ENUM_CAP = 12
+TREE_ENUM_CAP = 12
 
 
 def multi_edge_counts_enum(l_max: int, s: int,
-                           cap: int = DEFAULT_ENUM_CAP) -> list[int]:
+                           cap: int = TREE_ENUM_CAP) -> list[int]:
     """[N^(1)_s .. N^(l_max)_s] by brute force over all plane trees:
-    ways to pick l edges sharing a parent vertex."""
+    ways to pick l edges sharing a parent vertex.
+
+    Each tree is read as its Dyck word: an up-step adds a child to the open
+    node and opens a new one, a down-step closes the top node.  hist[d]
+    counts the nodes with d children over all trees, and
+    N^(l)_s = sum_d hist[d] C(d, l)."""
     if s > cap:
         raise ValueError("enumeration at s=%d exceeds cap %d" % (s, cap))
-    totals = [0] * l_max
-
-    def child_degrees(tree) -> list[int]:
-        out = [len(tree.children)]
-        for c in tree.children:
-            out.extend(child_degrees(c))
-        return out
-
-    for tree in all_trees(s):
-        for deg in child_degrees(tree):
-            for l in range(1, min(l_max, deg) + 1):
-                totals[l - 1] += math.comb(deg, l)
-    return totals
-
-
-def multi_edge_count_enum(l: int, s: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    if not 1 <= l <= s:
-        raise ValueError("need 1 <= l <= s")
-    return multi_edge_counts_enum(l, s, cap)[l - 1]
+    hist = [0] * (s + 1)
+    for dyck in all_dyck_paths(s):
+        open_nodes = [0]
+        for step in dyck.ups_downs:
+            if step == 1:
+                open_nodes[-1] += 1
+                open_nodes.append(0)
+            else:
+                hist[open_nodes.pop()] += 1
+        hist[open_nodes[0]] += 1  # the root
+    return [sum(hist[d] * math.comb(d, l) for d in range(l, s + 1))
+            for l in range(1, l_max + 1)]
 
 
 def multi_edge_count_gf(l: int, s: int,
                         order: Optional[int] = None) -> int:
-    """N^(l)_s as the s-th coefficient of 2 x^{l+1} f' f^{2l-1} + x^l f^{2l}."""
-    if order is None:
-        order = s
-    f = catalan_series(order)
-    fp = catalan_series_derivative(order)
-    phi = (fp * f.pow(2 * l - 1)).shift(l + 1) * SeriesExact.from_list([2], order) \
-        + f.pow(2 * l).shift(l)
-    return phi[s]
+    """N^(l)_s, read from the generating-function row up to order (default s)."""
+    return multi_edge_gf_row(l, s if order is None else order)[s]
 
 
 def multi_edge_gf_row(l: int, s_max: int) -> list[int]:
-    """[N^(l)_0 .. N^(l)_{s_max}] from the generating function."""
+    """[N^(l)_0 .. N^(l)_{s_max}]: the coefficients of
+    2 x^{l+1} f' f^{2l-1} + x^l f^{2l}."""
     f = catalan_series(s_max)
     fp = catalan_series_derivative(s_max)
     two = SeriesExact.from_list([2], s_max)
@@ -318,15 +319,25 @@ class HeightTable:
 
 
 def height_table(s_max: int) -> HeightTable:
-    """First-subtree decomposition: a tree of height <= u is a first subtree
-    of height <= u-1 plus a remainder of height <= u."""
+    """Strip count by the reflection principle (de Bruijn, Knuth and Rice,
+    1972): a tree of s edges with height <= u is a Dyck path of 2s steps
+    inside the strip 0..u, so with w = u + 2
+
+        cum[u][s] = sum_k [C(2s, s - k w) - C(2s, s - k w - 1)],
+
+    that is, the row of C(2s, .) summed over the residues s and s - 1 mod w.
+    No tree of s edges is higher than s, so cum[u][s] = t_s for u >= s."""
     cum = [[0] * (s_max + 1) for _ in range(s_max + 1)]
-    cum[0][0] = 1
-    for u in range(1, s_max + 1):
-        cum[u][0] = 1
-        for s in range(1, s_max + 1):
-            cum[u][s] = sum(cum[u - 1][j] * cum[u][s - 1 - j]
-                            for j in range(s))
+    for s in range(s_max + 1):
+        row = [1]
+        for m in range(2 * s):
+            row.append(row[-1] * (2 * s - m) // (m + 1))
+        for u in range(s):
+            w = u + 2
+            cum[u][s] = sum(row[s % w::w]) - sum(row[(s - 1) % w::w])
+        ts = row[s] - (row[s - 1] if s else 0)
+        for u in range(s, s_max + 1):
+            cum[u][s] = ts
     return HeightTable(cum, s_max)
 
 

@@ -238,6 +238,12 @@ def cmd_count(args) -> int:
     if args.action is None:
         raise SystemExit2("count needs an action: catalan | multi-edge | "
                           "subcluster | lemma61 | conjecture | heights")
+    if args.s_max < 0:
+        raise SystemExit2("--s-max must be >= 0, got %d" % args.s_max)
+    if getattr(args, "l", 1) < 1:
+        raise SystemExit2("--l must be >= 1, got %d" % args.l)
+    if getattr(args, "l_max", 1) < 1:
+        raise SystemExit2("--l-max must be >= 1, got %d" % args.l_max)
     records = []
     config = {}
     if args.action == "catalan":
@@ -425,9 +431,6 @@ def main(argv=None) -> int:
         else None
     if threads:
         _set_thread_env(threads)
-    if getattr(args, "config", None) and args.subcommand != "sim":
-        # config files carry ensemble fields; other subcommands ignore them
-        pass
     handlers = {"walk": cmd_walk, "count": cmd_count, "oracle": cmd_oracle,
                 "sim": cmd_sim, "verify": cmd_verify}
     from .walks import ClassificationError, MalformedInputError

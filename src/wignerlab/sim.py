@@ -10,7 +10,7 @@ matrices sample by sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -151,13 +151,6 @@ def sample_spectra(config: EnsembleConfig,
     for k in range(n_samples):
         h = sample_matrix(config, k)
         yield np.linalg.eigvalsh(h)
-
-
-def estimate_moment(config: EnsembleConfig, s: int,
-                    n_samples: int) -> SampleStats:
-    """Sample mean and stderr of Tr H^{2s}."""
-    stats = estimate_moments(config, [s], n_samples)
-    return stats[s]
 
 
 def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],

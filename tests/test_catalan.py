@@ -50,6 +50,10 @@ class TestSeries:
             by_mul = by_mul * f
         assert f.pow(e).coeffs == by_mul.coeffs
 
+    def test_pow_negative_rejected(self):
+        with pytest.raises(ValueError):
+            ct.catalan_series(5).pow(-1)
+
 
 class TestRootSubcluster:
     def test_dual_methods_agree(self):
@@ -136,6 +140,72 @@ class TestHeights:
         assert ct.frakM_upper(1.0, 50, table=table) > 0.0
         with pytest.raises(ValueError):
             ct.frakM_upper(0.0, 50, table=table)
+
+
+class TestAgainstReference:
+    """The table builders against the plain routes they replaced: the
+    first-subtree height recurrence, the untruncated convolution, the
+    PlaneTree child-degree enumeration and the unsymmetrized recurrence."""
+
+    @staticmethod
+    def height_cum(s_max):
+        # a tree of height <= u is a first subtree of height <= u-1 plus a
+        # remainder of height <= u
+        cum = [[0] * (s_max + 1) for _ in range(s_max + 1)]
+        cum[0][0] = 1
+        for u in range(1, s_max + 1):
+            cum[u][0] = 1
+            for s in range(1, s_max + 1):
+                cum[u][s] = sum(cum[u - 1][j] * cum[u][s - 1 - j]
+                                for j in range(s))
+        return cum
+
+    @staticmethod
+    def subcluster_conv(s_max):
+        f = ct.catalan_series(s_max)
+        table = [[0] * (s_max + 1) for _ in range(s_max + 1)]
+        power = ct.SeriesExact.from_list([1], s_max)
+        for d in range(1, s_max + 1):
+            power = power * f
+            for s in range(d, s_max + 1):
+                table[s][d] = power[s - d]
+        return table
+
+    @staticmethod
+    def multi_edge_trees(l_max, s):
+        def child_degrees(tree):
+            out = [len(tree.children)]
+            for c in tree.children:
+                out.extend(child_degrees(c))
+            return out
+
+        totals = [0] * l_max
+        for tree in wk.all_trees(s):
+            for deg in child_degrees(tree):
+                for l in range(1, min(l_max, deg) + 1):
+                    totals[l - 1] += math.comb(deg, l)
+        return totals
+
+    def test_heights(self):
+        for s_max in (0, 1, 2, 3, 7, 60):
+            assert ct.height_table(s_max).cum == self.height_cum(s_max)
+
+    def test_subcluster_convolution(self):
+        for s_max in (0, 1, 2, 80):
+            assert ct.root_subcluster_conv_table(s_max) == \
+                self.subcluster_conv(s_max)
+
+    def test_multi_edge_enumeration(self):
+        for s in range(1, 11):
+            for l_max in (1, min(5, s), s):
+                assert ct.multi_edge_counts_enum(l_max, s) == \
+                    self.multi_edge_trees(l_max, s)
+
+    def test_catalan_recurrence(self):
+        t = [1]
+        for s in range(400):
+            t.append(sum(t[j] * t[s - j] for j in range(s + 1)))
+        assert ct.catalan_table_recurrence(400) == t
 
 
 class TestBounds:

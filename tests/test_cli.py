@@ -78,6 +78,24 @@ class TestCount:
         assert code == 0
         assert "5,42,42,true" in body_of(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["multi-edge", "--l", "0", "--s-max", "3"],
+        ["conjecture", "--l-max", "0", "--s-max", "3"],
+        ["catalan", "--s-max", "-1"],
+        ["multi-edge", "--l", "2", "--s-max", "-1"],
+        ["subcluster", "--s-max", "-1"],
+        ["lemma61", "--s-max", "-1"],
+        ["conjecture", "--s-max", "-1"],
+        ["heights", "--s-max", "-1"]])
+    def test_bad_sizes(self, argv):
+        # a subprocess, so that a hang fails the test instead of stalling it
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerlab.cli", "count"] + argv,
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     def test_missing_action(self, capsys):
         code, _, err = run_cli(["count"], capsys)
         assert code == 2
