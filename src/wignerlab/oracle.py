@@ -52,6 +52,8 @@ class MomentSpec:
             raise ValueError("n must be >= 1")
         if not 0 < self.rho <= self.n:
             raise ValueError("need 0 < rho <= n")
+        if self.s < 1:
+            raise ValueError("s must be >= 1")
         if len(self.moments) < self.s:
             raise ValueError("moment list must reach order 2s")
         if self.moments[0] <= 0:

@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -29,7 +29,6 @@ class RunManifest:
     version: str = __version__
     started: str = ""
     finished: str = ""
-    outputs: list = field(default_factory=list)
 
     def start(self) -> "RunManifest":
         self.started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -73,6 +72,16 @@ def _json_value(value):
     return str(value)
 
 
+def _write_csv(stream, records: Iterable[dict]) -> None:
+    """A header row from the first record's keys, then one row per record;
+    nothing at all when there are no records."""
+    writer = csv.writer(stream, lineterminator="\n")
+    for i, rec in enumerate(records):
+        if i == 0:
+            writer.writerow(list(rec.keys()))
+        writer.writerow([_csv_cell(v) for v in rec.values()])
+
+
 def emit_report(records: Iterable[dict], fmt: str, path: Optional[str],
                 manifest: RunManifest) -> None:
     """Stream records to path (or stdout) as CSV or JSON Lines."""
@@ -89,21 +98,12 @@ def emit_report(records: Iterable[dict], fmt: str, path: Optional[str],
     try:
         stream.write(manifest.header_line() + "\n")
         if fmt == "csv":
-            writer = None
-            for rec in records:
-                if writer is None:
-                    writer = csv.writer(stream, lineterminator="\n")
-                    writer.writerow(list(rec.keys()))
-                writer.writerow([_csv_cell(v) for v in rec.values()])
-            if writer is None:
-                pass  # header-only file: no records, nothing beyond manifest
+            _write_csv(stream, records)
         else:
             for rec in records:
                 stream.write(json.dumps({k: _json_value(v)
                                          for k, v in rec.items()},
                                         sort_keys=True) + "\n")
-        if own:
-            manifest.outputs.append(path)
     finally:
         if own:
             stream.close()
@@ -112,10 +112,5 @@ def emit_report(records: Iterable[dict], fmt: str, path: Optional[str],
 def render_csv_body(records: Iterable[dict]) -> str:
     """CSV body without the manifest line, for determinism checks."""
     buf = io.StringIO()
-    writer = None
-    for rec in records:
-        if writer is None:
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(list(rec.keys()))
-        writer.writerow([_csv_cell(v) for v in rec.values()])
+    _write_csv(buf, records)
     return buf.getvalue()

@@ -23,7 +23,12 @@ class SimConfigError(ValueError):
 
 
 class SimBudgetError(RuntimeError):
-    """Raised when a request exceeds the dense solver guardrail."""
+    """Raised when a request exceeds the dense solver guardrail; estimate
+    is the number of matrix entries the request would hold."""
+
+    def __init__(self, message: str, estimate: int):
+        super().__init__(message)
+        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,8 @@ def sample_matrix(config: EnsembleConfig, sample_index: int) -> np.ndarray:
     """One symmetric dilute Wigner matrix, deterministic in (seed, index)."""
     n = config.n
     if n > DENSE_CAP:
-        raise SimBudgetError("n=%d exceeds dense cap %d" % (n, DENSE_CAP))
+        raise SimBudgetError("n=%d exceeds dense cap %d" % (n, DENSE_CAP),
+                             n * n)
     rng = _rng_for_sample(config, sample_index)
     m = n * (n - 1) // 2
     if config.dist == "rademacher":
@@ -154,53 +160,16 @@ def sample_spectra(config: EnsembleConfig,
 
 
 def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
-                     n_samples: int,
-                     with_lambda_max: bool = False):
-    """Tr H^{2s} statistics for several s from one spectrum per sample.
-
-    Returns a dict s -> SampleStats; when with_lambda_max is set the key
-    "lambda_max" maps to the statistics of the spectral radius.
-    """
+                     n_samples: int) -> dict[int, SampleStats]:
+    """Tr H^{2s} statistics for several s from one spectrum per sample."""
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
+    if min(s_list) < 1:
+        raise ValueError("need every s >= 1, got %s" % (list(s_list),))
     traces: dict[int, list[float]] = {s: [] for s in s_list}
-    lmax: list[float] = []
     for eig in sample_spectra(config, n_samples):
         for s in s_list:
             traces[s].append(float(np.sum(eig ** (2 * s))))
-        if with_lambda_max:
-            lmax.append(float(np.max(np.abs(eig))))
-    out = {s: SampleStats.from_values(traces[s], tag="tr_h_%d" % (2 * s))
-           for s in s_list}
-    if with_lambda_max:
-        out["lambda_max"] = SampleStats.from_values(lmax, tag="lambda_max")
-    return out
-
-
-def estimate_trace_moments_fast(config: EnsembleConfig, s_list: Sequence[int],
-                                n_samples: int):
-    """Same statistics via matrix powers instead of eigendecompositions.
-
-    For s <= 5 three matrix products per sample suffice; this is the faster
-    route for large n.  Cross-checked against the spectral route in the
-    verification suite.
-    """
-    if max(s_list) > 5:
-        return estimate_moments(config, s_list, n_samples)
-    traces: dict[int, list[float]] = {s: [] for s in s_list}
-    for k in range(n_samples):
-        h = sample_matrix(config, k)
-        a = h @ h                       # Tr a^s = Tr H^{2s}
-        a2 = a @ a
-        tr = {1: float(np.trace(a)),
-              2: float(np.sum(a * a)),
-              3: float(np.sum(a2 * a)),
-              4: float(np.sum(a2 * a2))}
-        if 5 in s_list:
-            a3 = a2 @ a
-            tr[5] = float(np.sum(a3 * a2))
-        for s in s_list:
-            traces[s].append(tr[s])
     return {s: SampleStats.from_values(traces[s], tag="tr_h_%d" % (2 * s))
             for s in s_list}
 
@@ -218,6 +187,8 @@ class EdgeCurve:
 def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
               n_samples: int) -> EdgeCurve:
     """Empirical P(lambda_max > 2v(1 + x n^{-2/3})) over the grid."""
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
     xs = list(x_grid)
     if xs != sorted(xs):
         raise ValueError("x_grid must be sorted ascending")
@@ -245,6 +216,7 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
     difference in stderr units, and the finite-size lower-bound comparison
     (report-grade) at eps = 0.
     """
+    from . import oracle as orc  # not at module level: it loads walks
     rows = []
     for n in n_list:
         s = int(math.floor(chi * n ** (2.0 / 3.0)))
@@ -253,15 +225,13 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
             if rho > n:
                 raise SimConfigError(
                     "rho=%.3g exceeds n=%d at eps=%.3g" % (rho, n, eps))
-            est = {}
-            for dist in ("rademacher", "gaussian"):
-                config = EnsembleConfig(n=n, rho=rho, dist=dist, seed=seed)
-                est[dist] = estimate_moments(config, [s], n_samples)[s]
-            a, b = est["rademacher"], est["gaussian"]
+            configs = {dist: EnsembleConfig(n=n, rho=rho, dist=dist, seed=seed)
+                       for dist in ("rademacher", "gaussian")}
+            bound = orc.theorem_7_1_rhs(chi, zeta,
+                                        v4_of(configs["rademacher"]))
+            a, b = (estimate_moments(config, [s], n_samples)[s]
+                    for config in configs.values())
             joint = math.hypot(a.stderr, b.stderr)
-            v4_r = 0.5 ** 4
-            bound = (16.0 * v4_r / (zeta * math.sqrt(math.pi * chi))
-                     * math.exp(-math.e * chi ** 3))
             zeta_eff = rho / n ** (2.0 / 3.0)
             rows.append({
                 "n": n, "eps": eps, "rho": rho, "s": s,

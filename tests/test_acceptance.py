@@ -55,12 +55,12 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_multi_edge_identities():
     t0 = time.monotonic()
-    ok = all(ct.multi_edge_count_gf(1, s) == s * ct.catalan(s)
-             for s in range(1, 201))
+    row = ct.multi_edge_gf_row(1, 200)
+    ok = all(row[s] == s * ct.catalan(s) for s in range(1, 201))
     for l in (2, 3):
-        ok = ok and all(
-            ct.multi_edge_count_gf(l, s) == ct.multi_edge_closed_form(l, s)
-            for s in range(l, 201))
+        row = ct.multi_edge_gf_row(l, 200)
+        ok = ok and all(row[s] == ct.multi_edge_closed_form(l, s)
+                        for s in range(l, 201))
     for s in range(1, 13):
         enum = ct.multi_edge_counts_enum(min(5, s), s)
         for l in range(1, min(5, s) + 1):
@@ -136,7 +136,7 @@ def test_criterion_7_semicircle_moments():
     t0 = time.monotonic()
     n = 2000
     config = sim.EnsembleConfig(n=n, rho=float(n), seed=7)
-    stats = sim.estimate_trace_moments_fast(config, [1, 2, 3, 4, 5], 200)
+    stats = sim.estimate_moments(config, [1, 2, 3, 4, 5], 200)
     ok = True
     errs = []
     for s in (1, 2, 3, 4, 5):

@@ -160,10 +160,22 @@ class TestSim:
     def test_deterministic_body(self, capsys, tmp_path):
         args = ["sim", "moments", "--n", "16", "--rho", "4", "--s", "2",
                 "--samples", "6", "--seed", "9"]
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        f1, f2, f3 = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         assert cli.main(args + ["--out", str(f1)]) == 0
         assert cli.main(args + ["--out", str(f2)]) == 0
         assert body_of(f1.read_text()) == body_of(f2.read_text())
+        # --fast is an ignored alias: same body, and not in the manifest
+        assert cli.main(args + ["--fast", "--out", str(f3)]) == 0
+        assert f3.read_text().startswith("# manifest:")
+        assert body_of(f3.read_text()) == body_of(f1.read_text())
+        assert '"fast"' not in f3.read_text()
+
+    def test_dense_cap_refused(self, capsys):
+        code, out, err = run_cli(
+            ["sim", "moments", "--n", "5000", "--rho", "10", "--s", "1",
+             "--samples", "2"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("refused:") and "estimated work" in err
 
     def test_edge_needs_rho_or_eps(self, capsys):
         code, _, err = run_cli(
@@ -202,6 +214,23 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "4", "--rho", "2", "--s", "0"],
+        ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
+         "--samples", "1"],
+        ["sim", "moments", "--n", "8", "--rho", "2", "--s", "0"],
+        ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "0"],
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--samples", "1"],
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "0"]])
+    def test_bad_inputs(self, argv):
+        # input errors the library raises as ValueError
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerlab.cli"] + argv,
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_entry_point(self):
         proc = subprocess.run(

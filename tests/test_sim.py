@@ -86,12 +86,15 @@ class TestEstimators:
             np.linalg.eigvalsh(h)))), rel=1e-12)
 
     def test_fast_route_matches_eig(self):
+        # the spectral estimates against Tr H^{2s} from matrix powers
         cfg = sim.EnsembleConfig(n=50, rho=10.0, seed=17)
         a = sim.estimate_moments(cfg, [1, 2, 3, 4, 5], 8)
-        b = sim.estimate_trace_moments_fast(cfg, [1, 2, 3, 4, 5], 8)
+        hs = [sim.sample_matrix(cfg, k) for k in range(8)]
         for s in (1, 2, 3, 4, 5):
-            assert a[s].mean == pytest.approx(b[s].mean, rel=1e-9)
-            assert a[s].stderr == pytest.approx(b[s].stderr, rel=1e-9)
+            b = sim.SampleStats.from_values(
+                [np.trace(np.linalg.matrix_power(h, 2 * s)) for h in hs])
+            assert a[s].mean == pytest.approx(b.mean, rel=1e-9)
+            assert a[s].stderr == pytest.approx(b.stderr, rel=1e-9)
 
     def test_oracle_consistency(self):
         cfg = sim.EnsembleConfig(n=4, rho=2.0, seed=12)
@@ -128,6 +131,10 @@ class TestEdge:
         assert row["s"] == int(0.5 * 64 ** (2.0 / 3.0))
         assert row["rho"] == pytest.approx(64 ** (2.0 / 3.0))
         assert row["thm_7_1_lower_bound"] > 0.0
+        # 16 V_4 / (zeta sqrt(pi chi)) e^{-e chi^3} at the Rademacher V_4
+        assert row["thm_7_1_lower_bound"] == \
+            16.0 * 0.5 ** 4 / (1.0 * math.sqrt(math.pi * 0.5)) \
+            * math.exp(-math.e * 0.5 ** 3)
         assert isinstance(row["lower_bound_ok"], bool)
 
     def test_crossover_rho_guard(self):
