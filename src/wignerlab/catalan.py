@@ -76,12 +76,6 @@ class SeriesExact:
                                  zip(self.coeffs, other.coeffs))[:order + 1],
                            order)
 
-    def __sub__(self, other: "SeriesExact") -> "SeriesExact":
-        order = min(self.order, other.order)
-        return SeriesExact(tuple(a - b for a, b in
-                                 zip(self.coeffs, other.coeffs))[:order + 1],
-                           order)
-
     def __mul__(self, other: "SeriesExact") -> "SeriesExact":
         order = min(self.order, other.order)
         out = [0] * (order + 1)
@@ -98,10 +92,6 @@ class SeriesExact:
         """Multiply by the k-th power of the variable."""
         out = (0,) * k + self.coeffs[:self.order + 1 - k]
         return SeriesExact(out, self.order)
-
-    def differentiate(self) -> "SeriesExact":
-        out = tuple(k * self.coeffs[k] for k in range(1, self.order + 1))
-        return SeriesExact(out, self.order - 1)
 
     def pow(self, e: int) -> "SeriesExact":
         if e < 0:
@@ -242,10 +232,9 @@ def multi_edge_counts_enum(l_max: int, s: int,
             for l in range(1, l_max + 1)]
 
 
-def multi_edge_count_gf(l: int, s: int,
-                        order: Optional[int] = None) -> int:
-    """N^(l)_s, read from the generating-function row up to order (default s)."""
-    return multi_edge_gf_row(l, s if order is None else order)[s]
+def multi_edge_count_gf(l: int, s: int) -> int:
+    """N^(l)_s, read from the generating-function row up to order s."""
+    return multi_edge_gf_row(l, s)[s]
 
 
 def multi_edge_gf_row(l: int, s_max: int) -> list[int]:
@@ -302,11 +291,6 @@ class HeightTable:
 
     cum: list[list[int]]
     s_max: int
-
-    def t_ddot(self, u: int, s: int) -> int:
-        if u > self.s_max:
-            u = self.s_max  # heights never exceed s <= s_max
-        return self.cum[u][s]
 
     def t_dot(self, u: int, s: int) -> int:
         """Trees of s edges with height exactly u."""

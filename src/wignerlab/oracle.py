@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
 
 from . import walks as wk
 from . import catalan as ct
@@ -231,15 +230,14 @@ class ClassRecord:
     eq_5_15_ok: bool
 
 
-def class_weight_audit(s: int, n: int, rho, k0: int,
-                       spec: Optional[MomentSpec] = None) -> list[ClassRecord]:
+def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
     """Group even walks of 2s steps by (height, census); check that each
     class's exact start-vertex-normalized weight stays below the closed-form
     bound, and that the class-size factor obeys the exponential bound
-    prod(1 - k/n) <= exp(-(s - sigma)^2 / 2n)."""
+    prod(1 - k/n) <= exp(-(s - sigma)^2 / 2n).  The entries are +-1/2
+    Rademacher."""
     import math
-    if spec is None:
-        spec = make_spec(n, rho, s)
+    spec = make_spec(n, rho, s)
     v2_hat = float(spec.moments[0])
     # entries +-1/2 are bounded by 1/2, so U^2 / V2 = 1
     u_hat_sq = 1.0

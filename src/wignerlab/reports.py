@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -84,9 +85,17 @@ def _write_csv(stream, records: Iterable[dict]) -> None:
 
 def emit_report(records: Iterable[dict], fmt: str, path: Optional[str],
                 manifest: RunManifest) -> None:
-    """Stream records to path (or stdout) as CSV or JSON Lines."""
+    """Stream records to path (or stdout) as CSV or JSON Lines.
+
+    The first record is drawn before anything is opened or written, so a
+    record source that refuses at once (a generator that checks its input
+    on first use) leaves no output and no file.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
+    records = iter(records)
+    first = list(itertools.islice(records, 1))
+    records = itertools.chain(first, records)
     own = path is not None
     if own:
         try:

@@ -190,6 +190,8 @@ def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     xs = list(x_grid)
+    if not xs:
+        raise ValueError("x_grid must not be empty")
     if xs != sorted(xs):
         raise ValueError("x_grid must be sorted ascending")
     thresholds = [2.0 * config.v * (1.0 + x * config.n ** (-2.0 / 3.0))

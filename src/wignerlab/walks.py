@@ -91,9 +91,6 @@ class Trajectory:
         """The full vertex sequence of length 2s+1 including the closure."""
         return self.steps + (self.steps[0],)
 
-    def to_string(self) -> str:
-        return ",".join(str(v) for v in self.steps)
-
 
 @dataclass(frozen=True)
 class Walk:
@@ -116,14 +113,6 @@ class Walk:
                 raise MalformedInputError(
                     "letters must appear in first-occurrence order; got %r"
                     % (w,))
-
-    @classmethod
-    def from_string(cls, text: str) -> "Walk":
-        parts = [p for p in text.replace(" ", "").split(",") if p]
-        try:
-            return cls(tuple(int(p) for p in parts))
-        except ValueError as exc:
-            raise MalformedInputError("non-integer letter in %r" % text) from exc
 
     @property
     def s(self) -> int:
@@ -418,15 +407,6 @@ def arrival_conditions(walk: Walk, vertex: int,
     return set(conds[arrival_index - 1])
 
 
-def classify_arrival(walk: Walk, vertex: int, arrival_index: int) -> str:
-    """Label an arrival by the maximal condition, precedence Lambda > Delta > o."""
-    conds = arrival_conditions(walk, vertex, arrival_index)
-    for label in ("Lambda", "Delta", "o"):
-        if label in conds:
-            return label
-    return "plain"
-
-
 @dataclass(frozen=True)
 class DiagramParams:
     """Self-intersection census of an even walk at threshold k0.
@@ -481,11 +461,6 @@ class DiagramParams:
                 + self.nu_norm)
 
     @property
-    def sigma_census_a(self) -> int:
-        """mu2 + mu3 + u2 + u3 + |nu|_1 (one of the two stated forms)."""
-        return self.mu2 + self.mu3 + self.u2 + self.u3 + self.nu_l1
-
-    @property
     def sigma_census_b(self) -> int:
         """mu2 + 2*mu3 + u2 + u3 + |nu|_1 (the vertex-count form)."""
         return self.mu2 + 2 * self.mu3 + self.u2 + self.u3 + self.nu_l1
@@ -522,33 +497,31 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
     s = walk.s
     mu1 = r = p = q = mu2_pp = u2 = mu3_p = mu3_pp = u3 = 0
     nu: Counter = Counter()
-    for vertex in range(1, walk.n_letters + 1):
-        k = len(a.arrivals.get(vertex, ()))
-        if k == 0:
-            continue  # the root when no marked step returns to it
+    # the condition sets of each vertex's marked arrivals, in time order (the
+    # root has none when no marked step returns to it); a set is labelled by
+    # its maximal condition, Lambda > Delta > o
+    for conds in a.arrival_conds.values():
+        k = len(conds)
         if k == 1:
             mu1 += 1
         elif k > k0:
             nu[k] += 1
-        else:
-            label2 = classify_arrival(walk, vertex, 2)
-            if label2 != "plain":
-                if label2 == "o":
-                    r += 1
-                elif label2 == "Delta":
-                    p += 1
-                else:
-                    q += 1
-                u2 += k - 2
-            elif k == 2:
-                mu2_pp += 1
+        elif conds[1]:
+            if "Lambda" in conds[1]:
+                q += 1
+            elif "Delta" in conds[1]:
+                p += 1
             else:
-                label3 = classify_arrival(walk, vertex, 3)
-                if label3 in ("Delta", "Lambda"):
-                    mu3_p += 1
-                else:
-                    mu3_pp += 1
-                u3 += k - 3
+                r += 1
+            u2 += k - 2
+        elif k == 2:
+            mu2_pp += 1
+        else:
+            if "Lambda" in conds[2] or "Delta" in conds[2]:
+                mu3_p += 1
+            else:
+                mu3_pp += 1
+            u3 += k - 3
     n_vertices = walk.n_letters
     sigma = s - n_vertices + 1
     return DiagramParams(
@@ -674,84 +647,60 @@ class CellReport:
 
 
 def bts_and_cells(walk: Walk) -> CellReport:
-    """Classify the arrival cells at the vertex of maximal exit degree."""
+    """Classify the arrival cells at the vertex of maximal exit degree.
+
+    One pass in time order carries the latest marked step of the strongly
+    reduced walk, which generates the next imported cell, and the latest I
+    proper cell, which owns the next mirror cell.
+    """
     a = walk.analysis
     w = walk.letters
     breve, d_max = max_exit_degree(walk)
-    hat = strong_reduce(walk)
-    brv = _reduce(walk, spare_vertex=breve)
-    hat_set = set(hat.kept_steps)
-    brv_set = set(brv.kept_steps)
+    hat_set = set(strong_reduce(walk).kept_steps)
+    brv_set = set(_reduce(walk, spare_vertex=breve).kept_steps)
     marked = a.labeling.marked
     # marked instant = rank of a marked step among marked steps, 1-based
     instant_of = {t: i for i, (_, _, t) in enumerate(a.marked_edges, 1)}
 
-    proper_I: list[int] = []           # times of I proper cells
-    mirrors_of: dict[int, int] = {}    # I-cell time -> mirror count
-    local: dict[int, list[int]] = {}   # z marked step time -> imported times
-    remote: dict[int, list[int]] = {}  # y marked step time -> imported times
-    k_cells: list[int] = []            # times of K proper cells
+    proper: list[list[int]] = []   # [x_i, m_i] per I proper cell
+    local = []      # (z_k, phis) per K cell
+    remote = []     # (y_j, ell_j, psis)
+    gen = None      # latest marked step of the strongly reduced walk
+    offsets = None  # gen's phis or psis, once it has a local or remote entry
+    last = 0        # time of gen's latest cell, where the next offset starts
     unassigned_mirrors = 0
 
-    hat_order = list(hat.kept_steps)
-    hat_pos = {t: i for i, t in enumerate(hat_order)}
-
     for t in range(1, len(w)):
+        if marked[t - 1] and t in hat_set:
+            gen, offsets = t, None
         if w[t] != breve or t not in brv_set:
             continue
         if marked[t - 1]:
-            if t in hat_set:
-                k_cells.append(t)
+            if t in hat_set:  # a K cell: the generator of local imports
+                offsets, last = [], t
+                local.append((instant_of[t], offsets))
             else:
-                proper_I.append(t)
-                mirrors_of[t] = 0
+                proper.append([instant_of[t], 0])
+        elif t in hat_set:  # an imported cell, generated by gen
+            if gen is None:
+                unassigned_mirrors += 1  # cannot happen for valid walks
+            elif offsets is not None:
+                offsets.append(t - last)
+                last = t
+            elif w[gen] != breve:
+                offsets, last = [], t
+                remote.append((instant_of[gen], t - gen, offsets))
+        elif proper:
+            proper[-1][1] += 1  # a mirror cell of the latest I proper cell
         else:
-            if t in hat_set:
-                # walk back through the strongly reduced walk to the
-                # nearest marked step: the generating instant
-                i = hat_pos[t] - 1
-                while i >= 0 and not marked[hat_order[i] - 1]:
-                    i -= 1
-                if i < 0:
-                    unassigned_mirrors += 1  # cannot happen for valid walks
-                    continue
-                gen = hat_order[i]
-                if w[gen] == breve:
-                    local.setdefault(gen, []).append(t)
-                else:
-                    remote.setdefault(gen, []).append(t)
-            else:
-                # mirror cell: attach to the latest preceding I proper cell
-                prior = [x for x in proper_I if x < t]
-                if prior:
-                    mirrors_of[prior[-1]] += 1
-                else:
-                    unassigned_mirrors += 1
+            unassigned_mirrors += 1
 
-    proper = tuple((instant_of[t], mirrors_of[t]) for t in sorted(proper_I))
-    local_bts = []
-    for gen in sorted(set(k_cells)):
-        times = sorted(local.get(gen, []))
-        phis = []
-        prev = gen
-        for t in times:
-            phis.append(t - prev)
-            prev = t
-        local_bts.append((instant_of[gen], tuple(phis), len(times)))
-    remote_bts = []
-    for gen in sorted(remote):
-        times = sorted(remote[gen])
-        ell = times[0] - gen
-        psis = []
-        prev = times[0]
-        for t in times[1:]:
-            psis.append(t - prev)
-            prev = t
-        remote_bts.append((instant_of[gen], ell, tuple(psis), len(times) - 1))
-
-    I = len(proper_I)
-    M = sum(mirrors_of.values()) + unassigned_mirrors
-    K = len(k_cells)
+    local_bts = tuple((z, tuple(phis), len(phis)) for z, phis in local)
+    remote_bts = tuple((y, ell, tuple(psis), len(psis))
+                       for y, ell, psis in remote)
+    I = len(proper)
+    M = sum(m for _, m in proper) + unassigned_mirrors
+    K = len(local_bts)
     J = len(remote_bts)
     F_p = sum(fp for _, _, fp in local_bts)
     F_pp = sum(fpp for _, _, _, fpp in remote_bts)
@@ -773,8 +722,8 @@ def bts_and_cells(walk: Walk) -> CellReport:
     # every marked arrival at breve_beta must survive as an I or K cell
     ok = ok and len(a.arrivals.get(breve, ())) == I + K
 
-    return CellReport(breve, d_max, proper, tuple(local_bts),
-                      tuple(remote_bts), I, M, K, J, F_p, F_pp, ok)
+    return CellReport(breve, d_max, tuple(map(tuple, proper)), local_bts,
+                      remote_bts, I, M, K, J, F_p, F_pp, ok)
 
 
 def exit_arrival_balance(walk: Walk) -> tuple[int, int]:
@@ -816,8 +765,7 @@ def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP,
         raise ValueError("s must be >= 1")
     if s > cap and not force:
         raise EnumerationCapError(
-            "enumeration at s=%d exceeds cap %d (roughly %d sequences); "
-            "pass force=True to override" % (s, cap, estimate_even_walk_count(s)),
+            "walk enumeration at s=%d exceeds cap %d" % (s, cap),
             estimate_even_walk_count(s))
 
     total = 2 * s

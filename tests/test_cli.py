@@ -43,10 +43,17 @@ class TestWalk:
         lines = body_of(out).strip().splitlines()
         assert len(lines) == 1 + 16  # header + walks
 
-    def test_enumerate_guardrail(self, capsys):
-        code, _, err = run_cli(["walk", "enumerate", "--s", "9"], capsys)
+    def test_enumerate_guardrail(self, capsys, tmp_path):
+        code, out, err = run_cli(["walk", "enumerate", "--s", "9"], capsys)
         assert code == 3
-        assert "refused" in err
+        assert "refused" in err and out == ""
+        # a refused stream leaves no file behind, not even a manifest
+        out_file = tmp_path / "walks.csv"
+        code, out, err = run_cli(
+            ["walk", "enumerate", "--s", "9", "--out", str(out_file)], capsys)
+        assert code == 3
+        assert "refused" in err and out == ""
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("action", [
         ["census", W16_TRAJ], ["from-trajectory", W16_TRAJ],
@@ -137,6 +144,7 @@ class TestOracle:
              "--method", "walk"], capsys)
         assert code == 3
         assert err.startswith("refused:") and "estimated work" in err
+        assert "force" not in err  # the oracle has no override
         assert "Traceback" not in err and out == ""
 
     def test_bad_rho(self, capsys):
@@ -222,7 +230,10 @@ class TestUsage:
         ["sim", "moments", "--n", "8", "--rho", "2", "--s", "0"],
         ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "0"],
         ["sim", "crossover", "--n", "8", "--eps", "0", "--samples", "1"],
-        ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "0"]])
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "0"],
+        ["walk", "enumerate", "--s", "0"],
+        ["sim", "edge", "--n", "10", "--rho", "2", "--samples", "2",
+         "--x-grid=,"]])
     def test_bad_inputs(self, argv):
         # input errors the library raises as ValueError
         proc = subprocess.run(

@@ -123,6 +123,8 @@ class TestEdge:
         cfg = sim.EnsembleConfig(n=20, rho=5.0)
         with pytest.raises(ValueError):
             sim.edge_tail(cfg, [1.0, 0.0], 10)
+        with pytest.raises(ValueError):
+            sim.edge_tail(cfg, [], 10)
 
     def test_crossover_rows(self):
         rows = sim.crossover_scan([64], [0.0], 0.5, 20, seed=1)

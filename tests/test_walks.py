@@ -17,7 +17,8 @@ def W16():
 
 # ---------------------------------------------------------------------------
 # Reference implementations: from-scratch replays of the walk, one per fact,
-# as the library computed them before the single sweep of WalkAnalysis.
+# as the library computed them before the single sweep of WalkAnalysis, and
+# the census and cells as computed before their one-pass forms.
 # ---------------------------------------------------------------------------
 
 def ref_label_steps(walk):
@@ -105,6 +106,166 @@ def ref_reduce(walk, spare_vertex):
     return wk.ReducedWalk(letters, kept, tuple(removed))
 
 
+def ref_max_exit_degree(walk):
+    exits = Counter(tail for tail, _, _ in ref_walk_graph(walk).marked_edges)
+    d_max = max(exits.values())
+    return min(v for v, d in exits.items() if d == d_max), d_max
+
+
+def ref_classify_arrival(walk, vertex, arrival_index):
+    """Label an arrival by the maximal condition, precedence Lambda > Delta > o."""
+    conds = ref_arrival_conditions(walk, vertex, arrival_index)
+    for label in ("Lambda", "Delta", "o"):
+        if label in conds:
+            return label
+    return "plain"
+
+
+def ref_diagram_params(walk, k0):
+    """The census, classifying the 2nd and 3rd arrival of each vertex by a
+    replay of the walk prefix."""
+    if k0 < 2:
+        raise ValueError("k0 must be >= 2")
+    if not ref_label_steps(walk).is_even:
+        raise wk.ClassificationError("census requires an even walk")
+    graph = ref_walk_graph(walk)
+    s = walk.s
+    mu1 = r = p = q = mu2_pp = u2 = mu3_p = mu3_pp = u3 = 0
+    nu = Counter()
+    for vertex in graph.vertices:
+        k = graph.kappa[vertex] - (vertex == 1)  # no zero instant
+        if k == 0:
+            continue
+        if k == 1:
+            mu1 += 1
+        elif k > k0:
+            nu[k] += 1
+        else:
+            label2 = ref_classify_arrival(walk, vertex, 2)
+            if label2 != "plain":
+                if label2 == "o":
+                    r += 1
+                elif label2 == "Delta":
+                    p += 1
+                else:
+                    q += 1
+                u2 += k - 2
+            elif k == 2:
+                mu2_pp += 1
+            else:
+                label3 = ref_classify_arrival(walk, vertex, 3)
+                if label3 in ("Delta", "Lambda"):
+                    mu3_p += 1
+                else:
+                    mu3_pp += 1
+                u3 += k - 3
+    n_vertices = walk.n_letters
+    return wk.DiagramParams(
+        s=s, k0=k0, mu1=mu1, r=r, p=p, q=q, mu2_pp=mu2_pp, u2=u2,
+        mu3_p=mu3_p, mu3_pp=mu3_pp, u3=u3, nu_bar=tuple(sorted(nu.items())),
+        sigma=s - n_vertices + 1, n_vertices=n_vertices)
+
+
+def ref_bts_and_cells(walk):
+    """The cells, each imported cell's generator found by walking back
+    through the strongly reduced walk and each mirror cell's owner by a
+    scan of the I proper cells before it."""
+    w = walk.letters
+    graph = ref_walk_graph(walk)
+    breve, d_max = ref_max_exit_degree(walk)
+    hat = ref_reduce(walk, None)
+    brv = ref_reduce(walk, breve)
+    hat_set = set(hat.kept_steps)
+    brv_set = set(brv.kept_steps)
+    marked = ref_label_steps(walk).marked
+    instant_of = {t: i for i, (_, _, t) in enumerate(graph.marked_edges, 1)}
+
+    proper_I = []
+    mirrors_of = {}
+    local = {}
+    remote = {}
+    k_cells = []
+    unassigned_mirrors = 0
+
+    hat_order = list(hat.kept_steps)
+    hat_pos = {t: i for i, t in enumerate(hat_order)}
+
+    for t in range(1, len(w)):
+        if w[t] != breve or t not in brv_set:
+            continue
+        if marked[t - 1]:
+            if t in hat_set:
+                k_cells.append(t)
+            else:
+                proper_I.append(t)
+                mirrors_of[t] = 0
+        else:
+            if t in hat_set:
+                i = hat_pos[t] - 1
+                while i >= 0 and not marked[hat_order[i] - 1]:
+                    i -= 1
+                if i < 0:
+                    unassigned_mirrors += 1
+                    continue
+                gen = hat_order[i]
+                if w[gen] == breve:
+                    local.setdefault(gen, []).append(t)
+                else:
+                    remote.setdefault(gen, []).append(t)
+            else:
+                prior = [x for x in proper_I if x < t]
+                if prior:
+                    mirrors_of[prior[-1]] += 1
+                else:
+                    unassigned_mirrors += 1
+
+    proper = tuple((instant_of[t], mirrors_of[t]) for t in sorted(proper_I))
+    local_bts = []
+    for gen in sorted(set(k_cells)):
+        times = sorted(local.get(gen, []))
+        phis = []
+        prev = gen
+        for t in times:
+            phis.append(t - prev)
+            prev = t
+        local_bts.append((instant_of[gen], tuple(phis), len(times)))
+    remote_bts = []
+    for gen in sorted(remote):
+        times = sorted(remote[gen])
+        ell = times[0] - gen
+        psis = []
+        prev = times[0]
+        for t in times[1:]:
+            psis.append(t - prev)
+            prev = t
+        remote_bts.append((instant_of[gen], ell, tuple(psis), len(times) - 1))
+
+    I = len(proper_I)
+    M = sum(mirrors_of.values()) + unassigned_mirrors
+    K = len(k_cells)
+    J = len(remote_bts)
+    F_p = sum(fp for _, _, fp in local_bts)
+    F_pp = sum(fpp for _, _, _, fpp in remote_bts)
+
+    ok = unassigned_mirrors == 0
+    time_of_instant = {inst: t for t, inst in instant_of.items()}
+    for z, phis, _ in local_bts:
+        pos = time_of_instant[z]
+        for phi in phis:
+            pos += phi
+            ok = ok and w[pos] == breve
+    for y, ell, psis, _ in remote_bts:
+        pos = time_of_instant[y] + ell
+        ok = ok and w[pos] == breve
+        for psi in psis:
+            pos += psi
+            ok = ok and w[pos] == breve
+    ok = ok and graph.kappa[breve] - (breve == 1) == I + K
+
+    return wk.CellReport(breve, d_max, proper, tuple(local_bts),
+                         tuple(remote_bts), I, M, K, J, F_p, F_pp, ok)
+
+
 def assert_views_match_reference(walk):
     assert pickle.dumps(wk.label_steps(walk)) == \
         pickle.dumps(ref_label_steps(walk))
@@ -118,10 +279,7 @@ def assert_views_match_reference(walk):
         for i in (1, k + 1):
             with pytest.raises(IndexError):
                 wk.arrival_conditions(walk, v, i)
-    exits = Counter(tail for tail, _, _ in graph.marked_edges)
-    d_max = max(exits.values())
-    assert wk.max_exit_degree(walk) == \
-        (min(v for v, d in exits.items() if d == d_max), d_max)
+    assert wk.max_exit_degree(walk) == ref_max_exit_degree(walk)
     for spare in (None,) + graph.vertices:
         red = wk._reduce(walk, spare)
         ref = ref_reduce(walk, spare)
@@ -130,6 +288,13 @@ def assert_views_match_reference(walk):
     assert wk.strong_reduce(walk) == ref_reduce(walk, None)
     assert wk.weak_reduce(walk) == \
         ref_reduce(walk, wk.max_exit_degree(walk)[0])
+    assert wk.bts_and_cells(walk) == ref_bts_and_cells(walk)
+    for k0 in (2, 4, 12):
+        if graph.is_even:
+            assert wk.diagram_params(walk, k0) == ref_diagram_params(walk, k0)
+        else:
+            with pytest.raises(wk.ClassificationError):
+                wk.diagram_params(walk, k0)
 
 
 class TestCanonicalization:
