@@ -9,3 +9,12 @@ Subpackages:
 """
 
 __version__ = "0.1.0"
+
+
+class Refused(RuntimeError):
+    """Raised by every work guardrail instead of starting the work; estimate
+    is the size of the request in walks, sequences, trees or matrix entries."""
+
+    def __init__(self, message: str, estimate: int):
+        super().__init__(message)
+        self.estimate = estimate

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import Refused
 from .walks import DiagramParams, all_dyck_paths
-
-DEFAULT_SERIES_ORDER = 256
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +105,12 @@ class SeriesExact:
         return out
 
 
-def catalan_series(order: int = DEFAULT_SERIES_ORDER) -> SeriesExact:
+def catalan_series(order: int) -> SeriesExact:
     """f with coefficients t_0, t_1, ...; satisfies f = 1 + x f^2."""
     return SeriesExact.from_list(catalan_table_recurrence(order), order)
 
 
-def catalan_series_derivative(order: int = DEFAULT_SERIES_ORDER) -> SeriesExact:
+def catalan_series_derivative(order: int) -> SeriesExact:
     """f' with coefficients (k+1) t_{k+1}."""
     t = catalan_table_recurrence(order + 1)
     return SeriesExact.from_list([(k + 1) * t[k + 1] for k in range(order + 1)],
@@ -152,18 +151,13 @@ def root_subcluster_conv_table(s_max: int) -> list[list[int]]:
     return table
 
 
-def root_subcluster_count(s: int, d: int, method: str = "recurrence") -> int:
+def root_subcluster_count(s: int, d: int) -> int:
     """t~_s(d): plane trees of s edges whose root has exactly d children."""
     if d > s:
         return 0
     if d < 1:
         raise ValueError("d must be >= 1")
-    if method == "recurrence":
-        return root_subcluster_table(s)[s][d]
-    if method == "convolution":
-        f = catalan_series(max(s - d, 0))
-        return f.pow(d)[s - d]
-    raise ValueError("unknown method %r" % method)
+    return root_subcluster_table(s)[s][d]
 
 
 def check_lemma_6_1(s_max: int) -> dict:
@@ -207,8 +201,7 @@ def check_6_6(s_max: int) -> bool:
 TREE_ENUM_CAP = 12
 
 
-def multi_edge_counts_enum(l_max: int, s: int,
-                           cap: int = TREE_ENUM_CAP) -> list[int]:
+def multi_edge_counts_enum(l_max: int, s: int) -> list[int]:
     """[N^(1)_s .. N^(l_max)_s] by brute force over all plane trees:
     ways to pick l edges sharing a parent vertex.
 
@@ -216,8 +209,9 @@ def multi_edge_counts_enum(l_max: int, s: int,
     node and opens a new one, a down-step closes the top node.  hist[d]
     counts the nodes with d children over all trees, and
     N^(l)_s = sum_d hist[d] C(d, l)."""
-    if s > cap:
-        raise ValueError("enumeration at s=%d exceeds cap %d" % (s, cap))
+    if s > TREE_ENUM_CAP:
+        raise Refused("tree enumeration at s=%d exceeds cap %d"
+                      % (s, TREE_ENUM_CAP), catalan(s))
     hist = [0] * (s + 1)
     for dyck in all_dyck_paths(s):
         open_nodes = [0]

@@ -9,38 +9,36 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
-
-def _set_thread_env(threads: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(threads)
+from . import Refused
 
 
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("LAB_THREADS")
-    if env:
+def _set_threads(value) -> None:
+    """BLAS thread count from --threads, else LAB_THREADS; 0 or neither
+    leaves the BLAS defaults alone."""
+    if value is None:
+        env = os.environ.get("LAB_THREADS") or "0"
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
-            raise SystemExit2("LAB_THREADS must be an integer, got %r" % env)
-    return 0  # leave BLAS defaults alone
-
-
-class SystemExit2(Exception):
-    """Usage error carrying a message; mapped to exit code 2."""
+            raise ValueError("LAB_THREADS must be an integer, got %r" % env)
+    if value < 0:
+        raise ValueError("thread count must be >= 0, got %d" % value)
+    if value:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ[var] = str(value)
 
 
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit2("bad rational %r: %s" % (text, exc))
+        raise ValueError("bad rational %r: %s" % (text, exc))
 
 
 def _load_config_file(path: str) -> dict:
@@ -50,9 +48,9 @@ def _load_config_file(path: str) -> dict:
     except OSError as exc:
         raise IOError("cannot read config %r: %s" % (path, exc))
     except json.JSONDecodeError as exc:
-        raise SystemExit2("config %r is not valid JSON: %s" % (path, exc))
+        raise ValueError("config %r is not valid JSON: %s" % (path, exc))
     if not isinstance(data, dict):
-        raise SystemExit2("config %r must be a flat JSON object" % path)
+        raise ValueError("config %r must be a flat JSON object" % path)
     return data
 
 
@@ -129,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("sim", parents=[shared], help="Monte Carlo spectral experiments")
     sim_sub = p_sim.add_subparsers(dest="action")
 
-    def add_ensemble_flags(sp, need_n=True):
-        sp.add_argument("--n", type=int, required=need_n)
+    def add_ensemble_flags(sp):
+        sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--rho", type=float)
         sp.add_argument("--dist",
                         choices=("rademacher", "gaussian", "student"),
@@ -187,10 +185,10 @@ def _manifest(args, config: dict):
 def cmd_walk(args) -> int:
     from . import walks as wk
     if args.action is None:
-        raise SystemExit2("walk needs an action: "
-                          "from-trajectory | census | enumerate")
+        raise ValueError("walk needs an action: "
+                         "from-trajectory | census | enumerate")
     if args.k0 < 2:
-        raise SystemExit2("--k0 must be >= 2, got %d" % args.k0)
+        raise ValueError("--k0 must be >= 2, got %d" % args.k0)
     if args.action in ("from-trajectory", "census"):
         traj = wk.Trajectory.from_string(args.trajectory)
         walk = wk.walk_from_trajectory(traj)
@@ -230,20 +228,20 @@ def cmd_walk(args) -> int:
         manifest = _manifest(args, {"s": args.s, "k0": args.k0})
         _emit(args, records(), manifest)
         return 0
-    raise SystemExit2("unknown walk action %r" % args.action)
+    raise ValueError("unknown walk action %r" % args.action)
 
 
 def cmd_count(args) -> int:
     from . import catalan as ct
     if args.action is None:
-        raise SystemExit2("count needs an action: catalan | multi-edge | "
-                          "subcluster | lemma61 | conjecture | heights")
+        raise ValueError("count needs an action: catalan | multi-edge | "
+                         "subcluster | lemma61 | conjecture | heights")
     if args.s_max < 0:
-        raise SystemExit2("--s-max must be >= 0, got %d" % args.s_max)
+        raise ValueError("--s-max must be >= 0, got %d" % args.s_max)
     if getattr(args, "l", 1) < 1:
-        raise SystemExit2("--l must be >= 1, got %d" % args.l)
+        raise ValueError("--l must be >= 1, got %d" % args.l)
     if getattr(args, "l_max", 1) < 1:
-        raise SystemExit2("--l-max must be >= 1, got %d" % args.l_max)
+        raise ValueError("--l-max must be >= 1, got %d" % args.l_max)
     records = []
     config = {}
     if args.action == "catalan":
@@ -295,7 +293,7 @@ def cmd_count(args) -> int:
                                     "closed_form": "",
                                     "match": ""})
     else:
-        raise SystemExit2("unknown count action %r" % args.action)
+        raise ValueError("unknown count action %r" % args.action)
     _emit(args, records, _manifest(args, config))
     return 0
 
@@ -304,15 +302,10 @@ def cmd_oracle(args) -> int:
     from . import oracle as orc
     rho = _parse_fraction(args.rho)
     spec = orc.make_spec(args.n, rho, args.s, args.dist)
-    agreement = None
-    if args.method == "both":
-        value = orc.exact_moment(spec, "both")
-        agreement = True
-    else:
-        value = orc.exact_moment(spec, args.method)
+    value = orc.exact_moment(spec, args.method)
     payload = {"value_num": str(value.numerator),
                "value_den": str(value.denominator),
-               "method_agreement": agreement}
+               "method_agreement": True if args.method == "both" else None}
     text = json.dumps(payload, sort_keys=True)
     if args.out:
         try:
@@ -328,7 +321,7 @@ def cmd_oracle(args) -> int:
 def cmd_sim(args) -> int:
     from . import sim
     if args.action is None:
-        raise SystemExit2("sim needs an action: moments | edge | crossover")
+        raise ValueError("sim needs an action: moments | edge | crossover")
     base = {}
     if args.config:
         base = _load_config_file(args.config)
@@ -340,11 +333,11 @@ def cmd_sim(args) -> int:
         try:
             return sim.EnsembleConfig(**fields)
         except TypeError as exc:  # an unknown --config key
-            raise SystemExit2(str(exc))
+            raise ValueError(str(exc))
 
     if args.action == "moments":
         if args.rho is None:
-            raise SystemExit2("sim moments needs --rho")
+            raise ValueError("sim moments needs --rho")
         config = make_config(args.n, args.rho, args.dist)
         est = sim.estimate_moments(config, args.s, args.samples)
         records = [{"s": s, "mean": est[s].mean, "stderr": est[s].stderr,
@@ -358,7 +351,9 @@ def cmd_sim(args) -> int:
         return 0
     if args.action == "edge":
         if (args.rho is None) == (args.eps is None):
-            raise SystemExit2("sim edge needs exactly one of --rho / --eps")
+            raise ValueError("sim edge needs exactly one of --rho / --eps")
+        if args.eps is not None and math.isnan(args.eps):
+            raise ValueError("--eps must be a number, got nan")
         rho = args.rho if args.rho is not None \
             else min(float(args.n),
                      args.n ** (2.0 / 3.0 * (1.0 + args.eps)))
@@ -366,7 +361,7 @@ def cmd_sim(args) -> int:
         try:
             xs = [float(p) for p in args.x_grid.split(",") if p]
         except ValueError as exc:
-            raise SystemExit2("bad --x-grid: %s" % exc)
+            raise ValueError("bad --x-grid: %s" % exc)
         curve = sim.edge_tail(config, xs, args.samples)
         records = [{"x": x, "threshold": thr, "tail_prob": p,
                     "stderr": e, "count": c, "n_samples": curve.n_samples}
@@ -386,7 +381,7 @@ def cmd_sim(args) -> int:
                                     "samples": args.samples})
         _emit(args, rows, manifest)
         return 0
-    raise SystemExit2("unknown sim action %r" % args.action)
+    raise ValueError("unknown sim action %r" % args.action)
 
 
 def cmd_verify(args) -> int:
@@ -418,27 +413,22 @@ def main(argv=None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 2
-    threads = _resolve_threads(args.threads) if args.subcommand == "sim" \
-        else None
-    if threads:
-        _set_thread_env(threads)
     handlers = {"walk": cmd_walk, "count": cmd_count, "oracle": cmd_oracle,
                 "sim": cmd_sim, "verify": cmd_verify}
     try:
+        if args.subcommand == "sim":
+            _set_threads(args.threads)
         return handlers[args.subcommand](args)
-    except (SystemExit2, ValueError) as exc:  # library input errors
+    except ValueError as exc:  # input errors, the CLI's and the library's
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Refused as exc:
+        print("refused: %s (estimated work: %d)" % (exc, exc.estimate),
+              file=sys.stderr)
+        return 3
     except IOError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 4
-    except Exception as exc:  # guardrails carry an estimate attribute
-        estimate = getattr(exc, "estimate", None)
-        if estimate is not None:
-            print("refused: %s (estimated work: %s)" % (exc, estimate),
-                  file=sys.stderr)
-            return 3
-        raise
 
 
 if __name__ == "__main__":

@@ -17,19 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from . import Refused
 from . import walks as wk
 from . import catalan as ct
 
-
-class MomentBudgetError(RuntimeError):
-    """Raised when a trajectory enumeration would exceed the budget."""
-
-    def __init__(self, message: str, estimate: int):
-        super().__init__(message)
-        self.estimate = estimate
-
-
-DEFAULT_TRAJECTORY_BUDGET = 5_000_000
+TRAJECTORY_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,6 @@ class MomentSpec:
     rho: Fraction
     s: int
     moments: tuple[Fraction, ...]
-    truncated: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -116,15 +107,14 @@ def walk_weight(walk: wk.Walk, spec: MomentSpec) -> Fraction:
     return out
 
 
-def exact_moment_trajectory(spec: MomentSpec,
-                            budget: int = DEFAULT_TRAJECTORY_BUDGET) -> Fraction:
+def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
     """M_2s by enumeration of all n^{2s} closed trajectories."""
     n, s = spec.n, spec.s
     count = n ** (2 * s)
-    if count > budget:
-        raise MomentBudgetError(
+    if count > TRAJECTORY_BUDGET:
+        raise Refused(
             "trajectory enumeration needs %d sequences (budget %d)"
-            % (count, budget), count)
+            % (count, TRAJECTORY_BUDGET), count)
     total = Fraction(0)
     for steps in itertools.product(range(1, n + 1), repeat=2 * s):
         closed = steps + (steps[0],)
@@ -163,15 +153,14 @@ def exact_moment_walk(spec: MomentSpec) -> Fraction:
     return total
 
 
-def exact_moment(spec: MomentSpec, method: str = "both",
-                 budget: int = DEFAULT_TRAJECTORY_BUDGET) -> Fraction:
+def exact_moment(spec: MomentSpec, method: str = "both") -> Fraction:
     """M_2s; with method="both" the two enumerations must agree exactly."""
     if method == "trajectory":
-        return exact_moment_trajectory(spec, budget)
+        return exact_moment_trajectory(spec)
     if method == "walk":
         return exact_moment_walk(spec)
     if method == "both":
-        a = exact_moment_trajectory(spec, budget)
+        a = exact_moment_trajectory(spec)
         b = exact_moment_walk(spec)
         if a != b:
             raise AssertionError(

@@ -10,25 +10,19 @@ matrices sample by sample.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+from . import Refused
 
 DENSE_CAP = 4096
 
 
 class SimConfigError(ValueError):
     """Raised for inconsistent ensemble configurations."""
-
-
-class SimBudgetError(RuntimeError):
-    """Raised when a request exceeds the dense solver guardrail; estimate
-    is the number of matrix entries the request would hold."""
-
-    def __init__(self, message: str, estimate: int):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -51,6 +45,13 @@ class EnsembleConfig:
     df: float = 14.0
 
     def __post_init__(self):
+        for name in ("n", "rho", "v", "df", "delta"):
+            value = getattr(self, name)
+            if name == "delta" and value is None:
+                continue
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise SimConfigError("%s must be a finite real number, got %r"
+                                     % (name, value))
         if self.n < 1:
             raise SimConfigError("n must be >= 1")
         if not 0 < self.rho <= self.n:
@@ -102,8 +103,7 @@ def sample_matrix(config: EnsembleConfig, sample_index: int) -> np.ndarray:
     """One symmetric dilute Wigner matrix, deterministic in (seed, index)."""
     n = config.n
     if n > DENSE_CAP:
-        raise SimBudgetError("n=%d exceeds dense cap %d" % (n, DENSE_CAP),
-                             n * n)
+        raise Refused("n=%d exceeds dense cap %d" % (n, DENSE_CAP), n * n)
     rng = _rng_for_sample(config, sample_index)
     m = n * (n - 1) // 2
     if config.dist == "rademacher":
@@ -138,17 +138,16 @@ class SampleStats:
     n_samples: int
     min: float
     max: float
-    tag: str = ""
 
     @classmethod
-    def from_values(cls, values: Sequence[float], tag: str = "") -> "SampleStats":
+    def from_values(cls, values: Sequence[float]) -> "SampleStats":
         arr = np.asarray(values, dtype=float)
         if arr.size < 2:
             raise ValueError("need at least 2 samples")
         return cls(mean=float(arr.mean()),
                    stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)),
                    n_samples=int(arr.size),
-                   min=float(arr.min()), max=float(arr.max()), tag=tag)
+                   min=float(arr.min()), max=float(arr.max()))
 
 
 def sample_spectra(config: EnsembleConfig,
@@ -170,8 +169,7 @@ def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
     for eig in sample_spectra(config, n_samples):
         for s in s_list:
             traces[s].append(float(np.sum(eig ** (2 * s))))
-    return {s: SampleStats.from_values(traces[s], tag="tr_h_%d" % (2 * s))
-            for s in s_list}
+    return {s: SampleStats.from_values(traces[s]) for s in s_list}
 
 
 @dataclass(frozen=True)
@@ -192,6 +190,8 @@ def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
     xs = list(x_grid)
     if not xs:
         raise ValueError("x_grid must not be empty")
+    if any(math.isnan(x) for x in xs):
+        raise ValueError("x_grid must not hold nan")
     if xs != sorted(xs):
         raise ValueError("x_grid must be sorted ascending")
     thresholds = [2.0 * config.v * (1.0 + x * config.n ** (-2.0 / 3.0))

@@ -13,10 +13,13 @@ around the vertex of maximal exit degree.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
+
+from . import Refused
 
 
 class MalformedInputError(ValueError):
@@ -27,15 +30,8 @@ class ClassificationError(ValueError):
     """Raised when a census is requested for a non-even walk."""
 
 
-class EnumerationCapError(RuntimeError):
-    """Raised when an enumeration would exceed the configured guardrail."""
-
-    def __init__(self, message: str, estimate: int):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 DEFAULT_ENUM_CAP = 6
+EVEN_WALK_COUNTS = (1, 1, 3, 16, 122, 1209, 14829, 216955)  # s = 0..7
 
 
 # ---------------------------------------------------------------------------
@@ -60,20 +56,19 @@ class Trajectory:
                     "label %r outside [1..%d]" % (v, self.n))
 
     @classmethod
-    def from_sequence(cls, labels, n: Optional[int] = None) -> "Trajectory":
-        """Build from 2s labels, or from 2s+1 labels with explicit closure."""
+    def from_sequence(cls, labels) -> "Trajectory":
+        """Build from 2s labels, or from 2s+1 labels with explicit closure,
+        on the vertices 1..max(labels)."""
         labels = tuple(int(v) for v in labels)
         if len(labels) >= 3 and len(labels) % 2 == 1:
             if labels[-1] != labels[0]:
                 raise MalformedInputError(
                     "odd-length sequence must close on its first label")
             labels = labels[:-1]
-        if n is None:
-            n = max(labels) if labels else 0
-        return cls(labels, n)
+        return cls(labels, max(labels) if labels else 0)
 
     @classmethod
-    def from_string(cls, text: str, n: Optional[int] = None) -> "Trajectory":
+    def from_string(cls, text: str) -> "Trajectory":
         parts = [p for p in text.replace(" ", "").split(",") if p]
         if not parts:
             raise MalformedInputError("empty trajectory string")
@@ -81,7 +76,7 @@ class Trajectory:
             labels = [int(p) for p in parts]
         except ValueError as exc:
             raise MalformedInputError("non-integer label in %r" % text) from exc
-        return cls.from_sequence(labels, n)
+        return cls.from_sequence(labels)
 
     @property
     def s(self) -> int:
@@ -746,11 +741,19 @@ def exit_arrival_balance(walk: Walk) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def estimate_even_walk_count(s: int) -> int:
-    """Rough upper estimate used in guardrail messages."""
-    est = 1
-    for _ in range(2 * s):
-        est *= s + 1
-    return est
+    """Canonical even walks of 2s steps: the enumerated EVEN_WALK_COUNTS up
+    to s = 7, then consecutive ratios (3.0, 5.3, ..., 14.6 at s = 7) that
+    keep growing by 2.35 a step, until a float would overflow (s = 147)."""
+    if s < len(EVEN_WALK_COUNTS):
+        return EVEN_WALK_COUNTS[s]
+    count = float(EVEN_WALK_COUNTS[-1])
+    ratio = count / EVEN_WALK_COUNTS[-2]
+    for _ in range(len(EVEN_WALK_COUNTS), s + 1):
+        ratio += 2.35
+        if count * ratio == math.inf:
+            break
+        count *= ratio
+    return round(count)
 
 
 def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP,
@@ -764,7 +767,7 @@ def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP,
     if s < 1:
         raise ValueError("s must be >= 1")
     if s > cap and not force:
-        raise EnumerationCapError(
+        raise Refused(
             "walk enumeration at s=%d exceeds cap %d" % (s, cap),
             estimate_even_walk_count(s))
 

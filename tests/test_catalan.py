@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wignerlab import Refused
 from wignerlab import catalan as ct
 from wignerlab import walks as wk
 
@@ -85,6 +86,12 @@ class TestMultiEdge:
             enum = ct.multi_edge_counts_enum(min(5, s), s)
             for l in range(1, min(5, s) + 1):
                 assert enum[l - 1] == ct.multi_edge_count_gf(l, s)
+
+    def test_enum_cap(self):
+        # refused before any tree is built; the estimate counts the trees
+        with pytest.raises(Refused) as exc:
+            ct.multi_edge_counts_enum(5, 13)
+        assert exc.value.estimate == ct.catalan(13) == 742_900
 
     def test_l1_is_s_ts(self):
         row = ct.multi_edge_gf_row(1, 200)

@@ -1,6 +1,7 @@
 """CLI integration tests: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -47,6 +48,10 @@ class TestWalk:
         code, out, err = run_cli(["walk", "enumerate", "--s", "9"], capsys)
         assert code == 3
         assert "refused" in err and out == ""
+        # the estimate is the walk count itself where it is known
+        code, out, err = run_cli(["walk", "enumerate", "--s", "7"], capsys)
+        assert code == 3 and out == ""
+        assert "estimated work: 216955)" in err
         # a refused stream leaves no file behind, not even a manifest
         out_file = tmp_path / "walks.csv"
         code, out, err = run_cli(
@@ -233,12 +238,32 @@ class TestUsage:
         ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "0"],
         ["walk", "enumerate", "--s", "0"],
         ["sim", "edge", "--n", "10", "--rho", "2", "--samples", "2",
-         "--x-grid=,"]])
-    def test_bad_inputs(self, argv):
-        # input errors the library raises as ValueError
+         "--x-grid=,"],
+        ["sim", "edge", "--n", "10", "--rho", "2", "--samples", "2",
+         "--x-grid=nan,1"],
+        ["sim", "edge", "--n", "10", "--eps", "nan", "--samples", "2"],
+        ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
+         "--config", "{bad_config}"],
+        ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
+         "--threads", "-1"],
+        ["LAB_THREADS=abc", "sim", "moments", "--n", "8", "--rho", "2",
+         "--s", "1"],
+        ["LAB_THREADS=-1", "sim", "moments", "--n", "8", "--rho", "2",
+         "--s", "1"]])
+    def test_bad_inputs(self, argv, tmp_path):
+        # input errors the library raises as ValueError.  Leading NAME=value
+        # items set environment variables, as in a shell; {bad_config} is a
+        # config file whose delta is not a number
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text(json.dumps({"truncate": True, "delta": "x"}))
+        argv = [arg.format(bad_config=bad_config) for arg in argv]
+        env = dict(os.environ)
+        while "=" in argv[0]:
+            name, value = argv.pop(0).split("=", 1)
+            env[name] = value
         proc = subprocess.run(
             [sys.executable, "-m", "wignerlab.cli"] + argv,
-            capture_output=True, text=True, timeout=10)
+            capture_output=True, text=True, timeout=10, env=env)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr and proc.stdout == ""

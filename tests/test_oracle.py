@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wignerlab import Refused
 from wignerlab import oracle as orc
 from wignerlab import walks as wk
 from wignerlab.catalan import catalan
@@ -80,9 +81,16 @@ class TestExactMoment:
 
     def test_budget_guard(self):
         spec = orc.make_spec(9, 2, 6)
-        with pytest.raises(orc.MomentBudgetError) as exc:
+        with pytest.raises(Refused) as exc:
             orc.exact_moment_trajectory(spec)
         assert exc.value.estimate == 9 ** 12
+
+    def test_walk_method_guard(self):
+        # the walk enumerator's refusal, with its estimate in walks
+        spec = orc.make_spec(4, 2, 9)
+        with pytest.raises(Refused) as exc:
+            orc.exact_moment(spec, "walk")
+        assert exc.value.estimate == wk.estimate_even_walk_count(9)
 
     def test_gaussian_exceeds_rademacher(self):
         r = orc.exact_moment_walk(orc.make_spec(4, 2, 2))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wignerlab import Refused
 from wignerlab import sim
 from wignerlab import oracle as orc
 
@@ -19,6 +20,14 @@ class TestConfig:
             sim.EnsembleConfig(n=4, rho=1.0, truncate=True)
         with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=4, rho=1.0, dist="student", df=2.0)
+        # numeric fields that are not finite real numbers (a --config file
+        # can set v, df and delta)
+        with pytest.raises(sim.SimConfigError):
+            sim.EnsembleConfig(n=4, rho=1.0, truncate=True, delta="x")
+        with pytest.raises(sim.SimConfigError):
+            sim.EnsembleConfig(n=4, rho=1.0, v=float("nan"))
+        with pytest.raises(sim.SimConfigError):
+            sim.EnsembleConfig(n=4, rho=1.0, df=float("inf"))
 
     def test_truncation_level(self):
         cfg = sim.EnsembleConfig(n=100, rho=10.0, truncate=True, delta=0.5)
@@ -59,10 +68,14 @@ class TestSampling:
 
     def test_dense_cap(self):
         cfg = sim.EnsembleConfig(n=4096, rho=10.0)
-        with pytest.raises(sim.SimBudgetError):
+        with pytest.raises(Refused):
             sim.sample_matrix(
                 sim.EnsembleConfig(n=4097, rho=10.0), 0)
         assert cfg.n == 4096  # boundary value is allowed
+        # the estimate counts matrix entries
+        with pytest.raises(Refused) as exc:
+            sim.sample_matrix(sim.EnsembleConfig(n=5000, rho=10.0), 0)
+        assert exc.value.estimate == 25_000_000
 
     def test_entry_variance(self):
         cfg = sim.EnsembleConfig(n=300, rho=30.0, seed=8)
@@ -104,7 +117,7 @@ class TestEstimators:
             assert abs(stats[s].mean - exact) <= 4.0 * stats[s].stderr
 
     def test_stats_shape(self):
-        st = sim.SampleStats.from_values([1.0, 2.0, 3.0], tag="x")
+        st = sim.SampleStats.from_values([1.0, 2.0, 3.0])
         assert st.mean == pytest.approx(2.0)
         assert st.n_samples == 3
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wignerlab import Refused
 from wignerlab import walks as wk
 
 
@@ -483,9 +484,24 @@ class TestEnumeration:
             assert sum(1 for _ in wk.enumerate_even_walks(s)) == count
 
     def test_cap(self):
-        with pytest.raises(wk.EnumerationCapError) as exc:
+        with pytest.raises(Refused) as exc:
             list(wk.enumerate_even_walks(9))
-        assert exc.value.estimate > 0
+        assert exc.value.estimate == 71_213_283
+
+    def test_estimate_is_the_count(self):
+        for s in range(1, 7):
+            assert wk.estimate_even_walk_count(s) == \
+                sum(1 for _ in wk.enumerate_even_walks(s))
+        # past s = 7 the estimate extrapolates; it stays a printable int
+        # however large s is
+        assert 3.6e6 < wk.estimate_even_walk_count(8) < 3.7e6
+        huge = wk.estimate_even_walk_count(10 ** 9)
+        assert isinstance(huge, int) and len(str(huge)) < 400
+
+    @pytest.mark.slow
+    def test_estimate_is_the_count_at_7(self):
+        count = sum(1 for _ in wk.enumerate_even_walks(7, force=True))
+        assert count == wk.estimate_even_walk_count(7) == 216955
 
     def test_partition_small(self):
         # every trajectory maps to exactly one canonical walk; class sizes
