@@ -404,6 +404,14 @@ def cmd_verify(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _approx_count(value: int) -> str:
+    """value in decimal while it fits in 64 bits, else ~10^k: str() of an
+    int with thousands of digits raises."""
+    if value < 2 ** 64:
+        return "%d" % value
+    return "~10^%d" % math.floor(math.log10(value))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -423,8 +431,8 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Refused as exc:
-        print("refused: %s (estimated work: %d)" % (exc, exc.estimate),
-              file=sys.stderr)
+        print("refused: %s (estimated work: %s)"
+              % (exc, _approx_count(exc.estimate)), file=sys.stderr)
         return 3
     except IOError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)

@@ -113,8 +113,8 @@ def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
     count = n ** (2 * s)
     if count > TRAJECTORY_BUDGET:
         raise Refused(
-            "trajectory enumeration needs %d sequences (budget %d)"
-            % (count, TRAJECTORY_BUDGET), count)
+            "trajectory enumeration at n=%d, s=%d needs n^(2s) sequences "
+            "(budget %d)" % (n, s, TRAJECTORY_BUDGET), count)
     total = Fraction(0)
     for steps in itertools.product(range(1, n + 1), repeat=2 * s):
         closed = steps + (steps[0],)

@@ -4,7 +4,8 @@ Entries are H_ij = a_ij b_ij for i < j, symmetric, zero diagonal, with
 b_ij = rho^{-1/2} Bernoulli(rho/n) masks and i.i.d. symmetric a_ij of
 variance v^2.  Sampling uses counter-based Philox substreams keyed by
 (seed, sample index), so serial and parallel runs produce identical
-matrices sample by sample.
+matrices sample by sample, and so do blocks of any size: spectra are taken
+one stacked block of samples at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import numpy as np
 from . import Refused
 
 DENSE_CAP = 4096
+# sample_spectra stacks samples up to this many matrix entries per block
+BLOCK_ENTRIES = 1 << 16
 
 
 class SimConfigError(ValueError):
@@ -93,36 +96,70 @@ def v4_of(config: EnsembleConfig) -> float:
     return (3.0 + 6.0 / (nu - 4.0)) * v4
 
 
-def _rng_for_sample(config: EnsembleConfig, sample_index: int) -> np.random.Generator:
-    key = np.array([config.seed & 0xFFFFFFFFFFFFFFFF,
-                    sample_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _sample_streams(config: EnsembleConfig, start: int,
+                    stop: int) -> Iterator[np.random.Generator]:
+    """The generator of each sample start..stop-1, keyed by (seed, index).
+
+    One Philox is reset to a fresh state per sample; that equals building
+    Generator(Philox(key=(seed, index))) anew, at a fraction of the cost.
+    """
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    key[0] = config.seed & 0xFFFFFFFFFFFFFFFF
+    for k in range(start, stop):
+        key[1] = k & 0xFFFFFFFFFFFFFFFF
+        bitgen.state = fresh
+        yield rng
+
+
+def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
+    """Samples start..stop-1 as a (stop - start, n, n) stack.
+
+    Sample k depends on (seed, k) alone, so a matrix does not depend on the
+    block that holds it.
+    """
+    n = config.n
+    if n > DENSE_CAP:
+        raise Refused("n=%d exceeds dense cap %d" % (n, DENSE_CAP), n * n)
+    m = n * (n - 1) // 2
+    a = np.empty((stop - start, m))
+    keep = np.empty((stop - start, m), dtype=bool)
+    p = config.rho / n
+    for row, rng in enumerate(_sample_streams(config, start, stop)):
+        if config.dist == "rademacher":
+            a[row] = rng.integers(0, 2, size=m)
+        elif config.dist == "gaussian":
+            a[row] = rng.normal(0.0, config.v, size=m)
+        else:
+            a[row] = rng.standard_t(config.df, size=m)
+        keep[row] = rng.random(m) < p
+    if config.dist == "rademacher":
+        a *= 2.0
+        a -= 1.0
+        a *= config.v
+    elif config.dist == "student":
+        a *= config.v / math.sqrt(config.df / (config.df - 2.0))
+    level = config.truncation_level()
+    if level is not None:
+        a[np.abs(a) > level] = 0.0
+    a *= keep
+    a /= math.sqrt(config.rho)
+    h = np.zeros((stop - start, n, n))
+    off = 0
+    for i in range(n - 1):
+        seg = a[:, off:off + n - 1 - i]
+        h[:, i, i + 1:] = seg
+        h[:, i + 1:, i] = seg
+        off += n - 1 - i
+    h += 0.0  # a masked-out negative entry is -0.0; store +0.0
+    return h
 
 
 def sample_matrix(config: EnsembleConfig, sample_index: int) -> np.ndarray:
     """One symmetric dilute Wigner matrix, deterministic in (seed, index)."""
-    n = config.n
-    if n > DENSE_CAP:
-        raise Refused("n=%d exceeds dense cap %d" % (n, DENSE_CAP), n * n)
-    rng = _rng_for_sample(config, sample_index)
-    m = n * (n - 1) // 2
-    if config.dist == "rademacher":
-        a = (2.0 * rng.integers(0, 2, size=m) - 1.0) * config.v
-    elif config.dist == "gaussian":
-        a = rng.normal(0.0, config.v, size=m)
-    else:
-        scale = config.v / math.sqrt(config.df / (config.df - 2.0))
-        a = rng.standard_t(config.df, size=m) * scale
-    level = config.truncation_level()
-    if level is not None:
-        a = np.where(np.abs(a) > level, 0.0, a)
-    mask = rng.random(m) < config.rho / n
-    vals = a * mask / math.sqrt(config.rho)
-    h = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    h[iu] = vals
-    h += h.T
-    return h
+    return sample_block(config, sample_index, sample_index + 1)[0]
 
 
 def trace_power_and_lambda_max(h: np.ndarray, s: int) -> tuple[float, float]:
@@ -152,10 +189,13 @@ class SampleStats:
 
 def sample_spectra(config: EnsembleConfig,
                    n_samples: int) -> Iterator[np.ndarray]:
-    """Eigenvalue arrays of samples 0..n_samples-1."""
-    for k in range(n_samples):
-        h = sample_matrix(config, k)
-        yield np.linalg.eigvalsh(h)
+    """Eigenvalues of samples 0..n_samples-1, as (b, n) arrays of b
+    consecutive samples: one eigvalsh call per block of up to
+    BLOCK_ENTRIES matrix entries (one sample per block once n >= 256)."""
+    step = max(1, BLOCK_ENTRIES // (config.n * config.n))
+    for start in range(0, n_samples, step):
+        yield np.linalg.eigvalsh(
+            sample_block(config, start, min(start + step, n_samples)))
 
 
 def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
@@ -165,11 +205,12 @@ def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
         raise ValueError("need n_samples >= 2")
     if min(s_list) < 1:
         raise ValueError("need every s >= 1, got %s" % (list(s_list),))
-    traces: dict[int, list[float]] = {s: [] for s in s_list}
+    traces: dict[int, list[np.ndarray]] = {s: [] for s in s_list}
     for eig in sample_spectra(config, n_samples):
         for s in s_list:
-            traces[s].append(float(np.sum(eig ** (2 * s))))
-    return {s: SampleStats.from_values(traces[s]) for s in s_list}
+            traces[s].append(np.sum(eig ** (2 * s), axis=1))
+    return {s: SampleStats.from_values(np.concatenate(traces[s]))
+            for s in s_list}
 
 
 @dataclass(frozen=True)
@@ -198,10 +239,9 @@ def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
                   for x in xs]
     counts = [0] * len(xs)
     for eig in sample_spectra(config, n_samples):
-        lmax = float(np.max(np.abs(eig)))
+        lmax = np.max(np.abs(eig), axis=1)
         for i, thr in enumerate(thresholds):
-            if lmax > thr:
-                counts[i] += 1
+            counts[i] += int(np.count_nonzero(lmax > thr))
     probs = [c / n_samples for c in counts]
     errs = [math.sqrt(p * (1.0 - p) / n_samples) for p in probs]
     return EdgeCurve(tuple(xs), tuple(thresholds), tuple(probs), tuple(errs),
@@ -218,6 +258,8 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
     difference in stderr units, and the finite-size lower-bound comparison
     (report-grade) at eps = 0.
     """
+    if not (math.isfinite(chi) and chi > 0):
+        raise SimConfigError("chi must be a finite number > 0, got %r" % chi)
     from . import oracle as orc  # not at module level: it loads walks
     rows = []
     for n in n_list:

@@ -138,6 +138,18 @@ class TestOracle:
         assert code == 3
         assert "estimated work" in err
 
+    def test_huge_estimate(self):
+        # n^(2s) = 10^12000 has too many digits for str(); the refusal
+        # still exits 3 and prints the estimate as a power of ten
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerlab.cli", "oracle", "--n",
+             "1000000", "--rho", "1", "--s", "1000", "--method",
+             "trajectory"], capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 3 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("refused:")
+        assert "(estimated work: ~10^12000)" in lines[0]
+
     def test_walk_method_guardrail(self, capsys, monkeypatch):
         from wignerlab import walks as wk
 
@@ -249,7 +261,9 @@ class TestUsage:
         ["LAB_THREADS=abc", "sim", "moments", "--n", "8", "--rho", "2",
          "--s", "1"],
         ["LAB_THREADS=-1", "sim", "moments", "--n", "8", "--rho", "2",
-         "--s", "1"]])
+         "--s", "1"],
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "inf",
+         "--samples", "2"]])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  Leading NAME=value
         # items set environment variables, as in a shell; {bad_config} is a

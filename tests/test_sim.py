@@ -1,5 +1,6 @@
 """Unit tests for the Monte Carlo sampler and edge experiments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,70 @@ import pytest
 from wignerlab import Refused
 from wignerlab import sim
 from wignerlab import oracle as orc
+
+
+# -- reference implementation ------------------------------------------------
+# The per-sample sampler that sim.sample_block replaced, kept verbatim: a
+# fresh Generator(Philox(key=(seed, k))) per sample, a triu_indices fill and
+# h += h.T.  The block sampler must reproduce it byte for byte.
+
+def ref_sample_matrix(config, sample_index):
+    n = config.n
+    key = np.array([config.seed & 0xFFFFFFFFFFFFFFFF,
+                    sample_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    m = n * (n - 1) // 2
+    if config.dist == "rademacher":
+        a = (2.0 * rng.integers(0, 2, size=m) - 1.0) * config.v
+    elif config.dist == "gaussian":
+        a = rng.normal(0.0, config.v, size=m)
+    else:
+        scale = config.v / math.sqrt(config.df / (config.df - 2.0))
+        a = rng.standard_t(config.df, size=m) * scale
+    level = config.truncation_level()
+    if level is not None:
+        a = np.where(np.abs(a) > level, 0.0, a)
+    mask = rng.random(m) < config.rho / n
+    vals = a * mask / math.sqrt(config.rho)
+    h = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    h[iu] = vals
+    h += h.T
+    return h
+
+
+def ref_spectra(config, n_samples):
+    return [np.linalg.eigvalsh(ref_sample_matrix(config, k))
+            for k in range(n_samples)]
+
+
+def ref_estimate_moments(spectra, s_list):
+    return {s: sim.SampleStats.from_values(
+        [float(np.sum(eig ** (2 * s))) for eig in spectra]) for s in s_list}
+
+
+def ref_edge_counts(spectra, thresholds):
+    counts = [0] * len(thresholds)
+    for eig in spectra:
+        lmax = float(np.max(np.abs(eig)))
+        for i, thr in enumerate(thresholds):
+            if lmax > thr:
+                counts[i] += 1
+    return counts
+
+
+def stats_bytes(stats):
+    return np.array(dataclasses.astuple(stats), dtype=float).tobytes()
+
+
+LAWS = [dict(dist=dist, truncate=truncate,
+             delta=0.05 if truncate else None)
+        for dist in ("rademacher", "gaussian", "student")
+        for truncate in (False, True)]
+
+
+def block_size(n):
+    return max(1, sim.BLOCK_ENTRIES // (n * n))
 
 
 class TestConfig:
@@ -88,6 +153,80 @@ class TestSampling:
         target = 0.25 / 300
         z = (arr.mean() - target) / (arr.std(ddof=1) / math.sqrt(arr.size))
         assert abs(z) <= 4.0
+
+
+class TestBlockSampler:
+    """The block sampler against the per-sample reference, byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 30, 200])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: "%s%s" % (
+        law["dist"], "-trunc" if law["truncate"] else ""))
+    def test_matrix_matches_reference(self, n, law):
+        cfg = sim.EnsembleConfig(n=n, rho=min(3.0, float(n)), seed=23, **law)
+        for k in range(3):
+            h = sim.sample_matrix(cfg, k)
+            ref = ref_sample_matrix(cfg, k)
+            assert h.shape == ref.shape and h.dtype == ref.dtype
+            assert h.tobytes() == ref.tobytes()
+        # rows of a block are the samples themselves
+        block = sim.sample_block(cfg, 5, 9)
+        assert block.shape == (4, n, n)
+        for row, k in enumerate(range(5, 9)):
+            assert block[row].tobytes() == ref_sample_matrix(cfg, k).tobytes()
+
+    def test_truncation_bites(self):
+        # the truncated laws above do zero some entries
+        cfg = sim.EnsembleConfig(n=200, rho=200.0, dist="gaussian", seed=23,
+                                 truncate=True, delta=0.05)
+        full = dataclasses.replace(cfg, truncate=False, delta=None)
+        assert (np.count_nonzero(sim.sample_matrix(cfg, 0))
+                < np.count_nonzero(sim.sample_matrix(full, 0)))
+
+    def test_streams_match_fresh_generators(self):
+        # one Philox reset per sample draws what a fresh one per sample does,
+        # for every draw the sampler makes; indices wrap at 2^64 like keys
+        def draws(rng):
+            return (rng.integers(0, 2, size=7), rng.normal(0.0, 0.5, size=5),
+                    rng.standard_t(14.0, size=5), rng.random(9))
+
+        for seed, start in ((0, 0), (-1, 2 ** 64 - 2), (2 ** 70 + 5, 3)):
+            cfg = sim.EnsembleConfig(n=4, rho=2.0, seed=seed)
+            got = [draws(rng)
+                   for rng in sim._sample_streams(cfg, start, start + 3)]
+            for k, drawn in zip(range(start, start + 3), got):
+                key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
+                                k & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+                want = draws(np.random.Generator(np.random.Philox(key=key)))
+                for x, y in zip(drawn, want):
+                    assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 30])
+    def test_estimators_match_reference(self, n):
+        # sample counts that end mid-block and that are one block plus one
+        step = block_size(n)
+        assert step > 1
+        cfg = sim.EnsembleConfig(n=n, rho=2.0, dist="gaussian", seed=31)
+        for count in (step // 2, step + 1, 2 * step + step // 3):
+            spectra = ref_spectra(cfg, count)
+            blocks = list(sim.sample_spectra(cfg, count))
+            assert len(blocks) == -(-count // step)
+            assert (np.concatenate(blocks).tobytes()
+                    == np.array(spectra).tobytes())
+            got = sim.estimate_moments(cfg, [1, 2, 3], count)
+            want = ref_estimate_moments(spectra, [1, 2, 3])
+            for s in (1, 2, 3):
+                assert stats_bytes(got[s]) == stats_bytes(want[s])
+            curve = sim.edge_tail(cfg, [-2.0, 0.0, 2.0], count)
+            assert list(curve.counts) == ref_edge_counts(spectra,
+                                                         curve.thresholds)
+
+    def test_one_matrix_per_block_from_256(self):
+        assert block_size(255) == 1 and block_size(256) == 1
+        cfg = sim.EnsembleConfig(n=256, rho=4.0, seed=2)
+        blocks = list(sim.sample_spectra(cfg, 2))
+        assert [b.shape for b in blocks] == [(1, 256), (1, 256)]
+        assert (np.concatenate(blocks).tobytes()
+                == np.array(ref_spectra(cfg, 2)).tobytes())
 
 
 class TestEstimators:
