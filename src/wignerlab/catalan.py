@@ -281,7 +281,9 @@ def check_n2_lower(s_max: int) -> dict:
 
 @dataclass
 class HeightTable:
-    """cum[u][s] = number of plane trees of s edges with height <= u."""
+    """cum[u][s] = number of plane trees of s edges with height <= u, held
+    for u <= s only (what t_dot and marginal read); the cells u > s, where
+    the count is t_s, are 0."""
 
     cum: list[list[int]]
     s_max: int
@@ -304,7 +306,7 @@ def height_table(s_max: int) -> HeightTable:
         cum[u][s] = sum_k [C(2s, s - k w) - C(2s, s - k w - 1)],
 
     that is, the row of C(2s, .) summed over the residues s and s - 1 mod w.
-    No tree of s edges is higher than s, so cum[u][s] = t_s for u >= s."""
+    No tree of s edges is higher than s, so cum[s][s] = t_s."""
     cum = [[0] * (s_max + 1) for _ in range(s_max + 1)]
     for s in range(s_max + 1):
         row = [1]
@@ -313,9 +315,7 @@ def height_table(s_max: int) -> HeightTable:
         for u in range(s):
             w = u + 2
             cum[u][s] = sum(row[s % w::w]) - sum(row[(s - 1) % w::w])
-        ts = row[s] - (row[s - 1] if s else 0)
-        for u in range(s, s_max + 1):
-            cum[u][s] = ts
+        cum[s][s] = row[s] - (row[s - 1] if s else 0)
     return HeightTable(cum, s_max)
 
 

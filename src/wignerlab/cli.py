@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import Refused
+from . import Refused, reports
 
 
 def _set_threads(value) -> None:
@@ -171,13 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _emit(args, records, manifest):
-    from . import reports
     manifest.finish()
     reports.emit_report(records, args.format, args.out, manifest)
 
 
 def _manifest(args, config: dict):
-    from . import reports
     return reports.RunManifest(subcommand=args.subcommand, config=config,
                                seed=getattr(args, "seed", None)).start()
 
@@ -306,15 +304,8 @@ def cmd_oracle(args) -> int:
     payload = {"value_num": str(value.numerator),
                "value_den": str(value.denominator),
                "method_agreement": True if args.method == "both" else None}
-    text = json.dumps(payload, sort_keys=True)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise IOError("cannot write %r: %s" % (args.out, exc))
-    else:
-        print(text)
+    with reports.open_output(args.out) as stream:
+        stream.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
 

@@ -4,18 +4,18 @@ M_2s = E Tr H^{2s} is a weighted sum over closed trajectories of 2s steps.
 The weight of a trajectory factorizes over its distinct vertex pairs: a pair
 traversed m times contributes V_m rho^{-m/2} (rho/n) for even m and zero for
 odd m; diagonal steps contribute zero.  The oracle evaluates the sum two
-independent ways, by raw trajectory enumeration and by enumerating canonical
-even walks weighted by their equivalence class sizes, and the two must agree
+independent ways, by raw trajectory enumeration and by a sum over the shapes
+of the canonical even walks (walks.shape_table), and the two must agree
 exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from . import Refused
 from . import walks as wk
@@ -59,18 +59,19 @@ class MomentSpec:
         return self.moments[l - 1]
 
 
-def rademacher_moments(s: int, v: Fraction = Fraction(1, 2)) -> tuple[Fraction, ...]:
-    """V_2l = v^{2l} for entries +-v."""
-    return tuple(v ** (2 * l) for l in range(1, s + 1))
+def rademacher_moments(s: int) -> tuple[Fraction, ...]:
+    """V_2l = v^{2l} for entries +-v, v = 1/2."""
+    return tuple(Fraction(1, 4) ** l for l in range(1, s + 1))
 
 
-def gaussian_moments(s: int, v: Fraction = Fraction(1, 2)) -> tuple[Fraction, ...]:
-    """V_2l = (2l-1)!! v^{2l} for centered Gaussian entries of variance v^2."""
+def gaussian_moments(s: int) -> tuple[Fraction, ...]:
+    """V_2l = (2l-1)!! v^{2l} for centered Gaussian entries of variance v^2,
+    v = 1/2."""
     out = []
     double_fact = 1
     for l in range(1, s + 1):
         double_fact *= 2 * l - 1
-        out.append(double_fact * v ** (2 * l))
+        out.append(double_fact * Fraction(1, 4) ** l)
     return tuple(out)
 
 
@@ -95,15 +96,12 @@ def pair_weight(m: int, spec: MomentSpec) -> Fraction:
     return spec.v_moment(m) * spec.rho ** (1 - m // 2) / spec.n
 
 
-def walk_weight(walk: wk.Walk, spec: MomentSpec) -> Fraction:
-    """Product of pair weights over the distinct pairs of the walk."""
-    if walk.has_loops:
-        return Fraction(0)
-    out = Fraction(1)
-    for mult in walk.analysis.pair_multiplicity.values():
-        out *= pair_weight(mult, spec)
-        if out == 0:
-            return out
+def shape_weight(k: int, mults, spec: MomentSpec) -> Fraction:
+    """(n)_k prod_m pair_weight(m): the total weight of the trajectories
+    whose canonical walk has k letters and pair multiplicities mults."""
+    out = Fraction(math.perm(spec.n, k))
+    for m in mults:
+        out *= pair_weight(m, spec)
     return out
 
 
@@ -132,25 +130,11 @@ def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
 
 
 def exact_moment_walk(spec: MomentSpec) -> Fraction:
-    """M_2s as a sum over canonical even walks weighted by class sizes.
-
-    Class size and weight depend only on a walk's shape, its vertex count
-    and its sorted pair multiplicities, so each shape is weighed once, on
-    its first walk, times the number of walks of that shape.
-    """
-    shapes: Counter = Counter()
-    first: dict[tuple, wk.Walk] = {}
-    for walk in wk.enumerate_even_walks(spec.s):
-        shape = (walk.n_letters,
-                 tuple(sorted(walk.analysis.pair_multiplicity.values())))
-        shapes[shape] += 1
-        first.setdefault(shape, walk)
-    total = Fraction(0)
-    for shape, count in shapes.items():
-        size = wk.class_size(first[shape], spec.n)
-        if size:
-            total += count * size * walk_weight(first[shape], spec)
-    return total
+    """M_2s as a sum over the shapes of the canonical even walks: class
+    size and weight depend only on a walk's shape, so each shape is weighed
+    once, times the number of walks of that shape."""
+    return sum(count * shape_weight(k, mults, spec)
+               for k, mults, count in wk.shape_table(spec.s))
 
 
 def exact_moment(spec: MomentSpec, method: str = "both") -> Fraction:
@@ -175,7 +159,6 @@ def exact_moment(spec: MomentSpec, method: str = "both") -> Fraction:
 
 def theorem_7_1_rhs(chi: float, zeta: float, V4: float) -> float:
     """16 V4 / (zeta sqrt(pi chi)) e^{-e chi^3}."""
-    import math
     if chi <= 0 or zeta <= 0:
         raise ValueError("chi and zeta must be > 0")
     return 16.0 * V4 / (zeta * math.sqrt(math.pi * chi)) \
@@ -188,7 +171,7 @@ def insertion_count(s: int, mu2: int) -> int:
         raise ValueError("mu2 must be >= 0")
     if 2 * mu2 > s:
         return 0
-    return factorial(s) // ((2 ** mu2) * factorial(mu2) * factorial(s - 2 * mu2))
+    return math.perm(s, 2 * mu2) // (2 ** mu2 * math.factorial(mu2))
 
 
 def insertion_lower_bound_ok(s: int, mu2: int, M: int) -> bool:
@@ -196,7 +179,7 @@ def insertion_lower_bound_ok(s: int, mu2: int, M: int) -> bool:
     if M < mu2 or 2 * M > s:
         raise ValueError("need mu2 <= M and 2M <= s")
     lhs = Fraction(insertion_count(s, mu2))
-    rhs = Fraction((s - 2 * M) ** 2, 2) ** mu2 / factorial(mu2)
+    rhs = Fraction((s - 2 * M) ** 2, 2) ** mu2 / math.factorial(mu2)
     return lhs >= rhs
 
 
@@ -212,7 +195,7 @@ class ClassRecord:
     census: wk.DiagramParams
     n_walks: int
     max_D: int
-    weight: Fraction              # exact sum of class_size * walk weight
+    weight: Fraction              # exact sum of the walks' shape weights
     weight_normalized: Fraction   # weight / n (per start vertex)
     bound: float
     bound_ok: bool
@@ -225,7 +208,6 @@ def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
     bound, and that the class-size factor obeys the exponential bound
     prod(1 - k/n) <= exp(-(s - sigma)^2 / 2n).  The entries are +-1/2
     Rademacher."""
-    import math
     spec = make_spec(n, rho, s)
     v2_hat = float(spec.moments[0])
     # entries +-1/2 are bounded by 1/2, so U^2 / V2 = 1
@@ -251,8 +233,8 @@ def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
         weight = Fraction(0)
         max_d = 0
         for walk in walks_in:
-            size = wk.class_size(walk, n)
-            weight += size * walk_weight(walk, spec)
+            weight += shape_weight(
+                walk.n_letters, walk.analysis.pair_multiplicity.values(), spec)
             _, d = wk.max_exit_degree(walk)
             max_d = max(max_d, d)
         # sigma is part of the class key, so the class-size factor is the

@@ -9,10 +9,12 @@ JSON.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -83,28 +85,51 @@ def _write_csv(stream, records: Iterable[dict]) -> None:
         writer.writerow([_csv_cell(v) for v in rec.values()])
 
 
+@contextlib.contextmanager
+def open_output(path: Optional[str]):
+    """A text stream to path, or stdout when path is None.
+
+    The text goes to a temporary file in the target's directory, which
+    replaces the target after the last byte and is removed on any
+    exception: no half-written file is ever left.  A path that exists and
+    is not a regular file (/dev/null, a pipe) is written in place.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    atomic = os.path.isfile(target) or not os.path.exists(target)
+    tmp = "%s.%d.tmp" % (target, os.getpid()) if atomic else target
+    try:
+        stream = open(tmp, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IOError("cannot write %r: %s" % (path, exc)) from exc
+    try:
+        with stream:
+            yield stream
+        if atomic:
+            os.replace(tmp, target)
+    except BaseException:
+        if atomic and os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def emit_report(records: Iterable[dict], fmt: str, path: Optional[str],
                 manifest: RunManifest) -> None:
     """Stream records to path (or stdout) as CSV or JSON Lines.
 
     The first record is drawn before anything is opened or written, so a
     record source that refuses at once (a generator that checks its input
-    on first use) leaves no output and no file.
+    on first use) leaves no output and no file; one that fails later
+    leaves no file either (see open_output).
     """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
     records = iter(records)
     first = list(itertools.islice(records, 1))
     records = itertools.chain(first, records)
-    own = path is not None
-    if own:
-        try:
-            stream = open(path, "w", newline="", encoding="utf-8")
-        except OSError as exc:
-            raise IOError("cannot write %r: %s" % (path, exc)) from exc
-    else:
-        stream = sys.stdout
-    try:
+    with open_output(path) as stream:
         stream.write(manifest.header_line() + "\n")
         if fmt == "csv":
             _write_csv(stream, records)
@@ -113,9 +138,6 @@ def emit_report(records: Iterable[dict], fmt: str, path: Optional[str],
                 stream.write(json.dumps({k: _json_value(v)
                                          for k, v in rec.items()},
                                         sort_keys=True) + "\n")
-    finally:
-        if own:
-            stream.close()
 
 
 def render_csv_body(records: Iterable[dict]) -> str:

@@ -162,12 +162,6 @@ def sample_matrix(config: EnsembleConfig, sample_index: int) -> np.ndarray:
     return sample_block(config, sample_index, sample_index + 1)[0]
 
 
-def trace_power_and_lambda_max(h: np.ndarray, s: int) -> tuple[float, float]:
-    """(Tr H^{2s}, max |eigenvalue|) via a full symmetric eigendecomposition."""
-    eig = np.linalg.eigvalsh(h)
-    return float(np.sum(eig ** (2 * s))), float(np.max(np.abs(eig)))
-
-
 @dataclass(frozen=True)
 class SampleStats:
     mean: float

@@ -250,15 +250,11 @@ def oracle_suite(fast: bool = False) -> VerifyReport:
     for s in range(1, 4):
         n = 6
         spec = orc.make_spec(n, n, s)
-        tree_total = Fraction(0)
-        for w in wk.enumerate_even_walks(s):
-            if w.n_letters == s + 1:
-                tree_total += wk.class_size(w, n) * orc.walk_weight(w, spec)
-        expect = Fraction(ct.catalan(s)) * Fraction(1, 4) ** s
-        fall = Fraction(1)
-        for i in range(s + 1):
-            fall *= n - i
-        ok = ok and tree_total == fall * expect / n ** s
+        tree_total = sum(count * orc.shape_weight(k, mults, spec)
+                         for k, mults, count in wk.shape_table(s)
+                         if k == s + 1)
+        expect = math.perm(n, s + 1) * Fraction(ct.catalan(s), 4 ** s)
+        ok = ok and tree_total == expect / n ** s
     rep.add("oracle.wigner_tree_classes", ok, "n=6, s <= 3")
 
     base = orc.MomentSpec(4, Fraction(2), 2,
@@ -323,10 +319,11 @@ def sim_suite(fast: bool = False) -> VerifyReport:
     rep.add("sim.oracle_consistency", ok, ", ".join(details))
 
     ok = True
-    for k in range(20):
-        h = sim.sample_matrix(sim.EnsembleConfig(n=32, rho=8.0, seed=7), k)
-        tr, _ = sim.trace_power_and_lambda_max(h, 1)
-        frob = float(np.sum(h * h))
+    cfg = sim.EnsembleConfig(n=32, rho=8.0, seed=7)
+    spectra = np.concatenate(list(sim.sample_spectra(cfg, 20)))
+    for k, eig in enumerate(spectra):
+        tr = float(np.sum(eig ** 2))
+        frob = float(np.sum(sim.sample_matrix(cfg, k) ** 2))
         ok = ok and (frob == 0 or abs(tr - frob) <= 1e-10 * frob)
     rep.add("sim.trace_identity", ok, "20 samples, n=32")
 

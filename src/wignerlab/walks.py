@@ -12,6 +12,7 @@ around the vertex of maximal exit degree.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -756,61 +757,72 @@ def estimate_even_walk_count(s: int) -> int:
     return round(count)
 
 
-def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP,
-                         force: bool = False) -> Iterator[Walk]:
-    """All canonical even closed walks of 2s steps, lexicographic order.
+def _even_walk_leaves(s: int, cap: int,
+                      force: bool) -> Iterator[tuple[list, dict, int]]:
+    """DFS over the canonical even closed walks of 2s steps, lexicographic.
 
-    DFS over next letters (existing ones or the next fresh letter, never the
-    current one) with parity pruning: the number of odd pairs can drop by at
-    most one per remaining step and must match its parity.
-    """
+    A step goes to an existing letter or the next fresh one, never the
+    current one.  Odd pairs prune: they can drop by one per remaining step
+    and must match its parity.  Refuses s > cap unless forced, before any
+    step.  Yields the live (letters, pair multiplicities keyed (min, max),
+    letter count) of each even walk; a pair left behind keeps 0."""
     if s < 1:
         raise ValueError("s must be >= 1")
     if s > cap and not force:
         raise Refused(
             "walk enumeration at s=%d exceeds cap %d" % (s, cap),
             estimate_even_walk_count(s))
-
     total = 2 * s
     seq = [1]
-    parity: dict[frozenset, int] = {}
+    mult: dict[tuple[int, int], int] = {}
     odd_pairs = 0
 
-    def rec(t: int, max_letter: int) -> Iterator[Walk]:
+    def rec(t: int, max_letter: int):
         nonlocal odd_pairs
         remaining = total - t
         if remaining == 0:
-            if odd_pairs == 0 and seq[-1] == 1:
-                yield Walk(tuple(seq))
+            if odd_pairs == 0:
+                yield seq, mult, max_letter
             return
         if odd_pairs > remaining or (odd_pairs - remaining) % 2 != 0:
             return
         cur = seq[-1]
-        hi = min(max_letter + 1, 1 + total)  # fresh letters cannot exceed s+1
-        for nxt in range(1, hi + 1):
-            if nxt == cur or nxt > max_letter + 1:
+        for nxt in (1,) if remaining == 1 else range(1, max_letter + 2):
+            if nxt == cur:
                 continue
-            if remaining == 1 and nxt != 1:
-                continue
-            pair = frozenset((cur, nxt))
-            was_odd = parity.get(pair, 0)
-            parity[pair] = was_odd ^ 1
-            odd_pairs += 1 if was_odd == 0 else -1
+            pair = (cur, nxt) if cur < nxt else (nxt, cur)
+            m = mult.get(pair, 0)
+            mult[pair] = m + 1
+            odd_pairs += -1 if m & 1 else 1
             seq.append(nxt)
             yield from rec(t + 1, max(max_letter, nxt))
             seq.pop()
-            parity[pair] = was_odd
-            odd_pairs += -1 if was_odd == 0 else 1
+            mult[pair] = m
+            odd_pairs += 1 if m & 1 else -1
 
-    yield from rec(0, 1)
+    return rec(0, 1)
+
+
+def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP,
+                         force: bool = False) -> Iterator[Walk]:
+    """All canonical even closed walks of 2s steps, lexicographic order;
+    refuses s > cap unless forced."""
+    for letters, _, _ in _even_walk_leaves(s, cap, force):
+        yield Walk(tuple(letters))
+
+
+@functools.cache
+def shape_table(s: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """(k, sorted pair multiplicities, walk count) per shape of the even
+    walks of 2s steps, sorted.  Class size and weight depend only on the
+    shape, so this is all the walk oracle needs; it builds no Walk, is
+    computed once per s and refuses s > DEFAULT_ENUM_CAP."""
+    counts: Counter = Counter()
+    for _, mult, k in _even_walk_leaves(s, DEFAULT_ENUM_CAP, False):
+        counts[k, tuple(sorted(m for m in mult.values() if m))] += 1
+    return tuple((k, mults, c) for (k, mults), c in sorted(counts.items()))
 
 
 def class_size(walk: Walk, n: int) -> int:
     """n(n-1)...(n-|V_g|+1): trajectories over [1..n] mapping to this walk."""
-    k = walk.n_letters
-    if n < k:
-        return 0
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+    return math.perm(n, walk.n_letters)

@@ -164,6 +164,24 @@ class TestOracle:
         assert "force" not in err  # the oracle has no override
         assert "Traceback" not in err and out == ""
 
+    def test_out_file(self, capsys, tmp_path):
+        # the same bytes as stdout, with no manifest line
+        args = ["oracle", "--n", "4", "--rho", "2", "--s", "2"]
+        out_file = tmp_path / "o.json"
+        code, out, _ = run_cli(args + ["--out", str(out_file)], capsys)
+        assert code == 0 and out == ""
+        assert out_file.read_bytes() == \
+            b'{"method_agreement": true, "value_den": "32", "value_num": "9"}\n'
+        assert run_cli(args, capsys)[1].encode() == out_file.read_bytes()
+        assert os.listdir(tmp_path) == ["o.json"]
+
+    def test_out_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["oracle", "--n", "4", "--rho", "2", "--s", "2", "--out",
+             str(tmp_path / "missing" / "o.json")], capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("i/o error: cannot write")
+
     def test_bad_rho(self, capsys):
         code, _, err = run_cli(
             ["oracle", "--n", "4", "--rho", "x", "--s", "1"], capsys)
@@ -302,6 +320,28 @@ class TestReports:
         reports.emit_report([{"v": Fraction(1, 4)}], "json", None, manifest)
         out = capsys.readouterr().out
         assert '{"v": {"den": "4", "num": "1"}}' in out
+
+    def test_failing_source_leaves_no_file(self, tmp_path):
+        def records():
+            yield {"a": 1}
+            raise ValueError("bad record")
+        manifest = reports.RunManifest("test", {}).start()
+        out_file = tmp_path / "r.csv"
+        with pytest.raises(ValueError):
+            reports.emit_report(records(), "csv", str(out_file), manifest)
+        assert os.listdir(tmp_path) == []
+        # an earlier file at the path stays as it was
+        out_file.write_text("old\n")
+        with pytest.raises(ValueError):
+            reports.emit_report(records(), "json", str(out_file), manifest)
+        assert os.listdir(tmp_path) == ["r.csv"]
+        assert out_file.read_text() == "old\n"
+
+    def test_device_written_in_place(self, capsys):
+        assert cli.main(["count", "catalan", "--s-max", "3",
+                         "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+        assert not os.path.isfile(os.devnull)
 
     def test_empty_csv(self, capsys):
         manifest = reports.RunManifest("test", {}).start()

@@ -1,5 +1,6 @@
 """Unit tests for the exact rational moment oracle and the class audit."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,48 @@ from wignerlab import Refused
 from wignerlab import oracle as orc
 from wignerlab import walks as wk
 from wignerlab.catalan import catalan
+
+
+# ---------------------------------------------------------------------------
+# Reference: the walk method as computed before the shape table, listing
+# every even walk and weighing each shape on its first walk.
+# ---------------------------------------------------------------------------
+
+def ref_walk_weight(walk, spec):
+    if walk.has_loops:
+        return Fraction(0)
+    out = Fraction(1)
+    for mult in walk.analysis.pair_multiplicity.values():
+        out *= orc.pair_weight(mult, spec)
+        if out == 0:
+            return out
+    return out
+
+
+def ref_class_size(walk, n):
+    k = walk.n_letters
+    if n < k:
+        return 0
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
+def ref_exact_moment_walk(spec):
+    shapes = Counter()
+    first = {}
+    for walk in wk.enumerate_even_walks(spec.s):
+        shape = (walk.n_letters,
+                 tuple(sorted(walk.analysis.pair_multiplicity.values())))
+        shapes[shape] += 1
+        first.setdefault(shape, walk)
+    total = Fraction(0)
+    for shape, count in shapes.items():
+        size = ref_class_size(first[shape], spec.n)
+        if size:
+            total += count * size * ref_walk_weight(first[shape], spec)
+    return total
 
 
 class TestMomentSpec:
@@ -46,10 +89,14 @@ class TestPairWeight:
         spec = orc.make_spec(4, 1, 2)
         assert orc.pair_weight(3, spec) == 0
 
-    def test_loop_walk_weight_zero(self):
-        spec = orc.make_spec(3, 1, 1)
-        w = wk.walk_from_trajectory(wk.Trajectory((1, 1), 3))
-        assert orc.walk_weight(w, spec) == 0
+    def test_shape_weight(self):
+        spec = orc.make_spec(5, Fraction(3, 2), 3)
+        # (5)_3 = 60 trajectories; pair weights V_2/n = 1/20 and
+        # V_4 rho^{-1}/n = (1/16)(2/3)/5
+        assert orc.shape_weight(3, (2, 4), spec) == \
+            60 * Fraction(1, 20) * Fraction(1, 120)
+        assert orc.shape_weight(6, (2, 2, 2), spec) == 0   # k > n
+        assert orc.shape_weight(2, (3,), spec) == 0        # odd pair
 
 
 class TestExactMoment:
@@ -91,6 +138,29 @@ class TestExactMoment:
         with pytest.raises(Refused) as exc:
             orc.exact_moment(spec, "walk")
         assert exc.value.estimate == wk.estimate_even_walk_count(9)
+
+    @pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+    def test_shape_sum_matches_walk_listing(self, dist):
+        for s in range(1, 6):
+            for n in (2, 3, 5, 2000):
+                for rho in (Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+                    if rho <= n:
+                        spec = orc.make_spec(n, rho, s, dist)
+                        assert orc.exact_moment_walk(spec) == \
+                            ref_exact_moment_walk(spec)
+        spec = orc.make_spec(2000, 2, 6, dist)
+        assert orc.exact_moment_walk(spec) == ref_exact_moment_walk(spec)
+
+    def test_walk_method_builds_no_walk(self, monkeypatch):
+        spec = orc.make_spec(5, 2, 5)
+        expected = ref_exact_moment_walk(spec)
+
+        def no_walk(*args):
+            raise AssertionError("a Walk was built")
+        wk.shape_table.cache_clear()   # make the call run the search
+        monkeypatch.setattr(wk, "Walk", no_walk)
+        monkeypatch.setattr(wk, "WalkAnalysis", no_walk)
+        assert orc.exact_moment_walk(spec) == expected
 
     def test_gaussian_exceeds_rademacher(self):
         r = orc.exact_moment_walk(orc.make_spec(4, 2, 2))

@@ -231,11 +231,14 @@ class TestBlockSampler:
 
 class TestEstimators:
     def test_trace_vs_frobenius(self):
-        h = sim.sample_matrix(sim.EnsembleConfig(n=25, rho=5.0, seed=3), 1)
-        tr, lmax = sim.trace_power_and_lambda_max(h, 1)
-        assert tr == pytest.approx(float(np.sum(h * h)), rel=1e-12)
-        assert lmax == pytest.approx(float(np.max(np.abs(
-            np.linalg.eigvalsh(h)))), rel=1e-12)
+        # Tr H^2 and lambda_max read off the spectrum sample_spectra yields
+        cfg = sim.EnsembleConfig(n=25, rho=5.0, seed=3)
+        h = sim.sample_matrix(cfg, 1)
+        eig = np.concatenate(list(sim.sample_spectra(cfg, 2)))[1]
+        assert float(np.sum(eig ** 2)) == \
+            pytest.approx(float(np.sum(h * h)), rel=1e-12)
+        assert float(np.max(np.abs(eig))) == pytest.approx(float(np.max(
+            np.abs(np.linalg.eigvalsh(h)))), rel=1e-12)
 
     def test_fast_route_matches_eig(self):
         # the spectral estimates against Tr H^{2s} from matrix powers

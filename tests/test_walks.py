@@ -267,6 +267,48 @@ def ref_bts_and_cells(walk):
                          tuple(remote_bts), I, M, K, J, F_p, F_pp, ok)
 
 
+def ref_enumerate_even_walks(s):
+    """The parity DFS that enumerate_even_walks ran before it tracked pair
+    multiplicities."""
+    total = 2 * s
+    seq = [1]
+    parity = {}
+    odd_pairs = 0
+
+    def rec(t, max_letter):
+        nonlocal odd_pairs
+        remaining = total - t
+        if remaining == 0:
+            if odd_pairs == 0 and seq[-1] == 1:
+                yield wk.Walk(tuple(seq))
+            return
+        if odd_pairs > remaining or (odd_pairs - remaining) % 2 != 0:
+            return
+        cur = seq[-1]
+        for nxt in range(1, max_letter + 2):
+            if nxt == cur or (remaining == 1 and nxt != 1):
+                continue
+            pair = frozenset((cur, nxt))
+            was_odd = parity.get(pair, 0)
+            parity[pair] = was_odd ^ 1
+            odd_pairs += 1 if was_odd == 0 else -1
+            seq.append(nxt)
+            yield from rec(t + 1, max(max_letter, nxt))
+            seq.pop()
+            parity[pair] = was_odd
+            odd_pairs += -1 if was_odd == 0 else 1
+
+    yield from rec(0, 1)
+
+
+def ref_shapes(s):
+    """Even walks grouped by (letter count, sorted pair multiplicities), as
+    the walk oracle grouped them before the shape table."""
+    return Counter((w.n_letters,
+                    tuple(sorted(w.analysis.pair_multiplicity.values())))
+                   for w in wk.enumerate_even_walks(s))
+
+
 def assert_views_match_reference(walk):
     assert pickle.dumps(wk.label_steps(walk)) == \
         pickle.dumps(ref_label_steps(walk))
@@ -518,7 +560,37 @@ class TestEnumeration:
         assert all(wk.class_size(w, n) == c for w, c in by_walk.items())
         assert sum(by_walk.values()) + skipped == n ** (2 * s)
 
+    def test_same_walks_as_parity_dfs(self):
+        for s in range(1, 7):
+            assert list(wk.enumerate_even_walks(s)) == \
+                list(ref_enumerate_even_walks(s))
+
     def test_class_size(self):
         w = wk.Walk((1, 2, 3, 2, 1))
         assert wk.class_size(w, 5) == 5 * 4 * 3
         assert wk.class_size(w, 2) == 0
+
+
+class TestShapeTable:
+    def test_matches_grouped_walks(self):
+        for s in range(1, 7):
+            table = wk.shape_table(s)
+            assert list(table) == sorted(table)
+            assert {(k, mults): c for k, mults, c in table} == ref_shapes(s)
+            assert sum(c for _, _, c in table) == wk.EVEN_WALK_COUNTS[s]
+
+    def test_cached_and_immutable(self):
+        table = wk.shape_table(4)
+        assert wk.shape_table(4) is table
+        assert isinstance(table, tuple)
+        assert all(isinstance(row, tuple) and isinstance(row[1], tuple)
+                   for row in table)
+
+    def test_refuses_above_cap(self):
+        # at once: a search at s = 9 would visit some 7e7 walks
+        for s in (7, 9):
+            with pytest.raises(Refused) as exc:
+                wk.shape_table(s)
+            assert exc.value.estimate == wk.estimate_even_walk_count(s)
+        with pytest.raises(ValueError):
+            wk.shape_table(0)
