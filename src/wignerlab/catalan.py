@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import Refused
 from .walks import DiagramParams, all_dyck_paths
@@ -56,9 +56,7 @@ class SeriesExact:
     order: int  # coefficients are exact for exponents 0..order
 
     @classmethod
-    def from_list(cls, coeffs: Sequence, order: Optional[int] = None) -> "SeriesExact":
-        if order is None:
-            order = len(coeffs) - 1
+    def from_list(cls, coeffs: Sequence, order: int) -> "SeriesExact":
         c = list(coeffs[:order + 1])
         c += [0] * (order + 1 - len(c))
         return cls(tuple(c), order)
@@ -279,71 +277,47 @@ def check_n2_lower(s_max: int) -> dict:
 # Height-restricted tree counts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HeightTable:
-    """cum[u][s] = number of plane trees of s edges with height <= u, held
-    for u <= s only (what t_dot and marginal read); the cells u > s, where
-    the count is t_s, are 0."""
+def height_row(s: int) -> list[int]:
+    """row[u] = number of plane trees of s edges with height exactly u,
+    for u = 0..s.
 
-    cum: list[list[int]]
-    s_max: int
-
-    def t_dot(self, u: int, s: int) -> int:
-        """Trees of s edges with height exactly u."""
-        if u < 1 or u > s:
-            return 0
-        return self.cum[u][s] - self.cum[u - 1][s]
-
-    def marginal(self, s: int) -> int:
-        return sum(self.t_dot(u, s) for u in range(1, s + 1))
-
-
-def height_table(s_max: int) -> HeightTable:
-    """Strip count by the reflection principle (de Bruijn, Knuth and Rice,
+    Strip count by the reflection principle (de Bruijn, Knuth and Rice,
     1972): a tree of s edges with height <= u is a Dyck path of 2s steps
-    inside the strip 0..u, so with w = u + 2
+    inside the strip 0..u, so with w = u + 2 there are
 
-        cum[u][s] = sum_k [C(2s, s - k w) - C(2s, s - k w - 1)],
+        sum_k [C(2s, s - k w) - C(2s, s - k w - 1)]
 
-    that is, the row of C(2s, .) summed over the residues s and s - 1 mod w.
-    No tree of s edges is higher than s, so cum[s][s] = t_s."""
-    cum = [[0] * (s_max + 1) for _ in range(s_max + 1)]
-    for s in range(s_max + 1):
-        row = [1]
-        for m in range(2 * s):
-            row.append(row[-1] * (2 * s - m) // (m + 1))
-        for u in range(s):
-            w = u + 2
-            cum[u][s] = sum(row[s % w::w]) - sum(row[(s - 1) % w::w])
-        cum[s][s] = row[s] - (row[s - 1] if s else 0)
-    return HeightTable(cum, s_max)
+    of them, the row of C(2s, .) summed over the residues s and s - 1
+    mod w; the row is their consecutive differences."""
+    binom = [1]
+    for m in range(2 * s):
+        binom.append(binom[-1] * (2 * s - m) // (m + 1))
+    cum = [sum(binom[s % w::w]) - sum(binom[(s - 1) % w::w])
+           for w in range(2, s + 3)]
+    return cum[:1] + [b - a for a, b in zip(cum, cum[1:])]
 
 
-def b_s(x: float, s: int, table: Optional[HeightTable] = None) -> float:
+def b_s(x: float, s: int) -> float:
     """(1/t_s) sum_u (trees of height exactly u) e^{x u / sqrt(s)}."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    if table is None or table.s_max < s:
-        table = height_table(s)
     ts = catalan(s)
     scale = x / math.sqrt(s)
     total = 0.0
-    for u in range(1, s + 1):
-        cnt = table.t_dot(u, s)
+    for u, cnt in enumerate(height_row(s)):
         if cnt:
             total += cnt / ts * math.exp(scale * u)
     return total
 
 
-def frakM_upper(chi: float, s: int, c: float = 6.0,
-                table: Optional[HeightTable] = None) -> float:
+def frakM_upper(chi: float, s: int, c: float = 6.0) -> float:
     """(pi chi^3)^{-1/2} e^{4 chi^3} B_s(c chi^{3/2}), the finite-s stand-in
     for the edge-constant upper envelope; c is exposed because the source
     uses several values for the argument coefficient."""
     if chi <= 0:
         raise ValueError("chi must be > 0")
     return (math.exp(4.0 * chi ** 3) / math.sqrt(math.pi * chi ** 3)
-            * b_s(c * chi ** 1.5, s, table))
+            * b_s(c * chi ** 1.5, s))
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +343,14 @@ def bound_3_6(S: DiagramParams, theta_star: float, D: float, s: int,
 
 
 def bound_3_7(S: DiagramParams, u: int, D: float, s: int, n: int,
-              rho: float, U_hat_sq: float, V2_hat: float, k0: int,
-              table: Optional[HeightTable] = None) -> float:
+              rho: float, U_hat_sq: float, V2_hat: float, k0: int) -> float:
     """Closed-form upper bound on the start-vertex-normalized weight of the
     trajectories whose walks fall in the census class with Dyck height u.
 
     Uses sigma = mu2 + 2*mu3 + u2 + u3 + |nu|_1, the form consistent with the
     vertex count |V_g| = s - sigma + 1.
     """
-    if table is None or table.s_max < s:
-        table = height_table(s)
-    theta_u = table.t_dot(u, s)
+    theta_u = height_row(s)[u] if 1 <= u <= s else 0
     sigma = S.sigma_census_b
     mu2p = S.mu2_p
     mu3 = S.mu3

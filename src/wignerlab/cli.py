@@ -8,6 +8,7 @@ refusal (with an estimate of the requested work), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,11 +18,19 @@ from fractions import Fraction
 from . import Refused, reports
 
 
-def _set_threads(value) -> None:
-    """BLAS thread count from --threads, else LAB_THREADS; 0 or neither
-    leaves the BLAS defaults alone."""
+# The largest size argument (--s-max, --l, --l-max) each count action
+# takes; a larger request refuses before any work.
+COUNT_CAPS = {"catalan": 3000, "multi-edge": 600, "subcluster": 600,
+              "lemma61": 1000, "conjecture": 100, "heights": 1000}
+
+
+def _set_threads(value):
+    """The requested BLAS thread count: --threads, else LAB_THREADS, else
+    None.  0 or None leaves the BLAS defaults alone."""
     if value is None:
-        env = os.environ.get("LAB_THREADS") or "0"
+        env = os.environ.get("LAB_THREADS")
+        if not env:
+            return None
         try:
             value = int(env)
         except ValueError:
@@ -32,6 +41,7 @@ def _set_threads(value) -> None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(value)
+    return value
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -229,6 +239,27 @@ def cmd_walk(args) -> int:
     raise ValueError("unknown walk action %r" % args.action)
 
 
+def _refuse_large_count(args) -> None:
+    """Refused when a size argument exceeds the action's cap; the estimate
+    counts the table entries the request would build."""
+    m = max(args.s_max, getattr(args, "l", 0), getattr(args, "l_max", 0))
+    cap = COUNT_CAPS[args.action]
+    if m <= cap:
+        return
+    if args.action in ("catalan", "multi-edge"):
+        entries = m + 1                      # one row
+    elif args.action == "conjecture":
+        entries = args.l_max * (m + 1)       # one row per l
+    elif args.action == "heights":
+        entries = (m + 1) * (m + 2) // 2     # row s holds s + 1 counts
+    elif args.action == "subcluster":
+        entries = 2 * (m + 1) ** 2           # two square tables
+    else:
+        entries = (m + 1) ** 2
+    raise Refused("count %s at size %d exceeds cap %d"
+                  % (args.action, m, cap), entries)
+
+
 def cmd_count(args) -> int:
     from . import catalan as ct
     if args.action is None:
@@ -240,6 +271,7 @@ def cmd_count(args) -> int:
         raise ValueError("--l must be >= 1, got %d" % args.l)
     if getattr(args, "l_max", 1) < 1:
         raise ValueError("--l-max must be >= 1, got %d" % args.l_max)
+    _refuse_large_count(args)
     records = []
     config = {}
     if args.action == "catalan":
@@ -282,10 +314,8 @@ def cmd_count(args) -> int:
         records = ct.conjecture_6_25_report(args.l_max, args.s_max)
     elif args.action == "heights":
         config = {"s_max": args.s_max}
-        table = ct.height_table(args.s_max)
         for s in range(1, args.s_max + 1):
-            for u in range(1, s + 1):
-                cnt = table.t_dot(u, s)
+            for u, cnt in enumerate(ct.height_row(s)):
                 if cnt:
                     records.append({"s": s, "u": u, "value": cnt,
                                     "closed_form": "",
@@ -315,16 +345,27 @@ def cmd_sim(args) -> int:
         raise ValueError("sim needs an action: moments | edge | crossover")
     base = {}
     if args.config:
+        if args.action == "crossover":
+            raise ValueError("sim crossover takes no --config")
         base = _load_config_file(args.config)
+    flagged = [key for key in ("n", "rho", "dist", "seed") if key in base]
+    if flagged:
+        raise ValueError("--config must not set %s; the flags set it"
+                         % ", ".join(flagged))
 
     def make_config(n, rho, dist):
-        fields = dict(base)
-        fields.update({"n": n, "rho": rho, "dist": dist,
-                       "seed": args.seed})
         try:
-            return sim.EnsembleConfig(**fields)
+            return sim.EnsembleConfig(n=n, rho=rho, dist=dist,
+                                      seed=args.seed, **base)
         except TypeError as exc:  # an unknown --config key
             raise ValueError(str(exc))
+
+    def ensemble_manifest(config, **fields):
+        # the body depends on every resolved ensemble field, not only on
+        # the flags; the seed has a manifest field of its own
+        fields.update(dataclasses.asdict(config), threads=args.threads)
+        del fields["seed"]
+        return _manifest(args, fields)
 
     if args.action == "moments":
         if args.rho is None:
@@ -335,10 +376,8 @@ def cmd_sim(args) -> int:
                     "n_samples": est[s].n_samples,
                     "min": est[s].min, "max": est[s].max}
                    for s in args.s]
-        manifest = _manifest(args, {"n": args.n, "rho": args.rho,
-                                    "dist": args.dist, "s": args.s,
-                                    "samples": args.samples})
-        _emit(args, records, manifest)
+        _emit(args, records,
+              ensemble_manifest(config, s=args.s, samples=args.samples))
         return 0
     if args.action == "edge":
         if (args.rho is None) == (args.eps is None):
@@ -359,17 +398,16 @@ def cmd_sim(args) -> int:
                    for x, thr, p, e, c in
                    zip(curve.x_grid, curve.thresholds, curve.tail_prob,
                        curve.stderr, curve.counts)]
-        manifest = _manifest(args, {"n": args.n, "rho": rho,
-                                    "dist": args.dist, "x_grid": xs,
-                                    "samples": args.samples})
-        _emit(args, records, manifest)
+        _emit(args, records,
+              ensemble_manifest(config, x_grid=xs, samples=args.samples))
         return 0
     if args.action == "crossover":
         rows = sim.crossover_scan(args.n, args.eps, args.chi, args.samples,
                                   seed=args.seed, zeta=args.zeta)
         manifest = _manifest(args, {"n": args.n, "eps": args.eps,
                                     "chi": args.chi, "zeta": args.zeta,
-                                    "samples": args.samples})
+                                    "samples": args.samples,
+                                    "threads": args.threads})
         _emit(args, rows, manifest)
         return 0
     raise ValueError("unknown sim action %r" % args.action)
@@ -416,7 +454,7 @@ def main(argv=None) -> int:
                 "sim": cmd_sim, "verify": cmd_verify}
     try:
         if args.subcommand == "sim":
-            _set_threads(args.threads)
+            args.threads = _set_threads(args.threads)
         return handlers[args.subcommand](args)
     except ValueError as exc:  # input errors, the CLI's and the library's
         print("error: %s" % exc, file=sys.stderr)

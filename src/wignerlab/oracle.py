@@ -157,14 +157,6 @@ def exact_moment(spec: MomentSpec, method: str = "both") -> Fraction:
 # Closed-form evaluators
 # ---------------------------------------------------------------------------
 
-def theorem_7_1_rhs(chi: float, zeta: float, V4: float) -> float:
-    """16 V4 / (zeta sqrt(pi chi)) e^{-e chi^3}."""
-    if chi <= 0 or zeta <= 0:
-        raise ValueError("chi and zeta must be > 0")
-    return 16.0 * V4 / (zeta * math.sqrt(math.pi * chi)) \
-        * math.exp(-math.e * chi ** 3)
-
-
 def insertion_count(s: int, mu2: int) -> int:
     """s! / (2^mu2 mu2! (s-2*mu2)!): ways to insert mu2 disjoint pairs."""
     if mu2 < 0:
@@ -212,7 +204,6 @@ def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
     v2_hat = float(spec.moments[0])
     # entries +-1/2 are bounded by 1/2, so U^2 / V2 = 1
     u_hat_sq = 1.0
-    table = ct.height_table(s)
     groups: dict[tuple, list[wk.Walk]] = {}
     census_of: dict[tuple, wk.DiagramParams] = {}
     for walk in wk.enumerate_even_walks(s):
@@ -246,8 +237,7 @@ def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
         eq_5_15 = float(prod) <= \
             math.exp(-((s - sigma) ** 2) / (2.0 * n)) * (1 + 1e-12)
         normalized = weight / n
-        bound = ct.bound_3_7(dp, u, max_d, s, n, rho_f, u_hat_sq, v2_hat, k0,
-                             table)
+        bound = ct.bound_3_7(dp, u, max_d, s, n, rho_f, u_hat_sq, v2_hat, k0)
         ok = float(normalized) <= bound * (1 + 1e-9)
         records.append(ClassRecord(
             u=u, census=dp, n_walks=len(walks_in), max_D=max_d,

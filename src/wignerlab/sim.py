@@ -96,6 +96,14 @@ def v4_of(config: EnsembleConfig) -> float:
     return (3.0 + 6.0 / (nu - 4.0)) * v4
 
 
+def theorem_7_1_rhs(chi: float, zeta: float, V4: float) -> float:
+    """16 V4 / (zeta sqrt(pi chi)) e^{-e chi^3}."""
+    if chi <= 0 or zeta <= 0:
+        raise ValueError("chi and zeta must be > 0")
+    return 16.0 * V4 / (zeta * math.sqrt(math.pi * chi)) \
+        * math.exp(-math.e * chi ** 3)
+
+
 def _sample_streams(config: EnsembleConfig, start: int,
                     stop: int) -> Iterator[np.random.Generator]:
     """The generator of each sample start..stop-1, keyed by (seed, index).
@@ -254,7 +262,6 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
     """
     if not (math.isfinite(chi) and chi > 0):
         raise SimConfigError("chi must be a finite number > 0, got %r" % chi)
-    from . import oracle as orc  # not at module level: it loads walks
     rows = []
     for n in n_list:
         s = int(math.floor(chi * n ** (2.0 / 3.0)))
@@ -265,8 +272,7 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
                     "rho=%.3g exceeds n=%d at eps=%.3g" % (rho, n, eps))
             configs = {dist: EnsembleConfig(n=n, rho=rho, dist=dist, seed=seed)
                        for dist in ("rademacher", "gaussian")}
-            bound = orc.theorem_7_1_rhs(chi, zeta,
-                                        v4_of(configs["rademacher"]))
+            bound = theorem_7_1_rhs(chi, zeta, v4_of(configs["rademacher"]))
             a, b = (estimate_moments(config, [s], n_samples)[s]
                     for config in configs.values())
             joint = math.hypot(a.stderr, b.stderr)

@@ -118,36 +118,33 @@ class TestMultiEdge:
 
 class TestHeights:
     def test_marginals(self):
-        table = ct.height_table(120)
         for s in range(1, 121):
-            assert table.marginal(s) == ct.catalan(s)
+            assert sum(ct.height_row(s)) == ct.catalan(s)
 
     def test_against_brute_trees(self):
-        table = ct.height_table(9)
         for s in range(1, 10):
             counts = {}
             for tree in wk.all_trees(s):
                 counts[tree.height] = counts.get(tree.height, 0) + 1
+            row = ct.height_row(s)
             for u in range(1, s + 1):
-                assert table.t_dot(u, s) == counts.get(u, 0)
+                assert row[u] == counts.get(u, 0)
 
     def test_extremes(self):
-        table = ct.height_table(30)
         for s in range(2, 31):
-            assert table.t_dot(1, s) == 1      # the star
-            assert table.t_dot(s, s) == 1      # the path
+            row = ct.height_row(s)
+            assert row[1] == 1      # the star
+            assert row[s] == 1      # the path
 
     def test_b_s(self):
-        table = ct.height_table(30)
-        assert ct.b_s(0.0, 30, table) == pytest.approx(1.0)
-        vals = [ct.b_s(x, 30, table) for x in (0.0, 1.0, 2.0, 4.0)]
+        assert ct.b_s(0.0, 30) == pytest.approx(1.0)
+        vals = [ct.b_s(x, 30) for x in (0.0, 1.0, 2.0, 4.0)]
         assert vals == sorted(vals)
 
     def test_frakM_upper_positive(self):
-        table = ct.height_table(50)
-        assert ct.frakM_upper(1.0, 50, table=table) > 0.0
+        assert ct.frakM_upper(1.0, 50) > 0.0
         with pytest.raises(ValueError):
-            ct.frakM_upper(0.0, 50, table=table)
+            ct.frakM_upper(0.0, 50)
 
 
 class TestAgainstReference:
@@ -194,14 +191,27 @@ class TestAgainstReference:
                     totals[l - 1] += math.comb(deg, l)
         return totals
 
+    @staticmethod
+    def height_exact(cum, s):
+        # trees of s edges with height exactly u, u = 0..s
+        return [cum[0][s]] + [cum[u][s] - cum[u - 1][s]
+                              for u in range(1, s + 1)]
+
     def test_heights(self):
-        # the table holds the cells u <= s, the only ones t_dot reads
-        for s_max in (0, 1, 2, 3, 7, 60):
-            got = ct.height_table(s_max).cum
-            ref = self.height_cum(s_max)
-            cells = [(u, s) for s in range(s_max + 1) for u in range(s + 1)]
-            assert [got[u][s] for u, s in cells] == \
-                [ref[u][s] for u, s in cells]
+        cum = self.height_cum(60)
+        for s in range(61):
+            assert ct.height_row(s) == self.height_exact(cum, s)
+
+    @pytest.mark.parametrize("s", [1, 7, 30])
+    def test_b_s(self, s):
+        # the same sum, term by term, over the reference counts
+        ts = ct.catalan(s)
+        scale = 1.5 / math.sqrt(s)
+        expect = 0.0
+        for u, cnt in enumerate(self.height_exact(self.height_cum(s), s)):
+            if cnt:
+                expect += cnt / ts * math.exp(scale * u)
+        assert ct.b_s(1.5, s) == expect
 
     def test_subcluster_convolution(self):
         for s_max in (0, 1, 2, 80):
@@ -227,14 +237,20 @@ class TestBounds:
         assert ct._pow_fact(123.0, 0) == 1.0
 
     def test_trivial_class_bound(self):
-        # the all-zero census at height u reduces to V2^s * t_dot(u,s) * exp
+        # the all-zero census at height u reduces to V2^s * theta_u(s) * exp
         s, n = 4, 10
         dp = wk.diagram_params(wk.Walk((1, 2, 3, 4, 5, 4, 3, 2, 1)), 4)
-        table = ct.height_table(s)
-        got = ct.bound_3_7(dp, 4, 1, s, n, 2.0, 1.0, 0.25, 4, table)
-        expect = 0.25 ** s * table.t_dot(4, s) \
+        got = ct.bound_3_7(dp, 4, 1, s, n, 2.0, 1.0, 0.25, 4)
+        expect = 0.25 ** s * ct.height_row(s)[4] \
             * math.exp(-(s - 0) ** 2 / (2.0 * n))
         assert got == pytest.approx(expect)
+
+    def test_class_bound_outside_heights(self):
+        # no tree of s edges has height 0 or above s
+        s, n = 4, 10
+        dp = wk.diagram_params(wk.Walk((1, 2, 3, 4, 5, 4, 3, 2, 1)), 4)
+        for u in (-1, 0, s + 1):
+            assert ct.bound_3_7(dp, u, 1, s, n, 2.0, 1.0, 0.25, 4) == 0.0
 
     def test_count_bound_nonneg(self):
         for s in range(1, 5):

@@ -112,6 +112,36 @@ class TestCount:
         code, _, err = run_cli(["count"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["catalan", "--s-max", "100000000"],
+        ["multi-edge", "--l", "2", "--s-max", "601"],
+        ["multi-edge", "--l", "1000000000000", "--s-max", "3"],
+        ["subcluster", "--s-max", "601"],
+        ["lemma61", "--s-max", "1001"],
+        ["conjecture", "--l-max", "101", "--s-max", "5"],
+        ["heights", "--s-max", "1001"]])
+    def test_size_caps(self, argv, tmp_path):
+        # refused before any work: a subprocess, so that a request that
+        # starts the work fails the test by its timeout
+        out_file = tmp_path / "t.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerlab.cli", "count"] + argv
+            + ["--out", str(out_file)],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 3 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("refused:")
+        assert "exceeds cap %d" % cli.COUNT_CAPS[argv[0]] in lines[0]
+        assert not out_file.exists()
+
+    def test_caps_cover_verify_and_benchmark_sizes(self):
+        # verify's catalan_check(2000), subcluster and heights at 500,
+        # lemma61 and multi-edge at 300, conjecture at l_max = s_max = 10
+        # and the parser's defaults all run
+        sizes = {"catalan": 2000, "subcluster": 500, "heights": 500,
+                 "lemma61": 300, "multi-edge": 300, "conjecture": 60}
+        assert all(cli.COUNT_CAPS[a] >= m for a, m in sizes.items())
+
 
 class TestOracle:
     def test_json_payload(self, capsys):
@@ -233,6 +263,49 @@ class TestSim:
              "--samples", "4", "--config", str(cfg)], capsys)
         assert code == 0
 
+    def test_manifest_records_ensemble(self, tmp_path):
+        # two runs whose bodies differ never have equal manifests
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"v": 0.25, "truncate": True,
+                                   "delta": 0.3, "df": 9}))
+        argvs = [
+            ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
+             "--samples", "4", "--config", str(cfg), "--threads", "1"],
+            ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "4",
+             "--config", str(cfg), "--threads", "1"]]
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wignerlab.cli"] + argv,
+                capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0
+            header = proc.stdout.splitlines()[0]
+            config = json.loads(header[len("# manifest: "):])["config"]
+            assert {k: config[k] for k in
+                    ("n", "rho", "dist", "v", "truncate", "delta", "df",
+                     "threads")} == {
+                "n": 8, "rho": 2.0, "dist": "rademacher", "v": 0.25,
+                "truncate": True, "delta": 0.3, "df": 9, "threads": 1}
+
+    @pytest.mark.parametrize("flag, env, expect", [
+        (["--threads", "2"], {"LAB_THREADS": "1"}, 2),
+        ([], {"LAB_THREADS": "1"}, 1),
+        ([], {}, None)])
+    def test_manifest_records_threads(self, flag, env, expect):
+        full_env = {k: v for k, v in os.environ.items()
+                    if k != "LAB_THREADS"}
+        for argv in (["sim", "moments", "--n", "8", "--rho", "2", "--s",
+                      "1", "--samples", "2"],
+                     ["sim", "crossover", "--n", "8", "--eps", "0",
+                      "--samples", "2"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "wignerlab.cli"] + argv + flag,
+                capture_output=True, text=True, timeout=60,
+                env=dict(full_env, **env))
+            assert proc.returncode == 0
+            header = proc.stdout.splitlines()[0]
+            manifest = json.loads(header[len("# manifest: "):])
+            assert manifest["config"]["threads"] == expect
+
     def test_io_error(self, capsys):
         code, _, err = run_cli(
             ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
@@ -281,14 +354,30 @@ class TestUsage:
         ["LAB_THREADS=-1", "sim", "moments", "--n", "8", "--rho", "2",
          "--s", "1"],
         ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "inf",
-         "--samples", "2"]])
+         "--samples", "2"],
+        ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
+         "--config", "{config_n}"],
+        ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
+         "--config", "{config_rho}"],
+        ["sim", "edge", "--n", "8", "--rho", "2", "--config",
+         "{config_dist}"],
+        ["sim", "edge", "--n", "8", "--rho", "2", "--config",
+         "{config_seed}"],
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--samples", "2",
+         "--config", "{config_v}"]])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  Leading NAME=value
         # items set environment variables, as in a shell; {bad_config} is a
-        # config file whose delta is not a number
-        bad_config = tmp_path / "bad.json"
-        bad_config.write_text(json.dumps({"truncate": True, "delta": "x"}))
-        argv = [arg.format(bad_config=bad_config) for arg in argv]
+        # config file whose delta is not a number, {config_KEY} one that
+        # sets KEY alone
+        configs = {"bad_config": {"truncate": True, "delta": "x"},
+                   "config_n": {"n": 7}, "config_rho": {"rho": 1.0},
+                   "config_dist": {"dist": "gaussian"},
+                   "config_seed": {"seed": 9}, "config_v": {"v": 0.25}}
+        paths = {name: tmp_path / (name + ".json") for name in configs}
+        for name, config in configs.items():
+            paths[name].write_text(json.dumps(config))
+        argv = [arg.format(**paths) for arg in argv]
         env = dict(os.environ)
         while "=" in argv[0]:
             name, value = argv.pop(0).split("=", 1)

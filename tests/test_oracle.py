@@ -176,14 +176,6 @@ class TestExactMoment:
 
 
 class TestClosedForms:
-    def test_edge_constant(self):
-        got = orc.theorem_7_1_rhs(1.0, 1.0, 1.0 / 16.0)
-        import math
-        assert got == pytest.approx(
-            math.exp(-math.e) / math.sqrt(math.pi), rel=1e-12)
-        with pytest.raises(ValueError):
-            orc.theorem_7_1_rhs(0.0, 1.0, 1.0)
-
     def test_insertion_count(self):
         assert orc.insertion_count(4, 0) == 1
         assert orc.insertion_count(4, 1) == 6

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,3 +300,26 @@ class TestEdge:
     def test_crossover_rho_guard(self):
         with pytest.raises(sim.SimConfigError):
             sim.crossover_scan([64], [10.0], 0.5, 4)
+
+    def test_crossover_loads_only_sim(self):
+        # a fresh process, so that no other test has loaded the exact layers
+        code = ("import sys\n"
+                "from wignerlab import cli\n"
+                "assert cli.main(['sim', 'crossover', '--n', '16', '--eps',"
+                " '0', '--samples', '2', '--out', %r]) == 0\n"
+                "print(' '.join(sorted(m for m in sys.modules"
+                " if m.startswith('wignerlab.'))))" % os.devnull)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == \
+            ["wignerlab.cli", "wignerlab.reports", "wignerlab.sim"]
+
+
+class TestClosedForms:
+    def test_edge_constant(self):
+        got = sim.theorem_7_1_rhs(1.0, 1.0, 1.0 / 16.0)
+        assert got == pytest.approx(
+            math.exp(-math.e) / math.sqrt(math.pi), rel=1e-12)
+        with pytest.raises(ValueError):
+            sim.theorem_7_1_rhs(0.0, 1.0, 1.0)
