@@ -398,8 +398,10 @@ def cmd_sim(args) -> int:
                    for x, thr, p, e, c in
                    zip(curve.x_grid, curve.thresholds, curve.tail_prob,
                        curve.stderr, curve.counts)]
-        _emit(args, records,
-              ensemble_manifest(config, x_grid=xs, samples=args.samples))
+        manifest = ensemble_manifest(config, x_grid=xs, samples=args.samples)
+        manifest.counters = {"lanczos_steps": curve.lanczos_steps,
+                             "lanczos_fallbacks": curve.lanczos_fallbacks}
+        _emit(args, records, manifest)
         return 0
     if args.action == "crossover":
         rows = sim.crossover_scan(args.n, args.eps, args.chi, args.samples,

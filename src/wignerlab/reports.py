@@ -32,6 +32,8 @@ class RunManifest:
     version: str = __version__
     started: str = ""
     finished: str = ""
+    # work counters of the run, written only when set
+    counters: Optional[dict] = None
 
     def start(self) -> "RunManifest":
         self.started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -50,6 +52,8 @@ class RunManifest:
             "started": self.started,
             "finished": self.finished,
         }
+        if self.counters is not None:
+            payload["counters"] = self.counters
         return "# manifest: " + json.dumps(payload, sort_keys=True)
 
 

@@ -5,7 +5,8 @@ b_ij = rho^{-1/2} Bernoulli(rho/n) masks and i.i.d. symmetric a_ij of
 variance v^2.  Sampling uses counter-based Philox substreams keyed by
 (seed, sample index), so serial and parallel runs produce identical
 matrices sample by sample, and so do blocks of any size: spectra are taken
-one stacked block of samples at a time.
+one stacked block of samples at a time.  Once a block holds one large
+matrix, edge_tail reads lambda_max by Lanczos instead of a full spectrum.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ from . import Refused
 DENSE_CAP = 4096
 # sample_spectra stacks samples up to this many matrix entries per block
 BLOCK_ENTRIES = 1 << 16
+# edge_tail's Lanczos route for lambda_max, taken from n = LANCZOS_MIN_N on
+# (where blocks hold one matrix): at n = 200 a full eigvalsh is still the
+# faster, from n = 256 Lanczos is.  Tolerances are in edge scales 2v n^{-2/3}
+LANCZOS_MIN_N = 256
+LANCZOS_STEPS = 300  # step ceiling, capped at n; reaching it falls back
+LANCZOS_CHECK = 8  # steps between convergence checks
+LANCZOS_TOL = 1e-10  # stop once both extreme Ritz values move less than this
+LANCZOS_GUARD = 1e-6  # a value this close to a threshold falls back
 
 
 class SimConfigError(ValueError):
@@ -55,6 +64,9 @@ class EnsembleConfig:
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise SimConfigError("%s must be a finite real number, got %r"
                                      % (name, value))
+        if not isinstance(self.truncate, bool):
+            raise SimConfigError("truncate must be true or false, got %r"
+                                 % (self.truncate,))
         if self.n < 1:
             raise SimConfigError("n must be >= 1")
         if not 0 < self.rho <= self.n:
@@ -189,15 +201,81 @@ class SampleStats:
                    min=float(arr.min()), max=float(arr.max()))
 
 
+def block_samples(n: int) -> int:
+    """Samples per block: up to BLOCK_ENTRIES matrix entries, at least one
+    (one sample per block once n >= 182)."""
+    return max(1, BLOCK_ENTRIES // (n * n))
+
+
+def sample_blocks(config: EnsembleConfig,
+                  n_samples: int) -> Iterator[np.ndarray]:
+    """Samples 0..n_samples-1 as (b, n, n) stacks of block_samples(n)
+    consecutive samples (fewer in the last block)."""
+    step = block_samples(config.n)
+    for start in range(0, n_samples, step):
+        yield sample_block(config, start, min(start + step, n_samples))
+
+
 def sample_spectra(config: EnsembleConfig,
                    n_samples: int) -> Iterator[np.ndarray]:
-    """Eigenvalues of samples 0..n_samples-1, as (b, n) arrays of b
-    consecutive samples: one eigvalsh call per block of up to
-    BLOCK_ENTRIES matrix entries (one sample per block once n >= 256)."""
-    step = max(1, BLOCK_ENTRIES // (config.n * config.n))
-    for start in range(0, n_samples, step):
-        yield np.linalg.eigvalsh(
-            sample_block(config, start, min(start + step, n_samples)))
+    """Eigenvalues of samples 0..n_samples-1, as (b, n) arrays: one
+    eigvalsh call per block of sample_blocks."""
+    for block in sample_blocks(config, n_samples):
+        yield np.linalg.eigvalsh(block)
+
+
+def lanczos_start(config: EnsembleConfig, sample_index: int) -> np.ndarray:
+    """Sample k's Lanczos start vector, standard normal.
+
+    It comes from Philox(key=(seed, k)) jumped as if 2^128 numbers had
+    been drawn, a stretch of the stream that sampling the matrix never
+    reaches, so the matrix does not depend on whether it was drawn.
+    """
+    key = np.array([config.seed & 0xFFFFFFFFFFFFFFFF,
+                    sample_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key).jumped()
+    return np.random.Generator(bitgen).standard_normal(config.n)
+
+
+def lanczos_lambda_max(h: np.ndarray, start: np.ndarray,
+                       tol: float) -> tuple[Optional[float], int]:
+    """max |lambda| of the symmetric matrix h, and the Lanczos steps taken.
+
+    Lanczos from start with full reorthogonalization: two classical
+    Gram-Schmidt passes against the whole basis each step (Parlett, The
+    Symmetric Eigenvalue Problem, 1980).  Every LANCZOS_CHECK steps the
+    extreme Ritz values are compared with the last check's; once both
+    moved less than tol, or the Krylov space is invariant to within tol,
+    the larger magnitude is returned.  Ritz values lie inside the spectrum,
+    so the value errs low; a random start makes a stall short of the edge
+    unlikely (Kuczynski and Wozniakowski, 1992).  The value is None when
+    min(LANCZOS_STEPS, n) steps pass without settling.
+    """
+    n = h.shape[0]
+    ceiling = min(LANCZOS_STEPS, n)
+    basis = np.empty((ceiling + 1, n))
+    alpha = np.empty(ceiling)
+    beta = np.empty(ceiling)
+    basis[0] = start / np.linalg.norm(start)
+    ends = None
+    for j in range(ceiling):
+        w = h @ basis[j]
+        alpha[j] = basis[j] @ w
+        for _ in range(2):
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+        beta[j] = np.linalg.norm(w)
+        k = j + 1
+        if k % LANCZOS_CHECK == 0 or beta[j] <= tol:
+            t = np.diag(alpha[:k]) + np.diag(beta[:j], 1) \
+                + np.diag(beta[:j], -1)
+            ritz = np.linalg.eigvalsh(t)
+            if beta[j] <= tol or (
+                    ends is not None and abs(ritz[0] - ends[0]) < tol
+                    and abs(ritz[-1] - ends[1]) < tol):
+                return float(max(-ritz[0], ritz[-1])), k
+            ends = ritz[0], ritz[-1]
+        basis[k] = w / beta[j]
+    return None, ceiling
 
 
 def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
@@ -223,11 +301,20 @@ class EdgeCurve:
     stderr: tuple[float, ...]
     counts: tuple[int, ...]
     n_samples: int
+    lanczos_steps: int
+    lanczos_fallbacks: int
 
 
 def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
               n_samples: int) -> EdgeCurve:
-    """Empirical P(lambda_max > 2v(1 + x n^{-2/3})) over the grid."""
+    """Empirical P(lambda_max > 2v(1 + x n^{-2/3})) over the grid.
+
+    lambda_max = max |lambda|.  From n = LANCZOS_MIN_N on, where a block
+    holds one matrix, it is read by lanczos_lambda_max.  A sample falls
+    back to eigvalsh, counted in lanczos_fallbacks, when the step ceiling
+    is reached or the value lies within LANCZOS_GUARD edge scales of a
+    threshold, so the counts equal those of eigvalsh on every sample.
+    """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     xs = list(x_grid)
@@ -239,15 +326,32 @@ def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
         raise ValueError("x_grid must be sorted ascending")
     thresholds = [2.0 * config.v * (1.0 + x * config.n ** (-2.0 / 3.0))
                   for x in xs]
+    scale = 2.0 * config.v * config.n ** (-2.0 / 3.0)
+    lanczos = config.n >= LANCZOS_MIN_N and block_samples(config.n) == 1
     counts = [0] * len(xs)
-    for eig in sample_spectra(config, n_samples):
-        lmax = np.max(np.abs(eig), axis=1)
+    steps = fallbacks = start = 0
+    for block in sample_blocks(config, n_samples):
+        lmax = None
+        if lanczos:  # the block holds sample `start` alone
+            value, taken = lanczos_lambda_max(
+                block[0], lanczos_start(config, start), LANCZOS_TOL * scale)
+            steps += taken
+            if value is not None and all(abs(value - thr)
+                                         > LANCZOS_GUARD * scale
+                                         for thr in thresholds):
+                lmax = np.array([value])
+            else:
+                fallbacks += 1
+        if lmax is None:
+            lmax = np.max(np.abs(np.linalg.eigvalsh(block)), axis=1)
         for i, thr in enumerate(thresholds):
             counts[i] += int(np.count_nonzero(lmax > thr))
+        start += len(block)
+        del block  # so that one block, not two, is alive while sampling
     probs = [c / n_samples for c in counts]
     errs = [math.sqrt(p * (1.0 - p) / n_samples) for p in probs]
     return EdgeCurve(tuple(xs), tuple(thresholds), tuple(probs), tuple(errs),
-                     tuple(counts), n_samples)
+                     tuple(counts), n_samples, steps, fallbacks)
 
 
 def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],

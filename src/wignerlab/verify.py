@@ -350,8 +350,23 @@ def sim_suite(fast: bool = False) -> VerifyReport:
     rep.add("sim.student_truncation_path",
             np.array_equal(h, h.T) and np.isfinite(h).all())
 
+    n = 1000
+    cfg = sim.EnsembleConfig(n=n, rho=n ** (2.0 / 3.0), seed=17)
+    scale = 2.0 * cfg.v * n ** (-2.0 / 3.0)
+    eig, worst = [], 0.0
+    for k, block in enumerate(sim.sample_blocks(cfg, 4)):
+        eig.append(float(np.max(np.abs(np.linalg.eigvalsh(block)))))
+        value, _ = sim.lanczos_lambda_max(block[0], sim.lanczos_start(cfg, k),
+                                          sim.LANCZOS_TOL * scale)
+        worst = max(worst, math.inf if value is None
+                    else abs(value - eig[k]) / scale)
+    curve = sim.edge_tail(cfg, [-2.0, -1.0, 0.0, 1.0, 2.0], len(eig))
+    want = [sum(lam > thr for lam in eig) for thr in curve.thresholds]
+    rep.add("sim.lanczos_vs_eig", worst <= 1e-9 and list(curve.counts) == want,
+            "n=%d, %d samples: max |error| %.1e edge scales, counts %s vs %s"
+            % (n, len(eig), worst, list(curve.counts), want))
+
     if not fast:
-        n = 1000
         curves = []
         for eps in (0.3, 0.5):
             rho = n ** (2.0 / 3.0 * (1.0 + eps))

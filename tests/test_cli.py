@@ -306,6 +306,18 @@ class TestSim:
             manifest = json.loads(header[len("# manifest: "):])
             assert manifest["config"]["threads"] == expect
 
+    def test_edge_manifest_counters(self, capsys):
+        # the Lanczos work counters sit in the manifest, outside the body
+        for n, lanczos in (("8", False), ("256", True)):
+            code, out, _ = run_cli(
+                ["sim", "edge", "--n", n, "--rho", "4", "--samples", "2"],
+                capsys)
+            assert code == 0
+            header = out.splitlines()[0]
+            counters = json.loads(header[len("# manifest: "):])["counters"]
+            assert counters["lanczos_fallbacks"] == 0
+            assert (counters["lanczos_steps"] > 0) == lanczos
+
     def test_io_error(self, capsys):
         code, _, err = run_cli(
             ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
@@ -364,7 +376,9 @@ class TestUsage:
         ["sim", "edge", "--n", "8", "--rho", "2", "--config",
          "{config_seed}"],
         ["sim", "crossover", "--n", "8", "--eps", "0", "--samples", "2",
-         "--config", "{config_v}"]])
+         "--config", "{config_v}"],
+        ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
+         "--config", "{config_truncate}"]])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  Leading NAME=value
         # items set environment variables, as in a shell; {bad_config} is a
@@ -373,7 +387,8 @@ class TestUsage:
         configs = {"bad_config": {"truncate": True, "delta": "x"},
                    "config_n": {"n": 7}, "config_rho": {"rho": 1.0},
                    "config_dist": {"dist": "gaussian"},
-                   "config_seed": {"seed": 9}, "config_v": {"v": 0.25}}
+                   "config_seed": {"seed": 9}, "config_v": {"v": 0.25},
+                   "config_truncate": {"truncate": "no", "delta": 0.01}}
         paths = {name: tmp_path / (name + ".json") for name in configs}
         for name, config in configs.items():
             paths[name].write_text(json.dumps(config))

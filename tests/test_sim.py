@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,10 @@ class TestConfig:
             sim.EnsembleConfig(n=4, rho=1.0, v=float("nan"))
         with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=4, rho=1.0, df=float("inf"))
+        # truncate must be a bool: a --config string "no" is truthy
+        for flag in ("no", 1, None):
+            with pytest.raises(sim.SimConfigError):
+                sim.EnsembleConfig(n=4, rho=1.0, truncate=flag, delta=0.01)
 
     def test_truncation_level(self):
         cfg = sim.EnsembleConfig(n=100, rho=10.0, truncate=True, delta=0.5)
@@ -230,6 +235,114 @@ class TestBlockSampler:
         assert [b.shape for b in blocks] == [(1, 256), (1, 256)]
         assert (np.concatenate(blocks).tobytes()
                 == np.array(ref_spectra(cfg, 2)).tobytes())
+
+
+def edge_scale(config):
+    return 2.0 * config.v * config.n ** (-2.0 / 3.0)
+
+
+class TestLanczos:
+    """edge_tail's Lanczos route against eigvalsh on every sample."""
+
+    X_GRID = [-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("n", [256, 300, 600])
+    @pytest.mark.parametrize("dense", [False, True], ids=["dilute", "dense"])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: "%s%s" % (
+        law["dist"], "-trunc" if law["truncate"] else ""))
+    def test_counts_match_reference(self, n, dense, law):
+        rho = float(n) if dense else n ** (2.0 / 3.0)
+        cfg = sim.EnsembleConfig(n=n, rho=rho, seed=37, **law)
+        curve = sim.edge_tail(cfg, self.X_GRID, 6)
+        assert list(curve.counts) == ref_edge_counts(ref_spectra(cfg, 6),
+                                                     curve.thresholds)
+        assert curve.lanczos_fallbacks == 0
+        assert 6 * sim.LANCZOS_CHECK <= curve.lanczos_steps \
+            <= 6 * sim.LANCZOS_STEPS
+
+    def test_small_n_takes_no_lanczos_step(self):
+        # n = 255 has one matrix per block, yet eigvalsh is as fast there
+        assert block_size(255) == 1 and sim.LANCZOS_MIN_N == 256
+        cfg = sim.EnsembleConfig(n=255, rho=20.0, seed=37)
+        curve = sim.edge_tail(cfg, self.X_GRID, 2)
+        assert (curve.lanczos_steps, curve.lanczos_fallbacks) == (0, 0)
+        assert list(curve.counts) == ref_edge_counts(ref_spectra(cfg, 2),
+                                                     curve.thresholds)
+
+    def test_value_against_eigvalsh(self):
+        cfg = sim.EnsembleConfig(n=300, rho=30.0, dist="gaussian", seed=3)
+        scale = edge_scale(cfg)
+        for k in range(3):
+            h = sim.sample_matrix(cfg, k)
+            value, steps = sim.lanczos_lambda_max(
+                h, sim.lanczos_start(cfg, k), sim.LANCZOS_TOL * scale)
+            want = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+            assert abs(value - want) <= 1e-9 * scale
+            assert steps % sim.LANCZOS_CHECK == 0
+
+    def test_invariant_start_space(self):
+        # the zero matrix: the Krylov space is invariant after one step
+        value, steps = sim.lanczos_lambda_max(np.zeros((5, 5)), np.ones(5),
+                                              1e-12)
+        assert (value, steps) == (0.0, 1)
+        # an eigenvector start: its eigenvalue, even if negative
+        h = np.diag([1.0, -3.0, 2.0])
+        value, steps = sim.lanczos_lambda_max(h, np.array([0.0, 1.0, 0.0]),
+                                              1e-12)
+        assert (value, steps) == (3.0, 1)
+
+    def test_planted_threshold_falls_back(self):
+        cfg = sim.EnsembleConfig(n=256, rho=40.0, seed=5)
+        spectra = ref_spectra(cfg, 4)
+        lam = float(np.max(np.abs(spectra[2])))
+        x = (lam / (2.0 * cfg.v) - 1.0) * cfg.n ** (2.0 / 3.0)
+        curve = sim.edge_tail(cfg, [x - 1.0, x, x + 1.0], 4)
+        assert abs(curve.thresholds[1] - lam) <= 1e-3 * sim.LANCZOS_GUARD \
+            * edge_scale(cfg)
+        assert curve.lanczos_fallbacks == 1
+        assert list(curve.counts) == ref_edge_counts(spectra,
+                                                     curve.thresholds)
+
+    def test_step_ceiling_falls_back(self, monkeypatch):
+        monkeypatch.setattr(sim, "LANCZOS_STEPS", 2)
+        cfg = sim.EnsembleConfig(n=256, rho=256.0, dist="student", seed=9)
+        curve = sim.edge_tail(cfg, self.X_GRID, 4)
+        assert (curve.lanczos_steps, curve.lanczos_fallbacks) == (8, 4)
+        assert list(curve.counts) == ref_edge_counts(ref_spectra(cfg, 4),
+                                                     curve.thresholds)
+
+    def test_one_sample_alive(self):
+        # edge_tail frees each sample before it draws the next.  Its traced
+        # peak is about 1.9 matrices (one sample, the sampler's work arrays);
+        # with the last sample still alive it was 2.8
+        n = 600
+        cfg = sim.EnsembleConfig(n=n, rho=60.0, seed=4)
+        tracemalloc.start()
+        try:
+            sim.edge_tail(cfg, [0.0], 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * n * n * 8
+
+    def test_start_vector_stream(self):
+        # the start vector comes from the jumped Philox; the matrix bytes
+        # are the reference sampler's, before and after edge_tail draws it
+        cfg = sim.EnsembleConfig(n=256, rho=40.0, dist="gaussian", seed=2)
+        before = sim.sample_block(cfg, 0, 3)
+        sim.edge_tail(cfg, [0.0], 3)
+        after = sim.sample_block(cfg, 0, 3)
+        assert before.tobytes() == after.tobytes()
+        for k in range(3):
+            assert after[k].tobytes() == ref_sample_matrix(cfg, k).tobytes()
+            key = np.array([2, k], dtype=np.uint64)
+            start = sim.lanczos_start(cfg, k)
+            want = np.random.Generator(
+                np.random.Philox(key=key).jumped()).standard_normal(256)
+            assert start.tobytes() == want.tobytes()
+            plain = np.random.Generator(
+                np.random.Philox(key=key)).standard_normal(256)
+            assert not np.array_equal(start, plain)
 
 
 class TestEstimators:
