@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import Refused
-from .walks import DiagramParams, all_dyck_paths
+from .walks import DiagramParams, dyck_words
 
 
 # ---------------------------------------------------------------------------
@@ -134,28 +134,16 @@ def root_subcluster_table(s_max: int) -> list[list[int]]:
     return table
 
 
-def root_subcluster_conv_table(s_max: int) -> list[list[int]]:
-    """Same quantity by convolution: t~_s(d) = [x^{s-d}] f(x)^d.
-
-    Row d reads f^d only up to x^{s_max-d}, so each power is carried to that
-    order and no further."""
-    f = catalan_series(s_max)
+def root_subcluster_ballot_table(s_max: int) -> list[list[int]]:
+    """The same table by the ballot formula t~_s(d) = [x^{s-d}] f(x)^d
+    = d/(2k+d) C(2k+d, k) with k = s - d, from Lagrange inversion of
+    f = 1 + x f^2 (Flajolet and Sedgewick, Analytic Combinatorics, 2009).
+    It shares no step with the recurrence."""
     table: list[list[int]] = [[0] * (s_max + 1) for _ in range(s_max + 1)]
-    power = SeriesExact.from_list([1], s_max)
-    for d in range(1, s_max + 1):
-        power = SeriesExact.from_list(power.coeffs, s_max - d) * f
-        for s in range(d, s_max + 1):
-            table[s][d] = power[s - d]
+    for s in range(1, s_max + 1):
+        for d in range(1, s + 1):
+            table[s][d] = d * math.comb(2 * s - d, s - d) // (2 * s - d)
     return table
-
-
-def root_subcluster_count(s: int, d: int) -> int:
-    """t~_s(d): plane trees of s edges whose root has exactly d children."""
-    if d > s:
-        return 0
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return root_subcluster_table(s)[s][d]
 
 
 def check_lemma_6_1(s_max: int) -> dict:
@@ -211,9 +199,9 @@ def multi_edge_counts_enum(l_max: int, s: int) -> list[int]:
         raise Refused("tree enumeration at s=%d exceeds cap %d"
                       % (s, TREE_ENUM_CAP), catalan(s))
     hist = [0] * (s + 1)
-    for dyck in all_dyck_paths(s):
+    for word in dyck_words(s):
         open_nodes = [0]
-        for step in dyck.ups_downs:
+        for step in word:
             if step == 1:
                 open_nodes[-1] += 1
                 open_nodes.append(0)
@@ -308,16 +296,6 @@ def b_s(x: float, s: int) -> float:
         if cnt:
             total += cnt / ts * math.exp(scale * u)
     return total
-
-
-def frakM_upper(chi: float, s: int, c: float = 6.0) -> float:
-    """(pi chi^3)^{-1/2} e^{4 chi^3} B_s(c chi^{3/2}), the finite-s stand-in
-    for the edge-constant upper envelope; c is exposed because the source
-    uses several values for the argument coefficient."""
-    if chi <= 0:
-        raise ValueError("chi must be > 0")
-    return (math.exp(4.0 * chi ** 3) / math.sqrt(math.pi * chi ** 3)
-            * b_s(c * chi ** 1.5, s))
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ def cmd_walk(args) -> int:
     if args.k0 < 2:
         raise ValueError("--k0 must be >= 2, got %d" % args.k0)
     if args.action in ("from-trajectory", "census"):
+        manifest = _manifest(args, {"trajectory": args.trajectory,
+                                    "k0": args.k0})
         traj = wk.Trajectory.from_string(args.trajectory)
         walk = wk.walk_from_trajectory(traj)
         lab = wk.label_steps(walk)
@@ -218,8 +220,6 @@ def cmd_walk(args) -> int:
                             "weak_reduced": weak.to_string(),
                             "weak_removed": len(weak.removed_pairs)})
                 rec.update(json.loads(cells.to_json()))
-        manifest = _manifest(args, {"trajectory": args.trajectory,
-                                    "k0": args.k0})
         _emit(args, [rec], manifest)
         return 0
     if args.action == "enumerate":
@@ -272,10 +272,10 @@ def cmd_count(args) -> int:
     if getattr(args, "l_max", 1) < 1:
         raise ValueError("--l-max must be >= 1, got %d" % args.l_max)
     _refuse_large_count(args)
+    manifest = _manifest(args, {key: getattr(args, key) for key in (
+        "l", "l_max", "s_max", "check_closed_form") if hasattr(args, key)})
     records = []
-    config = {}
     if args.action == "catalan":
-        config = {"s_max": args.s_max}
         table = ct.catalan_table_recurrence(args.s_max)
         for s in range(args.s_max + 1):
             closed = ct.catalan(s)
@@ -283,8 +283,6 @@ def cmd_count(args) -> int:
                             "closed_form": closed,
                             "match": table[s] == closed})
     elif args.action == "multi-edge":
-        config = {"l": args.l, "s_max": args.s_max,
-                  "check_closed_form": args.check_closed_form}
         row = ct.multi_edge_gf_row(args.l, args.s_max)
         for s in range(args.l, args.s_max + 1):
             rec = {"s": s, "l": args.l, "value": row[s]}
@@ -294,26 +292,22 @@ def cmd_count(args) -> int:
                 rec["match"] = row[s] == closed
             records.append(rec)
     elif args.action == "subcluster":
-        config = {"s_max": args.s_max}
         rec_tab = ct.root_subcluster_table(args.s_max)
-        conv_tab = ct.root_subcluster_conv_table(args.s_max)
+        ballot = ct.root_subcluster_ballot_table(args.s_max)
         for s in range(1, args.s_max + 1):
             for d in range(1, s + 1):
                 records.append({"s": s, "d": d, "value": rec_tab[s][d],
-                                "closed_form": conv_tab[s][d],
-                                "match": rec_tab[s][d] == conv_tab[s][d]})
+                                "closed_form": ballot[s][d],
+                                "match": rec_tab[s][d] == ballot[s][d]})
     elif args.action == "lemma61":
-        config = {"s_max": args.s_max}
         rep = ct.check_lemma_6_1(args.s_max)
         records.append({"s_max": args.s_max,
                         "holds_for_d_ge_3": rep["holds_for_d_ge_3"],
                         "violations": len(rep["violations"]),
                         "boundary_failures": str(rep["boundary_failures"])})
     elif args.action == "conjecture":
-        config = {"l_max": args.l_max, "s_max": args.s_max}
         records = ct.conjecture_6_25_report(args.l_max, args.s_max)
     elif args.action == "heights":
-        config = {"s_max": args.s_max}
         for s in range(1, args.s_max + 1):
             for u, cnt in enumerate(ct.height_row(s)):
                 if cnt:
@@ -322,13 +316,14 @@ def cmd_count(args) -> int:
                                     "match": ""})
     else:
         raise ValueError("unknown count action %r" % args.action)
-    _emit(args, records, _manifest(args, config))
+    _emit(args, records, manifest)
     return 0
 
 
 def cmd_oracle(args) -> int:
     from . import oracle as orc
     rho = _parse_fraction(args.rho)
+    orc.refuse_over_budget(args.n, args.s, args.method)
     spec = orc.make_spec(args.n, rho, args.s, args.dist)
     value = orc.exact_moment(spec, args.method)
     payload = {"value_num": str(value.numerator),
@@ -371,13 +366,13 @@ def cmd_sim(args) -> int:
         if args.rho is None:
             raise ValueError("sim moments needs --rho")
         config = make_config(args.n, args.rho, args.dist)
+        manifest = ensemble_manifest(config, s=args.s, samples=args.samples)
         est = sim.estimate_moments(config, args.s, args.samples)
         records = [{"s": s, "mean": est[s].mean, "stderr": est[s].stderr,
                     "n_samples": est[s].n_samples,
                     "min": est[s].min, "max": est[s].max}
                    for s in args.s]
-        _emit(args, records,
-              ensemble_manifest(config, s=args.s, samples=args.samples))
+        _emit(args, records, manifest)
         return 0
     if args.action == "edge":
         if (args.rho is None) == (args.eps is None):
@@ -385,31 +380,30 @@ def cmd_sim(args) -> int:
         if args.eps is not None and math.isnan(args.eps):
             raise ValueError("--eps must be a number, got nan")
         rho = args.rho if args.rho is not None \
-            else min(float(args.n),
-                     args.n ** (2.0 / 3.0 * (1.0 + args.eps)))
+            else min(float(args.n), sim.rho_of_eps(args.n, args.eps))
         config = make_config(args.n, rho, args.dist)
         try:
             xs = [float(p) for p in args.x_grid.split(",") if p]
         except ValueError as exc:
             raise ValueError("bad --x-grid: %s" % exc)
+        manifest = ensemble_manifest(config, x_grid=xs, samples=args.samples)
         curve = sim.edge_tail(config, xs, args.samples)
         records = [{"x": x, "threshold": thr, "tail_prob": p,
                     "stderr": e, "count": c, "n_samples": curve.n_samples}
                    for x, thr, p, e, c in
                    zip(curve.x_grid, curve.thresholds, curve.tail_prob,
                        curve.stderr, curve.counts)]
-        manifest = ensemble_manifest(config, x_grid=xs, samples=args.samples)
         manifest.counters = {"lanczos_steps": curve.lanczos_steps,
                              "lanczos_fallbacks": curve.lanczos_fallbacks}
         _emit(args, records, manifest)
         return 0
     if args.action == "crossover":
-        rows = sim.crossover_scan(args.n, args.eps, args.chi, args.samples,
-                                  seed=args.seed, zeta=args.zeta)
         manifest = _manifest(args, {"n": args.n, "eps": args.eps,
                                     "chi": args.chi, "zeta": args.zeta,
                                     "samples": args.samples,
                                     "threads": args.threads})
+        rows = sim.crossover_scan(args.n, args.eps, args.chi, args.samples,
+                                  seed=args.seed, zeta=args.zeta)
         _emit(args, rows, manifest)
         return 0
     raise ValueError("unknown sim action %r" % args.action)
@@ -417,6 +411,7 @@ def cmd_sim(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
+    manifest = _manifest(args, {"suite": args.suite, "fast": args.fast})
     if args.suite == "all":
         reports_ = verify.run_all(args.fast)
     else:
@@ -425,7 +420,6 @@ def cmd_verify(args) -> int:
     for rep in reports_:
         for rec in rep.records():
             records.append(dict(rec, suite=rep.suite))
-    manifest = _manifest(args, {"suite": args.suite, "fast": args.fast})
     _emit(args, records, manifest)
     n_fail = sum(rep.n_fail for rep in reports_)
     n_pass = sum(1 for r in records if r["status"] == "pass")

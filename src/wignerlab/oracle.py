@@ -86,6 +86,20 @@ def make_spec(n: int, rho, s: int, dist: str = "rademacher") -> MomentSpec:
     return MomentSpec(n=n, rho=rho, s=s, moments=moments)
 
 
+def refuse_over_budget(n: int, s: int, method: str) -> None:
+    """Refused when the method is over its cap: n^(2s) sequences above
+    TRAJECTORY_BUDGET (trajectory, both) or s above the walk cap (walk,
+    both).  Runs before make_spec, whose moment list costs O(s^2)."""
+    if n < 1 or s < 1:
+        raise ValueError("need n >= 1 and s >= 1, got n=%d, s=%d" % (n, s))
+    if method != "walk" and n ** (2 * s) > TRAJECTORY_BUDGET:
+        raise Refused(
+            "trajectory enumeration at n=%d, s=%d needs n^(2s) sequences "
+            "(budget %d)" % (n, s, TRAJECTORY_BUDGET), n ** (2 * s))
+    if method != "trajectory":
+        wk.refuse_over_cap(s, wk.DEFAULT_ENUM_CAP)
+
+
 def pair_weight(m: int, spec: MomentSpec) -> Fraction:
     """Expected weight of an off-diagonal pair traversed m times."""
     if m < 1:
@@ -108,11 +122,7 @@ def shape_weight(k: int, mults, spec: MomentSpec) -> Fraction:
 def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
     """M_2s by enumeration of all n^{2s} closed trajectories."""
     n, s = spec.n, spec.s
-    count = n ** (2 * s)
-    if count > TRAJECTORY_BUDGET:
-        raise Refused(
-            "trajectory enumeration at n=%d, s=%d needs n^(2s) sequences "
-            "(budget %d)" % (n, s, TRAJECTORY_BUDGET), count)
+    refuse_over_budget(n, s, "trajectory")
     total = Fraction(0)
     for steps in itertools.product(range(1, n + 1), repeat=2 * s):
         closed = steps + (steps[0],)

@@ -87,6 +87,18 @@ class EnsembleConfig:
         return float(self.n) ** self.delta
 
 
+def rho_of_eps(n: int, eps: float) -> float:
+    """n^{2/3 (1+eps)}; SimConfigError when n < 1 (the power would be
+    complex) or when the power leaves the float range."""
+    if n < 1:
+        raise SimConfigError("n must be >= 1, got %d" % n)
+    try:
+        return n ** ((2.0 / 3.0) * (1.0 + eps))
+    except OverflowError:
+        raise SimConfigError("n^(2/3 (1+eps)) at n=%d, eps=%r exceeds the "
+                             "float range" % (n, eps))
+
+
 def default_delta(eps: float, phi: float) -> float:
     """delta = (eps0 + eps)/6 with eps0 = 3/(6 + phi)."""
     eps0 = 3.0 / (6.0 + phi)
@@ -368,9 +380,9 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
         raise SimConfigError("chi must be a finite number > 0, got %r" % chi)
     rows = []
     for n in n_list:
-        s = int(math.floor(chi * n ** (2.0 / 3.0)))
         for eps in eps_grid:
-            rho = zeta * n ** ((2.0 / 3.0) * (1.0 + eps))
+            rho = zeta * rho_of_eps(n, eps)
+            s = int(math.floor(chi * n ** (2.0 / 3.0)))
             if rho > n:
                 raise SimConfigError(
                     "rho=%.3g exceeds n=%d at eps=%.3g" % (rho, n, eps))

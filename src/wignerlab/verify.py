@@ -160,8 +160,8 @@ def catalan_suite(fast: bool = False) -> VerifyReport:
 
     s_sub = 120 if fast else 500
     rec = ct.root_subcluster_table(s_sub)
-    conv = ct.root_subcluster_conv_table(s_sub)
-    rep.add("catalan.subcluster_dual", rec == conv, "s <= %d" % s_sub)
+    ballot = ct.root_subcluster_ballot_table(s_sub)
+    rep.add("catalan.subcluster_dual", rec == ballot, "s <= %d" % s_sub)
     rep.add("catalan.subcluster_bound_6_6", ct.check_6_6(s_sub),
             "s <= %d" % s_sub)
 

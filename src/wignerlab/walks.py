@@ -195,10 +195,6 @@ class StepLabeling:
     def theta_star(self) -> int:
         return max(self.heights)
 
-    def marked_steps(self) -> tuple[int, ...]:
-        """1-based step numbers of the marked steps."""
-        return tuple(t + 1 for t, m in enumerate(self.marked) if m)
-
 
 # condition sets of an arrival, indexed by o + 2*Delta + 4*Lambda
 _CONDITION_SETS = tuple(map(frozenset, (
@@ -283,9 +279,6 @@ class PlaneTree:
             return 0
         return 1 + max(c.height for c in self.children)
 
-    def root_degree(self) -> int:
-        return len(self.children)
-
 
 def tree_from_dyck(dyck: DyckPath) -> PlaneTree:
     """Decode a Dyck path into a plane tree via its chronological run."""
@@ -301,8 +294,7 @@ def tree_from_dyck(dyck: DyckPath) -> PlaneTree:
             pos += 1  # the matching -1
         return tuple(kids)
 
-    tree = PlaneTree(parse_children())
-    return tree
+    return PlaneTree(parse_children())
 
 
 def dyck_from_tree(tree: PlaneTree) -> DyckPath:
@@ -319,23 +311,34 @@ def dyck_from_tree(tree: PlaneTree) -> DyckPath:
     return DyckPath(tuple(out))
 
 
+def dyck_words(s: int) -> Iterator[tuple[int, ...]]:
+    """The +1/-1 words of the Dyck paths of 2s steps, in lexicographic
+    order (+1 before -1).
+
+    Successor step: the rightmost up-step that starts above height 0 turns
+    down, and the rest becomes the smallest completion, all ups then all
+    downs.  Read from the right, the height before step i is minus the sum
+    of steps i.., since the word sums to 0."""
+    if s < 0:
+        return
+    w = [1] * s + [-1] * s
+    while True:
+        yield tuple(w)
+        h = 0
+        for i in reversed(range(2 * s)):
+            h -= w[i]
+            if h > 0 and w[i] == 1:
+                break
+        else:
+            return
+        rest = 2 * s - 1 - i
+        ups = (rest - h + 1) // 2  # height h - 1 after the turned step
+        w[i:] = [-1] + [1] * ups + [-1] * (rest - ups)
+
+
 def all_dyck_paths(s: int) -> Iterator[DyckPath]:
     """All Dyck paths of 2s steps in lexicographic order (+1 before -1)."""
-
-    def rec(prefix: list[int], h: int, remaining: int):
-        if remaining == 0:
-            yield DyckPath(tuple(prefix))
-            return
-        if remaining > h:  # room to go up and still return to 0
-            prefix.append(1)
-            yield from rec(prefix, h + 1, remaining - 1)
-            prefix.pop()
-        if h > 0:
-            prefix.append(-1)
-            yield from rec(prefix, h - 1, remaining - 1)
-            prefix.pop()
-
-    yield from rec([], 0, 2 * s)
+    return (DyckPath(w) for w in dyck_words(s))
 
 
 def all_trees(s: int) -> Iterator[PlaneTree]:
@@ -593,10 +596,6 @@ def weak_reduce(walk: Walk) -> ReducedWalk:
     return _reduce(walk, spare_vertex=breve)
 
 
-def is_tree_type(walk: Walk) -> bool:
-    return strong_reduce(walk).is_empty
-
-
 @dataclass(frozen=True)
 class CellReport:
     """Arrival structure at the max-exit vertex after the two reductions.
@@ -757,6 +756,13 @@ def estimate_even_walk_count(s: int) -> int:
     return round(count)
 
 
+def refuse_over_cap(s: int, cap: int) -> None:
+    """Refused when s > cap, with the estimated even-walk count."""
+    if s > cap:
+        raise Refused("walk enumeration at s=%d exceeds cap %d" % (s, cap),
+                      estimate_even_walk_count(s))
+
+
 def _even_walk_leaves(s: int, cap: int,
                       force: bool) -> Iterator[tuple[list, dict, int]]:
     """DFS over the canonical even closed walks of 2s steps, lexicographic.
@@ -768,10 +774,8 @@ def _even_walk_leaves(s: int, cap: int,
     letter count) of each even walk; a pair left behind keeps 0."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    if s > cap and not force:
-        raise Refused(
-            "walk enumeration at s=%d exceeds cap %d" % (s, cap),
-            estimate_even_walk_count(s))
+    if not force:
+        refuse_over_cap(s, cap)
     total = 2 * s
     seq = [1]
     mult: dict[tuple[int, int], int] = {}

@@ -59,16 +59,19 @@ class TestSeries:
 class TestRootSubcluster:
     def test_dual_methods_agree(self):
         assert ct.root_subcluster_table(200) == \
-            ct.root_subcluster_conv_table(200)
+            ct.root_subcluster_ballot_table(200)
 
     def test_brute_force(self):
         # root degree exactly d, counted directly over plane trees
+        rec = ct.root_subcluster_table(8)
+        ballot = ct.root_subcluster_ballot_table(8)
         for s in range(1, 9):
             counts = {}
             for tree in wk.all_trees(s):
-                counts[tree.root_degree()] = counts.get(tree.root_degree(), 0) + 1
+                d = len(tree.children)
+                counts[d] = counts.get(d, 0) + 1
             for d in range(1, s + 1):
-                assert ct.root_subcluster_count(s, d) == counts.get(d, 0)
+                assert rec[s][d] == ballot[s][d] == counts.get(d, 0)
 
     def test_geometric_bound(self):
         rep = ct.check_lemma_6_1(300)
@@ -141,11 +144,6 @@ class TestHeights:
         vals = [ct.b_s(x, 30) for x in (0.0, 1.0, 2.0, 4.0)]
         assert vals == sorted(vals)
 
-    def test_frakM_upper_positive(self):
-        assert ct.frakM_upper(1.0, 50) > 0.0
-        with pytest.raises(ValueError):
-            ct.frakM_upper(0.0, 50)
-
 
 class TestAgainstReference:
     """The table builders against the plain routes they replaced: the
@@ -214,8 +212,9 @@ class TestAgainstReference:
         assert ct.b_s(1.5, s) == expect
 
     def test_subcluster_convolution(self):
+        # the ballot formula equals [x^{s-d}] f^d by plain series products
         for s_max in (0, 1, 2, 80):
-            assert ct.root_subcluster_conv_table(s_max) == \
+            assert ct.root_subcluster_ballot_table(s_max) == \
                 self.subcluster_conv(s_max)
 
     def test_multi_edge_enumeration(self):

@@ -1,9 +1,11 @@
 """CLI integration tests: subcommands, formats, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -194,6 +196,21 @@ class TestOracle:
         assert "force" not in err  # the oracle has no override
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("method", ["walk", "trajectory", "both"])
+    def test_refuses_before_moment_list(self, method, capsys, monkeypatch):
+        # at s = 10^5 the moment list alone would take minutes
+        from wignerlab import oracle as orc
+
+        def no_spec(*args):
+            raise AssertionError("moment list built")
+        monkeypatch.setattr(orc, "make_spec", no_spec)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["oracle", "--n", "3", "--rho", "1", "--s", "100000",
+             "--method", method, "--dist", "gaussian"], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == "" and err.startswith("refused:")
+
     def test_out_file(self, capsys, tmp_path):
         # the same bytes as stdout, with no manifest line
         args = ["oracle", "--n", "4", "--rho", "2", "--s", "2"]
@@ -336,6 +353,41 @@ class TestVerify:
         assert code == 2
 
 
+class TestManifestStamps:
+    @pytest.mark.parametrize("argv, module, name", [
+        (["count", "catalan", "--s-max", "5"], "catalan",
+         "catalan_table_recurrence"),
+        (["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
+          "--samples", "2"], "sim", "estimate_moments"),
+        (["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2"], "sim",
+         "edge_tail"),
+        (["sim", "crossover", "--n", "8", "--eps", "0", "--samples", "2"],
+         "sim", "crossover_scan"),
+        (["verify", "cli", "--fast"], "verify", "cli")],
+        ids=["count", "moments", "edge", "crossover", "verify"])
+    def test_started_before_work(self, argv, module, name, capsys,
+                                 monkeypatch):
+        # a clock that moves only while the work runs: the manifest must
+        # be stamped on both sides of it
+        real_gmtime = time.gmtime
+        clock = [1_800_000_000]
+        monkeypatch.setattr(time, "gmtime", lambda *a: real_gmtime(clock[0]))
+        mod = importlib.import_module("wignerlab." + module)
+        work = mod.SUITES[name] if module == "verify" else getattr(mod, name)
+
+        def slow_work(*args, **kwargs):
+            clock[0] += 7
+            return work(*args, **kwargs)
+        if module == "verify":
+            monkeypatch.setitem(mod.SUITES, name, slow_work)
+        else:
+            monkeypatch.setattr(mod, name, slow_work)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and clock[0] > 1_800_000_000
+        manifest = json.loads(out.splitlines()[0][len("# manifest: "):])
+        assert manifest["started"] < manifest["finished"]
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert cli.main([]) == 2
@@ -378,7 +430,12 @@ class TestUsage:
         ["sim", "crossover", "--n", "8", "--eps", "0", "--samples", "2",
          "--config", "{config_v}"],
         ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
-         "--config", "{config_truncate}"]])
+         "--config", "{config_truncate}"],
+        ["sim", "edge", "--n", "4", "--eps", "1e308", "--samples", "1"],
+        ["sim", "crossover", "--n", "4", "--eps", "1e308", "--samples", "2"],
+        ["sim", "edge", "--n", "-4", "--eps", "0", "--samples", "1"],
+        ["sim", "crossover", "--n", "-4", "--eps", "0", "--samples", "2"],
+        ["oracle", "--n", "-3", "--rho", "1", "--s", "100000"]])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  Leading NAME=value
         # items set environment variables, as in a shell; {bad_config} is a

@@ -389,7 +389,8 @@ class TestCanonicalization:
 class TestLabeling:
     def test_w16_marked_steps(self):
         lab = wk.label_steps(W16())
-        assert lab.marked_steps() == (1, 2, 3, 5, 6, 8, 10, 12)
+        assert tuple(t + 1 for t, m in enumerate(lab.marked) if m) == \
+            (1, 2, 3, 5, 6, 8, 10, 12)
         assert lab.theta_star == 4
         assert lab.marked_count == 8
 
@@ -429,6 +430,20 @@ class TestSweepAgainstReference:
 
 
 class TestDyckTree:
+    def test_dyck_words(self):
+        from wignerlab.catalan import catalan
+        assert list(wk.dyck_words(0)) == [()]
+        for s in range(11):
+            words = list(wk.dyck_words(s))
+            assert len(words) == catalan(s)
+            for w in words:
+                heights = list(itertools.accumulate(w))
+                assert len(w) == 2 * s and set(w) <= {1, -1}
+                assert min(heights, default=0) >= 0 and sum(w) == 0
+            # strictly increasing with +1 before -1: compare w with -w
+            keys = [tuple(-step for step in w) for w in words]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_counts_match_catalan(self):
         from wignerlab.catalan import catalan
         for s in range(1, 9):
@@ -487,9 +502,10 @@ class TestReduction:
             wk.strong_reduce(W16()).letters
 
     def test_tree_type(self):
-        assert wk.is_tree_type(wk.Walk((1, 2, 3, 2, 1)))
-        assert wk.is_tree_type(wk.Walk((1, 2, 1, 2, 1)))
-        assert not wk.is_tree_type(W16())
+        # a tree-type walk reduces to the empty walk
+        assert wk.strong_reduce(wk.Walk((1, 2, 3, 2, 1))).is_empty
+        assert wk.strong_reduce(wk.Walk((1, 2, 1, 2, 1))).is_empty
+        assert not wk.strong_reduce(W16()).is_empty
 
     def test_reduced_walk_is_even(self):
         for s in range(2, 5):
