@@ -13,8 +13,9 @@ __version__ = "0.1.0"
 
 class Refused(RuntimeError):
     """Raised by every work guardrail instead of starting the work; estimate
-    is the size of the request in walks, sequences, trees or matrix entries."""
+    is the size of the request in walks, sequences, trees or matrix entries:
+    an int, or a decimal.Decimal for n^(2s) trajectory sequences."""
 
-    def __init__(self, message: str, estimate: int):
+    def __init__(self, message: str, estimate):
         super().__init__(message)
         self.estimate = estimate

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import Refused, reports
@@ -429,12 +430,13 @@ def cmd_verify(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def _approx_count(value: int) -> str:
-    """value in decimal while it fits in 64 bits, else ~10^k: str() of an
-    int with thousands of digits raises."""
+def _approx_count(value) -> str:
+    """An int or Decimal estimate in decimal while it fits in 64 bits, else
+    ~10^k with k = floor(log10): str() of an int with thousands of digits
+    raises."""
     if value < 2 ** 64:
         return "%d" % value
-    return "~10^%d" % math.floor(math.log10(value))
+    return "~10^%d" % Decimal(value).adjusted()
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import MAX_EMAX, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
 from . import Refused
@@ -22,6 +23,13 @@ from . import walks as wk
 from . import catalan as ct
 
 TRAJECTORY_BUDGET = 5_000_000
+# The largest s within the budget at n = 2 (2^22 sequences).  It binds at
+# n = 1 alone, whose single sequence fits any budget while its moment list
+# grows as s^2.
+TRAJECTORY_S_CAP = 11
+# rounds down, so that a power past the exponent range saturates at the
+# largest Decimal instead of raising
+_POWERS = Context(prec=28, Emax=MAX_EMAX, rounding=ROUND_DOWN, traps=[])
 
 
 @dataclass(frozen=True)
@@ -87,17 +95,25 @@ def make_spec(n: int, rho, s: int, dist: str = "rademacher") -> MomentSpec:
 
 
 def refuse_over_budget(n: int, s: int, method: str) -> None:
-    """Refused when the method is over its cap: n^(2s) sequences above
-    TRAJECTORY_BUDGET (trajectory, both) or s above the walk cap (walk,
-    both).  Runs before make_spec, whose moment list costs O(s^2)."""
+    """Refused when the method is over its cap: s above TRAJECTORY_S_CAP or
+    n^(2s) sequences above TRAJECTORY_BUDGET (trajectory, both), or s above
+    the shape-table cap (walk, both).  The trajectory estimate is n^(2s),
+    or s (the moments to build) at n = 1.  Runs before make_spec, whose
+    moment list costs O(s^2)."""
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1, got n=%d, s=%d" % (n, s))
-    if method != "walk" and n ** (2 * s) > TRAJECTORY_BUDGET:
-        raise Refused(
-            "trajectory enumeration at n=%d, s=%d needs n^(2s) sequences "
-            "(budget %d)" % (n, s, TRAJECTORY_BUDGET), n ** (2 * s))
+    if method != "walk":
+        # n^(2s) to 28 digits, exact below 10^28: as a Decimal it costs the
+        # same at any s, where the exact int takes 2s log2(n) bits to build
+        sequences = _POWERS.power(n, 2 * s)
+        if s > TRAJECTORY_S_CAP or sequences > TRAJECTORY_BUDGET:
+            raise Refused(
+                "trajectory enumeration at n=%d, s=%d needs n^(2s) sequences "
+                "(budget %d, s cap %d)" % (n, s, TRAJECTORY_BUDGET,
+                                          TRAJECTORY_S_CAP),
+                sequences if n > 1 else s)
     if method != "trajectory":
-        wk.refuse_over_cap(s, wk.DEFAULT_ENUM_CAP)
+        wk.refuse_over_cap(s, wk.SHAPE_TABLE_CAP)
 
 
 def pair_weight(m: int, spec: MomentSpec) -> Fraction:

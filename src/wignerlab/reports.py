@@ -58,6 +58,9 @@ class RunManifest:
 
 
 def _csv_cell(value) -> str:
+    kind = type(value)
+    if kind is int or kind is str:  # most cells; bool is not int here
+        return str(value)
     if isinstance(value, Fraction):
         return "%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, bool):

@@ -21,6 +21,9 @@ import numpy as np
 from . import Refused
 
 DENSE_CAP = 4096
+# matrix entries, n^2 per sample, that one run may draw: above criterion 7
+# (n = 2000, 200 samples: 8e8), the largest run of the tests and verify
+SAMPLE_BUDGET = 10 ** 9
 # sample_spectra stacks samples up to this many matrix entries per block
 BLOCK_ENTRIES = 1 << 16
 # edge_tail's Lanczos route for lambda_max, taken from n = LANCZOS_MIN_N on
@@ -189,6 +192,14 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     return h
 
 
+def refuse_over_sample_budget(entries: int) -> None:
+    """Refused, with the count as its estimate, when a run would draw more
+    than SAMPLE_BUDGET matrix entries (n^2 per sample)."""
+    if entries > SAMPLE_BUDGET:
+        raise Refused("%d matrix entries exceed the sample budget %d"
+                      % (entries, SAMPLE_BUDGET), entries)
+
+
 def sample_matrix(config: EnsembleConfig, sample_index: int) -> np.ndarray:
     """One symmetric dilute Wigner matrix, deterministic in (seed, index)."""
     return sample_block(config, sample_index, sample_index + 1)[0]
@@ -297,6 +308,7 @@ def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
         raise ValueError("need n_samples >= 2")
     if min(s_list) < 1:
         raise ValueError("need every s >= 1, got %s" % (list(s_list),))
+    refuse_over_sample_budget(config.n ** 2 * n_samples)
     traces: dict[int, list[np.ndarray]] = {s: [] for s in s_list}
     for eig in sample_spectra(config, n_samples):
         for s in s_list:
@@ -336,6 +348,7 @@ def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
         raise ValueError("x_grid must not hold nan")
     if xs != sorted(xs):
         raise ValueError("x_grid must be sorted ascending")
+    refuse_over_sample_budget(config.n ** 2 * n_samples)
     thresholds = [2.0 * config.v * (1.0 + x * config.n ** (-2.0 / 3.0))
                   for x in xs]
     scale = 2.0 * config.v * config.n ** (-2.0 / 3.0)
@@ -378,29 +391,33 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
     """
     if not (math.isfinite(chi) and chi > 0):
         raise SimConfigError("chi must be a finite number > 0, got %r" % chi)
+    # every grid point is checked before the budget and the first sample
+    grid = [(n, eps, zeta * rho_of_eps(n, eps))
+            for n in n_list for eps in eps_grid]
+    for n, eps, rho in grid:
+        if rho > n:
+            raise SimConfigError(
+                "rho=%.3g exceeds n=%d at eps=%.3g" % (rho, n, eps))
+    # two laws at every grid point
+    refuse_over_sample_budget(2 * n_samples * sum(n * n for n, _, _ in grid))
     rows = []
-    for n in n_list:
-        for eps in eps_grid:
-            rho = zeta * rho_of_eps(n, eps)
-            s = int(math.floor(chi * n ** (2.0 / 3.0)))
-            if rho > n:
-                raise SimConfigError(
-                    "rho=%.3g exceeds n=%d at eps=%.3g" % (rho, n, eps))
-            configs = {dist: EnsembleConfig(n=n, rho=rho, dist=dist, seed=seed)
-                       for dist in ("rademacher", "gaussian")}
-            bound = theorem_7_1_rhs(chi, zeta, v4_of(configs["rademacher"]))
-            a, b = (estimate_moments(config, [s], n_samples)[s]
-                    for config in configs.values())
-            joint = math.hypot(a.stderr, b.stderr)
-            zeta_eff = rho / n ** (2.0 / 3.0)
-            rows.append({
-                "n": n, "eps": eps, "rho": rho, "s": s,
-                "mean_rademacher": a.mean, "stderr_rademacher": a.stderr,
-                "mean_gaussian": b.mean, "stderr_gaussian": b.stderr,
-                "diff": b.mean - a.mean,
-                "diff_over_stderr": (b.mean - a.mean) / joint if joint else 0.0,
-                "zeta_eff": zeta_eff,
-                "thm_7_1_lower_bound": bound,
-                "lower_bound_ok": a.mean >= 0.9 * bound,
-            })
+    for n, eps, rho in grid:
+        s = int(math.floor(chi * n ** (2.0 / 3.0)))
+        configs = {dist: EnsembleConfig(n=n, rho=rho, dist=dist, seed=seed)
+                   for dist in ("rademacher", "gaussian")}
+        bound = theorem_7_1_rhs(chi, zeta, v4_of(configs["rademacher"]))
+        a, b = (estimate_moments(config, [s], n_samples)[s]
+                for config in configs.values())
+        joint = math.hypot(a.stderr, b.stderr)
+        zeta_eff = rho / n ** (2.0 / 3.0)
+        rows.append({
+            "n": n, "eps": eps, "rho": rho, "s": s,
+            "mean_rademacher": a.mean, "stderr_rademacher": a.stderr,
+            "mean_gaussian": b.mean, "stderr_gaussian": b.stderr,
+            "diff": b.mean - a.mean,
+            "diff_over_stderr": (b.mean - a.mean) / joint if joint else 0.0,
+            "zeta_eff": zeta_eff,
+            "thm_7_1_lower_bound": bound,
+            "lower_bound_ok": a.mean >= 0.9 * bound,
+        })
     return rows

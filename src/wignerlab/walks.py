@@ -7,12 +7,14 @@ in the trace expansion of a symmetric random matrix.  This module provides the
 canonicalizer, the marked-step labeling (Dyck path / plane tree structure),
 the walk multigraph with self-intersection degrees, the arrival census, the
 strong and weak reductions, the maximal exit degree, and the cell report
-around the vertex of maximal exit degree.
+around the vertex of maximal exit degree.  Inside the walk search and the
+per-walk sweep a vertex pair is keyed (min, max); walk_graph gives frozensets.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections import Counter
@@ -32,7 +34,16 @@ class ClassificationError(ValueError):
 
 
 DEFAULT_ENUM_CAP = 6
+SHAPE_TABLE_CAP = 7
 EVEN_WALK_COUNTS = (1, 1, 3, 16, 122, 1209, 14829, 216955)  # s = 0..7
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass built without its check, valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +94,6 @@ class Trajectory:
     def s(self) -> int:
         return len(self.steps) // 2
 
-    def closed(self) -> tuple[int, ...]:
-        """The full vertex sequence of length 2s+1 including the closure."""
-        return self.steps + (self.steps[0],)
-
 
 @dataclass(frozen=True)
 class Walk:
@@ -124,7 +131,7 @@ class Walk:
         return any(w[t] == w[t + 1] for t in range(len(w) - 1))
 
     def to_string(self) -> str:
-        return ",".join(str(v) for v in self.letters)
+        return ",".join(map(str, self.letters))
 
     @cached_property
     def analysis(self) -> "WalkAnalysis":
@@ -137,7 +144,7 @@ def walk_from_trajectory(traj: Trajectory) -> Walk:
     """Relabel a closed trajectory by first appearance; root becomes letter 1."""
     relabel: dict[int, int] = {}
     letters = []
-    for v in traj.closed():
+    for v in traj.steps + traj.steps[:1]:  # closed by the first label
         if v not in relabel:
             relabel[v] = len(relabel) + 1
         letters.append(relabel[v])
@@ -169,16 +176,10 @@ class DyckPath:
     def s(self) -> int:
         return len(self.ups_downs) // 2
 
-    def heights(self) -> tuple[int, ...]:
-        out = [0]
-        for step in self.ups_downs:
-            out.append(out[-1] + step)
-        return tuple(out)
-
     @property
     def height(self) -> int:
         """The maximum height theta* of the path."""
-        return max(self.heights())
+        return max(itertools.accumulate(self.ups_downs, initial=0))
 
 
 @dataclass(frozen=True)
@@ -209,53 +210,59 @@ class WalkAnalysis:
     each marked arrival the sweep records the conditions of
     `arrival_conditions` that hold just before the step, read off the running
     pair parity, the odd-pair count per vertex and the set of marked directed
-    edges.  arrivals[v] and arrival_conds[v] follow the marked steps arriving
-    at v in time order; exits[v] counts those leaving v; reductions memoises
-    `_reduce` per spare vertex (None for the strong reduction).
+    edges.  arrival_conds[v] follows the marked steps arriving at v in time
+    order; exits[v] counts those leaving v; reductions memoises
+    `_reduce` per spare vertex (None for the strong reduction).  The height
+    is the count of odd pairs: the walk is even when it ends at 0.
     """
 
     def __init__(self, walk: Walk):
         w = walk.letters
-        mult: dict[frozenset, int] = {}
+        mult: dict[tuple[int, int], int] = {}
         odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
         marked_directed: set[tuple[int, int]] = set()
-        marked, heights, marked_edges = [], [0], []
-        arrivals: dict[int, list[int]] = {}
+        heights, marked_edges = [0], []
         conds: dict[int, list[frozenset]] = {}
         exits: dict[int, int] = {}
+        h = low = 0
+        tail = w[0]
         for t in range(1, len(w)):
-            tail, head = w[t - 1], w[t]
-            pair = frozenset((tail, head))
-            mult[pair] = mult.get(pair, 0) + 1
-            m = mult[pair] % 2 == 1
-            if m:
-                flags = _CONDITION_SETS[
+            head = w[t]
+            pair = (tail, head) if tail < head else (head, tail)
+            m = mult.get(pair, 0) + 1
+            mult[pair] = m
+            if m & 1:
+                conds.setdefault(head, []).append(_CONDITION_SETS[
                     (odd_at[head] > 0)
                     + 2 * ((tail, head) in marked_directed)
-                    + 4 * ((head, tail) in marked_directed)]
+                    + 4 * ((head, tail) in marked_directed)])
                 marked_directed.add((tail, head))
                 marked_edges.append((tail, head, t))
-                arrivals.setdefault(head, []).append(t)
-                conds.setdefault(head, []).append(flags)
                 exits[tail] = exits.get(tail, 0) + 1
-            step = 1 if m else -1
-            odd_at[tail] += step    # a loop counts twice; only > 0 is read
-            odd_at[head] += step
-            marked.append(m)
-            heights.append(heights[-1] + step)
-        count = len(marked_edges)
+                odd_at[tail] += 1   # a loop counts twice; only > 0 is read
+                odd_at[head] += 1
+                h += 1
+            else:
+                odd_at[tail] -= 1
+                odd_at[head] -= 1
+                h -= 1
+                if h < low:
+                    low = h
+            heights.append(h)
+            tail = head
+        marked = tuple([a < b for a, b in zip(heights, heights[1:])])
         dyck = None
-        if count * 2 == len(marked) and min(heights) >= 0 and heights[-1] == 0:
-            dyck = DyckPath(tuple(1 if m else -1 for m in marked))
-        is_even = all(c % 2 == 0 for c in mult.values())
-        self.labeling = StepLabeling(tuple(marked), is_even, count,
+        if h == 0 and low == 0:
+            dyck = _unchecked(DyckPath, ups_downs=tuple(
+                [1 if m else -1 for m in marked]))
+        self.labeling = StepLabeling(marked, h == 0, len(marked_edges),
                                      tuple(heights), dyck)
         self.pair_multiplicity = mult
         self.marked_edges = tuple(marked_edges)
-        self.arrivals = arrivals
         self.arrival_conds = conds
         self.exits = exits
         self.reductions: dict[Optional[int], ReducedWalk] = {}
+        self.max_exit: Optional[tuple[int, int]] = None
 
 
 def label_steps(walk: Walk) -> StepLabeling:
@@ -282,19 +289,14 @@ class PlaneTree:
 
 def tree_from_dyck(dyck: DyckPath) -> PlaneTree:
     """Decode a Dyck path into a plane tree via its chronological run."""
-    pos = 0
-    steps = dyck.ups_downs
-
-    def parse_children() -> tuple[PlaneTree, ...]:
-        nonlocal pos
-        kids = []
-        while pos < len(steps) and steps[pos] == 1:
-            pos += 1
-            kids.append(PlaneTree(parse_children()))
-            pos += 1  # the matching -1
-        return tuple(kids)
-
-    return PlaneTree(parse_children())
+    open_kids: list[list[PlaneTree]] = [[]]   # the children of each open node
+    for step in dyck.ups_downs:
+        if step == 1:
+            open_kids.append([])
+        else:
+            kids = open_kids.pop()
+            open_kids[-1].append(PlaneTree(tuple(kids)))
+    return PlaneTree(tuple(open_kids[0]))
 
 
 def dyck_from_tree(tree: PlaneTree) -> DyckPath:
@@ -381,8 +383,9 @@ def walk_graph(walk: Walk) -> WalkGraph:
     vertices = tuple(range(1, walk.n_letters + 1))
     for v in vertices:
         kappa.setdefault(v, 0)
-    return WalkGraph(vertices, dict(a.pair_multiplicity), a.marked_edges,
-                     kappa, a.labeling.is_even)
+    mult = {frozenset(pair): m for pair, m in a.pair_multiplicity.items()}
+    return WalkGraph(vertices, mult, a.marked_edges, kappa,
+                     a.labeling.is_even)
 
 
 def arrival_conditions(walk: Walk, vertex: int,
@@ -535,10 +538,11 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
 
 def max_exit_degree(walk: Walk) -> tuple[int, int]:
     """(vertex, D): D marked edges leave the vertex; ties go to the first letter."""
-    exits = walk.analysis.exits   # never empty: step 1 is always marked
-    d_max = max(exits.values())
-    vertex = min(v for v, d in exits.items() if d == d_max)
-    return vertex, d_max
+    a = walk.analysis
+    if a.max_exit is None:
+        d_max = max(a.exits.values())   # never empty: step 1 is marked
+        a.max_exit = min(v for v, d in a.exits.items() if d == d_max), d_max
+    return a.max_exit
 
 
 @dataclass(frozen=True)
@@ -554,7 +558,7 @@ class ReducedWalk:
         return not self.kept_steps
 
     def to_string(self) -> str:
-        return ",".join(str(v) for v in self.letters)
+        return ",".join(map(str, self.letters))
 
 
 def _reduce(walk: Walk, spare_vertex: Optional[int]) -> ReducedWalk:
@@ -573,13 +577,15 @@ def _reduce(walk: Walk, spare_vertex: Optional[int]) -> ReducedWalk:
     marked = walk.analysis.labeling.marked
     kept: list[int] = []
     removed = []
+    top = 0     # the kept step on top of the stack, 0 when none
     for t in range(1, len(w)):
-        top = kept[-1] if kept else None
-        if (top and marked[top - 1] and not marked[t - 1]
+        if (top and not marked[t - 1] and marked[top - 1]
                 and w[top - 1] == w[t] and w[top] != spare_vertex):
             removed.append((kept.pop(), t))
+            top = kept[-1] if kept else 0
         else:
             kept.append(t)
+            top = t
     letters = tuple([w[kept[0] - 1]] + [w[t] for t in kept]) if kept else ()
     memo[spare_vertex] = ReducedWalk(letters, tuple(kept), tuple(removed))
     return memo[spare_vertex]
@@ -693,29 +699,23 @@ def bts_and_cells(walk: Walk) -> CellReport:
     local_bts = tuple((z, tuple(phis), len(phis)) for z, phis in local)
     remote_bts = tuple((y, ell, tuple(psis), len(psis))
                        for y, ell, psis in remote)
-    I = len(proper)
+    I, K, J = len(proper), len(local_bts), len(remote_bts)
     M = sum(m for _, m in proper) + unassigned_mirrors
-    K = len(local_bts)
-    J = len(remote_bts)
     F_p = sum(fp for _, _, fp in local_bts)
     F_pp = sum(fpp for _, _, _, fpp in remote_bts)
 
     # replay verification of offsets and the proper-cell count
     ok = unassigned_mirrors == 0
-    time_of_instant = {inst: t for t, inst in instant_of.items()}
-    for z, phis, _ in local_bts:
-        pos = time_of_instant[z]
-        for phi in phis:
-            pos += phi
-            ok = ok and w[pos] == breve
-    for y, ell, psis, _ in remote_bts:
-        pos = time_of_instant[y] + ell
-        ok = ok and w[pos] == breve
-        for psi in psis:
-            pos += psi
+    times = [t for _, _, t in a.marked_edges]
+    chains = [(times[z - 1], phis) for z, phis, _ in local_bts]
+    chains += [(times[y - 1] + ell, (0,) + psis)
+               for y, ell, psis, _ in remote_bts]
+    for pos, offsets in chains:
+        for step in offsets:
+            pos += step
             ok = ok and w[pos] == breve
     # every marked arrival at breve_beta must survive as an I or K cell
-    ok = ok and len(a.arrivals.get(breve, ())) == I + K
+    ok = ok and len(a.arrival_conds.get(breve, ())) == I + K
 
     return CellReport(breve, d_max, tuple(map(tuple, proper)), local_bts,
                       remote_bts, I, M, K, J, F_p, F_pp, ok)
@@ -727,13 +727,9 @@ def exit_arrival_balance(walk: Walk) -> tuple[int, int]:
     w = walk.letters
     marked = walk.analysis.labeling.marked
     breve, _ = max_exit_degree(walk)
-    exits = arrivals = 0
-    for t in _reduce(walk, spare_vertex=breve).kept_steps:
-        if marked[t - 1] and w[t - 1] == breve:
-            exits += 1
-        if not marked[t - 1] and w[t] == breve:
-            arrivals += 1
-    return exits, arrivals
+    kept = _reduce(walk, spare_vertex=breve).kept_steps
+    return (sum(1 for t in kept if marked[t - 1] and w[t - 1] == breve),
+            sum(1 for t in kept if not marked[t - 1] and w[t] == breve))
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +764,14 @@ def _even_walk_leaves(s: int, cap: int,
     """DFS over the canonical even closed walks of 2s steps, lexicographic.
 
     A step goes to an existing letter or the next fresh one, never the
-    current one.  Odd pairs prune: they can drop by one per remaining step
-    and must match its parity.  Refuses s > cap unless forced, before any
-    step.  Yields the live (letters, pair multiplicities keyed (min, max),
-    letter count) of each even walk; a pair left behind keeps 0."""
+    current one.  The search prunes at the parent: once the odd pairs equal
+    the remaining steps, it tries only steps along an odd pair at the
+    current letter, so the odd pairs never exceed the remaining steps (the
+    last step returns to 1).  A step moves both counts by one, so their
+    parities always agree and need no test.  Refuses s > cap unless forced,
+    before any step.  Yields the live (letters, pair multiplicities keyed
+    (min, max), letter count) of each even walk; a pair left behind keeps 0.
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
     if not force:
@@ -785,17 +785,17 @@ def _even_walk_leaves(s: int, cap: int,
         nonlocal odd_pairs
         remaining = total - t
         if remaining == 0:
-            if odd_pairs == 0:
-                yield seq, mult, max_letter
-            return
-        if odd_pairs > remaining or (odd_pairs - remaining) % 2 != 0:
+            yield seq, mult, max_letter
             return
         cur = seq[-1]
-        for nxt in (1,) if remaining == 1 else range(1, max_letter + 2):
+        closing = odd_pairs == remaining
+        for nxt in range(1, max_letter + (1 if closing else 2)):
             if nxt == cur:
                 continue
             pair = (cur, nxt) if cur < nxt else (nxt, cur)
             m = mult.get(pair, 0)
+            if closing and not m & 1:
+                continue
             mult[pair] = m + 1
             odd_pairs += -1 if m & 1 else 1
             seq.append(nxt)
@@ -812,7 +812,7 @@ def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP,
     """All canonical even closed walks of 2s steps, lexicographic order;
     refuses s > cap unless forced."""
     for letters, _, _ in _even_walk_leaves(s, cap, force):
-        yield Walk(tuple(letters))
+        yield _unchecked(Walk, letters=tuple(letters))
 
 
 @functools.cache
@@ -820,9 +820,9 @@ def shape_table(s: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """(k, sorted pair multiplicities, walk count) per shape of the even
     walks of 2s steps, sorted.  Class size and weight depend only on the
     shape, so this is all the walk oracle needs; it builds no Walk, is
-    computed once per s and refuses s > DEFAULT_ENUM_CAP."""
+    computed once per s and refuses s > SHAPE_TABLE_CAP."""
     counts: Counter = Counter()
-    for _, mult, k in _even_walk_leaves(s, DEFAULT_ENUM_CAP, False):
+    for _, mult, k in _even_walk_leaves(s, SHAPE_TABLE_CAP, False):
         counts[k, tuple(sorted(m for m in mult.values() if m))] += 1
     return tuple((k, mults, c) for (k, mults), c in sorted(counts.items()))
 

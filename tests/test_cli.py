@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from wignerlab import cli
+from wignerlab import Refused, cli
 from wignerlab import reports
 
 W16_TRAJ = "5,2,7,9,7,1,2,7,9,7,2,7,2,1,7,2,5"
@@ -211,6 +212,38 @@ class TestOracle:
         assert time.perf_counter() - start < 5.0
         assert code == 3 and out == "" and err.startswith("refused:")
 
+    @pytest.mark.parametrize("n, s, estimate", [
+        ("1", "200000", "200000"), ("3", "30000000", "~10^28627275")])
+    def test_trajectory_refusal_is_quick(self, n, s, estimate):
+        # n = 1 fits any sequence budget and 3^(6e7) takes a minute to
+        # build: both refuse from (n, s) alone.  A subprocess, so that a
+        # hang fails the test by its timeout
+        code = ("import time\nfrom wignerlab import cli\n"
+                "t = time.perf_counter()\n"
+                "code = cli.main(['oracle', '--n', '%s', '--rho', '1', "
+                "'--s', '%s', '--method', 'trajectory'])\n"
+                "print(code, time.perf_counter() - t)" % (n, s))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=20)
+        exit_code, seconds = proc.stdout.split()
+        assert exit_code == "3" and float(seconds) < 1.0
+        assert proc.stderr.startswith("refused:")
+        assert proc.stderr.endswith("(estimated work: %s)\n" % estimate)
+
+    def test_walk_method_at_7(self, capsys):
+        # the shape table goes one step past the walk enumeration
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["oracle", "--method", "walk", "--s", "7", "--n", "2000",
+             "--rho", "2"], capsys)
+        assert code == 0 and time.perf_counter() - start < 5.0
+        assert json.loads(out)["value_den"] != "0"
+        code, out, err = run_cli(
+            ["oracle", "--method", "walk", "--s", "8", "--n", "2000",
+             "--rho", "2"], capsys)
+        assert code == 3 and out == ""
+        assert "(estimated work: 3683994)" in err
+
     def test_out_file(self, capsys, tmp_path):
         # the same bytes as stdout, with no manifest line
         args = ["oracle", "--n", "4", "--rho", "2", "--s", "2"]
@@ -266,6 +299,26 @@ class TestSim:
              "--samples", "2"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("refused:") and "estimated work" in err
+
+    @pytest.mark.parametrize("argv, entries", [
+        (["moments", "--n", "4", "--rho", "2", "--s", "1"], 16 * 10 ** 12),
+        (["edge", "--n", "4", "--rho", "2"], 16 * 10 ** 12),
+        (["crossover", "--n", "4", "--n", "8", "--eps", "0"],
+         2 * 80 * 10 ** 12)])
+    def test_sample_budget_refused(self, argv, entries, capsys):
+        # n^2 entries per sample, summed over both laws of a crossover
+        code, out, err = run_cli(
+            ["sim"] + argv + ["--samples", "1000000000000"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("refused:")
+        assert "(estimated work: %d)" % entries in err
+
+    def test_sample_budget_admits_criterion_7(self):
+        from wignerlab import sim
+        sim.refuse_over_sample_budget(2000 ** 2 * 200)  # no refusal
+        with pytest.raises(Refused) as exc:
+            sim.refuse_over_sample_budget(sim.SAMPLE_BUDGET + 1)
+        assert exc.value.estimate == sim.SAMPLE_BUDGET + 1
 
     def test_edge_needs_rho_or_eps(self, capsys):
         code, _, err = run_cli(
@@ -435,7 +488,11 @@ class TestUsage:
         ["sim", "crossover", "--n", "4", "--eps", "1e308", "--samples", "2"],
         ["sim", "edge", "--n", "-4", "--eps", "0", "--samples", "1"],
         ["sim", "crossover", "--n", "-4", "--eps", "0", "--samples", "2"],
-        ["oracle", "--n", "-3", "--rho", "1", "--s", "100000"]])
+        ["oracle", "--n", "-3", "--rho", "1", "--s", "100000"],
+        ["sim", "crossover", "--n", "8", "--n", "-4", "--eps", "0",
+         "--samples", "1000000000000"],
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--eps", "5",
+         "--samples", "1000000000000"]])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  Leading NAME=value
         # items set environment variables, as in a shell; {bad_config} is a
@@ -470,6 +527,18 @@ class TestUsage:
 
 
 class TestReports:
+    @pytest.mark.parametrize("value, cell", [
+        (True, "true"), (False, "false"), (7, "7"), (-12, "-12"),
+        (0.1, "0.1"), (1e-20, "1e-20"), (2.0, "2.0"),
+        (Fraction(-3, 4), "-3/4"), (Fraction(5), "5/1"),
+        ((1, (2, 3)), "(1, (2, 3))"), ("a,b", "a,b"), ("", "")],
+        ids=["true", "false", "int", "negative-int", "float", "float-exp",
+             "float-whole", "fraction", "fraction-whole", "tuple", "str",
+             "empty-str"])
+    def test_csv_cell(self, value, cell):
+        # bool is tested before int: True is "true", never "1"
+        assert reports._csv_cell(value) == cell
+
     def test_fraction_serialization(self):
         from fractions import Fraction
         body = reports.render_csv_body([{"v": Fraction(1, 4), "ok": True}])

@@ -132,6 +132,28 @@ class TestExactMoment:
             orc.exact_moment_trajectory(spec)
         assert exc.value.estimate == 9 ** 12
 
+    def test_trajectory_s_cap(self):
+        # n = 1 fits any sequence budget; its refusal counts moments
+        assert orc.exact_moment_trajectory(orc.make_spec(1, 1, 11)) == 0
+        with pytest.raises(Refused) as exc:
+            orc.refuse_over_budget(1, 12, "trajectory")
+        assert exc.value.estimate == 12
+        # n = 2 at s = 11 is the largest request within the budget
+        orc.refuse_over_budget(2, orc.TRAJECTORY_S_CAP, "trajectory")
+        assert 2 ** (2 * orc.TRAJECTORY_S_CAP) <= orc.TRAJECTORY_BUDGET \
+            < 2 ** (2 * orc.TRAJECTORY_S_CAP + 2)
+        with pytest.raises(Refused) as exc:
+            orc.refuse_over_budget(3, 30_000_000, "trajectory")
+        assert exc.value.estimate.adjusted() == 28_627_275
+
+    @pytest.mark.slow
+    def test_methods_agree_at_7(self):
+        # the shape table at s = 7, one step past the walk enumeration,
+        # against all 3^14 trajectories on three vertices (about 10 s)
+        spec = orc.make_spec(3, 2, 7)
+        assert orc.exact_moment_walk(spec) == \
+            orc.exact_moment_trajectory(spec) == Fraction(3727, 1572864)
+
     def test_walk_method_guard(self):
         # the walk enumerator's refusal, with its estimate in walks
         spec = orc.make_spec(4, 2, 9)

@@ -1,13 +1,16 @@
 """Unit tests for walk canonicalization, labeling, census and reduction."""
 
+import csv
+import io
 import itertools
+import json
 import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerlab import Refused
+from wignerlab import Refused, cli
 from wignerlab import walks as wk
 
 
@@ -602,11 +605,75 @@ class TestShapeTable:
         assert all(isinstance(row, tuple) and isinstance(row[1], tuple)
                    for row in table)
 
+    def test_counts_at_7(self):
+        # above the enumeration cap: the table alone goes to s = 7
+        table = wk.shape_table(7)
+        assert list(table) == sorted(table)
+        assert sum(c for _, _, c in table) == wk.EVEN_WALK_COUNTS[7]
+
     def test_refuses_above_cap(self):
         # at once: a search at s = 9 would visit some 7e7 walks
-        for s in (7, 9):
+        for s in (8, 9):
             with pytest.raises(Refused) as exc:
                 wk.shape_table(s)
             assert exc.value.estimate == wk.estimate_even_walk_count(s)
         with pytest.raises(ValueError):
             wk.shape_table(0)
+
+
+class TestGoldenBodies:
+    """`walk` bodies through cli.main against rows built from the ref_*
+    replays, so that a faster sweep cannot change a byte of them."""
+
+    @staticmethod
+    def body(argv, capsys):
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert lines[0].startswith("# manifest:")
+        return "".join(lines[1:])
+
+    @staticmethod
+    def assert_body(got, rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["true" if v is True else "false" if v is False else str(v)
+              for v in row] for row in rows])
+        # line by line: a diff of two whole bodies takes minutes to print
+        want = buf.getvalue().splitlines(keepends=True)
+        got = got.splitlines(keepends=True)
+        assert len(got) == len(want)
+        for got_line, want_line in zip(got, want):
+            assert got_line == want_line
+
+    def test_enumerate(self, capsys):
+        rows = [("walk", "s", "n_letters", "theta_star", "sigma", "census")]
+        for walk in ref_enumerate_even_walks(5):
+            dp = ref_diagram_params(walk, 4)
+            rows.append((",".join(map(str, walk.letters)), 5,
+                         max(walk.letters),
+                         max(ref_label_steps(walk).heights), dp.sigma,
+                         dp.census_key()))
+        assert len(rows) == 1 + wk.EVEN_WALK_COUNTS[5]
+        self.assert_body(
+            self.body(["walk", "enumerate", "--s", "5", "--k0", "4"], capsys),
+            rows)
+
+    def test_from_trajectory(self, capsys):
+        walk = W16()
+        lab = ref_label_steps(walk)
+        letter, degree = ref_max_exit_degree(walk)
+        strong, weak = ref_reduce(walk, None), ref_reduce(walk, letter)
+        rec = {"walk": ",".join(map(str, walk.letters)), "s": 8,
+               "n_letters": 5, "even": lab.is_even}
+        rec.update(json.loads(ref_diagram_params(walk, 4).to_json()))
+        rec.update({"theta_star": max(lab.heights),
+                    "max_exit_letter": letter, "max_exit_degree": degree,
+                    "strong_reduced": ",".join(map(str, strong.letters)),
+                    "strong_removed": len(strong.removed_pairs),
+                    "weak_reduced": ",".join(map(str, weak.letters)),
+                    "weak_removed": len(weak.removed_pairs)})
+        rec.update(json.loads(ref_bts_and_cells(walk).to_json()))
+        argv = ["walk", "from-trajectory",
+                "5,2,7,9,7,1,2,7,9,7,2,7,2,1,7,2,5", "--k0", "4"]
+        self.assert_body(self.body(argv, capsys),
+                         [list(rec), list(rec.values())])
