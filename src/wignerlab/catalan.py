@@ -299,34 +299,18 @@ def b_s(x: float, s: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Class count / class weight bound evaluators
+# Class weight bound evaluator
 # ---------------------------------------------------------------------------
-
-def bound_3_6(S: DiagramParams, theta_star: float, D: float, s: int,
-              k0: int) -> float:
-    """Closed-form upper bound on the number of walks in the census class."""
-    mu2p = S.mu2_p
-    mu3 = S.mu3
-    out = (_pow_fact(6.0 * s * theta_star, S.r)
-           * _pow_fact(3.0 * s * D, S.p)
-           * _pow_fact(3.0 * s * k0, S.q)
-           * _pow_fact(s * s / 2.0, S.mu2_pp)
-           * _pow_fact(8.0 * (k0 ** 4) * s * mu2p, S.u2)
-           * _pow_fact(float(s * s) * (D + k0), S.mu3_p)
-           * _pow_fact(s ** 3 / 6.0, S.mu3_pp)
-           * _pow_fact(16.0 * (k0 ** 5) * s * mu3, S.u3))
-    for k, nu_k in S.nu_bar:
-        out *= _pow_fact((2.0 * k * s) ** k / math.factorial(k), nu_k)
-    return out
-
 
 def bound_3_7(S: DiagramParams, u: int, D: float, s: int, n: int,
               rho: float, U_hat_sq: float, V2_hat: float, k0: int) -> float:
     """Closed-form upper bound on the start-vertex-normalized weight of the
     trajectories whose walks fall in the census class with Dyck height u.
 
-    Uses sigma = mu2 + 2*mu3 + u2 + u3 + |nu|_1, the form consistent with the
-    vertex count |V_g| = s - sigma + 1.
+    Uses the census sigma mu2 + 2*mu3 + u2 + u3 + |nu|_1
+    (DiagramParams.sigma_census_b).  It is the structural sigma
+    s - |V_g| + 1 less one when a marked step returns to the root, and equal
+    to it otherwise.
     """
     theta_u = height_row(s)[u] if 1 <= u <= s else 0
     sigma = S.sigma_census_b

@@ -1,6 +1,12 @@
 """Command-line entry point wiring the walk, count, oracle, sim and verify
 engines.
 
+Each leaf command takes only the flags it reads: --out on every leaf,
+--format on every leaf but oracle (one bare JSON line), --seed and
+--threads on the sim actions, --config on sim moments and sim edge.  No
+flag goes before the subcommand.  Every usage error, argparse's included,
+is one ``error:`` line on stderr.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guardrail
 refusal (with an estimate of the requested work), 4 I/O error.
 """
@@ -65,66 +71,71 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _global_flags(parser, suppress: bool) -> None:
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--out", default=d,
-                        help="output file (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default=d if suppress else "csv",
-                        help="report format (default csv)")
-    parser.add_argument("--seed", type=int, default=d if suppress else 0)
-    parser.add_argument("--threads", type=int, default=d,
-                        help="BLAS thread count (fallback: LAB_THREADS)")
-    parser.add_argument("--config", default=d,
-                        help="JSON config file with flat ensemble/moment "
-                             "fields; flags override it")
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, which main reports on one line."""
+
+    def error(self, message):
+        raise ValueError("%s: %s" % (self.prog, message))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wignerlab",
         description="Walk combinatorics, exact moments and edge-scale "
                     "experiments for dilute Wigner matrices.")
-    _global_flags(parser, suppress=False)
-    shared = argparse.ArgumentParser(add_help=False)
-    _global_flags(shared, suppress=True)
-    sub = parser.add_subparsers(dest="subcommand")
+    # each leaf takes only the flags it reads, from one of these parents
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default stdout)")
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="report format (default csv)")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[report])
+    sampled.add_argument("--seed", type=int, default=0)
+    sampled.add_argument("--threads", type=int,
+                         help="BLAS thread count (fallback: LAB_THREADS)")
+    configured = argparse.ArgumentParser(add_help=False, parents=[sampled])
+    configured.add_argument("--config",
+                            help="JSON config file with flat ensemble "
+                                 "fields; flags override it")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_walk = sub.add_parser("walk", parents=[shared], help="canonicalize and analyze walks")
-    walk_sub = p_walk.add_subparsers(dest="action")
-    p_ft = walk_sub.add_parser("from-trajectory", parents=[shared],
+    p_walk = sub.add_parser("walk", help="canonicalize and analyze walks")
+    walk_sub = p_walk.add_subparsers(dest="action", required=True)
+    p_ft = walk_sub.add_parser("from-trajectory", parents=[report],
                                help="canonical walk and its full analysis")
     p_ft.add_argument("trajectory", help="comma-separated vertex labels")
     p_ft.add_argument("--k0", type=int, default=4)
-    p_cen = walk_sub.add_parser("census", parents=[shared], help="classification census only")
+    p_cen = walk_sub.add_parser("census", parents=[report],
+                                help="classification census only")
     p_cen.add_argument("trajectory")
     p_cen.add_argument("--k0", type=int, default=4)
-    p_en = walk_sub.add_parser("enumerate", parents=[shared],
+    p_en = walk_sub.add_parser("enumerate", parents=[report],
                                help="all canonical even walks of 2s steps")
     p_en.add_argument("--s", type=int, required=True)
     p_en.add_argument("--k0", type=int, default=4)
     p_en.add_argument("--force", action="store_true",
                       help="override the enumeration size guardrail")
 
-    p_count = sub.add_parser("count", parents=[shared], help="exact counting tables")
-    count_sub = p_count.add_subparsers(dest="action")
-    p_cat = count_sub.add_parser("catalan", parents=[shared])
+    p_count = sub.add_parser("count", help="exact counting tables")
+    count_sub = p_count.add_subparsers(dest="action", required=True)
+    p_cat = count_sub.add_parser("catalan", parents=[report])
     p_cat.add_argument("--s-max", type=int, default=30)
-    p_me = count_sub.add_parser("multi-edge", parents=[shared])
+    p_me = count_sub.add_parser("multi-edge", parents=[report])
     p_me.add_argument("--l", type=int, required=True)
     p_me.add_argument("--s-max", type=int, required=True)
     p_me.add_argument("--check-closed-form", action="store_true")
-    p_sc = count_sub.add_parser("subcluster", parents=[shared])
+    p_sc = count_sub.add_parser("subcluster", parents=[report])
     p_sc.add_argument("--s-max", type=int, default=30)
-    p_l61 = count_sub.add_parser("lemma61", parents=[shared])
+    p_l61 = count_sub.add_parser("lemma61", parents=[report])
     p_l61.add_argument("--s-max", type=int, default=300)
-    p_cj = count_sub.add_parser("conjecture", parents=[shared])
+    p_cj = count_sub.add_parser("conjecture", parents=[report])
     p_cj.add_argument("--l-max", type=int, default=5)
     p_cj.add_argument("--s-max", type=int, default=60)
-    p_ht = count_sub.add_parser("heights", parents=[shared])
+    p_ht = count_sub.add_parser("heights", parents=[report])
     p_ht.add_argument("--s-max", type=int, default=30)
 
-    p_oracle = sub.add_parser("oracle", parents=[shared], help="exact rational trace moments")
+    p_oracle = sub.add_parser("oracle", parents=[out],
+                              help="exact rational trace moments")
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--rho", required=True,
                           help="rational, e.g. 3/2")
@@ -135,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("trajectory", "walk", "both"),
                           default="both")
 
-    p_sim = sub.add_parser("sim", parents=[shared], help="Monte Carlo spectral experiments")
-    sim_sub = p_sim.add_subparsers(dest="action")
+    p_sim = sub.add_parser("sim", help="Monte Carlo spectral experiments")
+    sim_sub = p_sim.add_subparsers(dest="action", required=True)
 
     def add_ensemble_flags(sp):
         sp.add_argument("--n", type=int, required=True)
@@ -146,20 +157,20 @@ def build_parser() -> argparse.ArgumentParser:
                         default="rademacher")
         sp.add_argument("--samples", type=int, default=100)
 
-    p_mom = sim_sub.add_parser("moments", parents=[shared])
+    p_mom = sim_sub.add_parser("moments", parents=[configured])
     add_ensemble_flags(p_mom)
     p_mom.add_argument("--s", type=int, action="append", required=True,
                        help="repeatable; Tr H^{2s} per value")
     p_mom.add_argument("--fast", action="store_true",
                        help="ignored; kept so that older command lines "
                             "still parse")
-    p_edge = sim_sub.add_parser("edge", parents=[shared])
+    p_edge = sim_sub.add_parser("edge", parents=[configured])
     add_ensemble_flags(p_edge)
     p_edge.add_argument("--eps", type=float,
                         help="sparsity exponent: rho = n^{2/3 (1+eps)}")
     p_edge.add_argument("--x-grid", default="-4,-2,-1,0,1,2,4",
                         help="comma-separated edge offsets")
-    p_cr = sim_sub.add_parser("crossover", parents=[shared])
+    p_cr = sim_sub.add_parser("crossover", parents=[sampled])
     p_cr.add_argument("--n", type=int, action="append", required=True,
                       help="repeatable matrix sizes")
     p_cr.add_argument("--eps", type=float, action="append", required=True,
@@ -168,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--zeta", type=float, default=1.0)
     p_cr.add_argument("--samples", type=int, default=100)
 
-    p_ver = sub.add_parser("verify", parents=[shared], help="run invariant suites")
+    p_ver = sub.add_parser("verify", parents=[report],
+                           help="run invariant suites")
     p_ver.add_argument("suite", nargs="?", default="all",
                        choices=("all", "walks", "catalan", "oracle", "sim",
                                 "cli"))
@@ -193,36 +205,8 @@ def _manifest(args, config: dict):
 
 def cmd_walk(args) -> int:
     from . import walks as wk
-    if args.action is None:
-        raise ValueError("walk needs an action: "
-                         "from-trajectory | census | enumerate")
     if args.k0 < 2:
         raise ValueError("--k0 must be >= 2, got %d" % args.k0)
-    if args.action in ("from-trajectory", "census"):
-        manifest = _manifest(args, {"trajectory": args.trajectory,
-                                    "k0": args.k0})
-        traj = wk.Trajectory.from_string(args.trajectory)
-        walk = wk.walk_from_trajectory(traj)
-        lab = wk.label_steps(walk)
-        rec = {"walk": walk.to_string(), "s": walk.s,
-               "n_letters": walk.n_letters, "even": lab.is_even}
-        if lab.is_even and not walk.has_loops:
-            dp = wk.diagram_params(walk, args.k0)
-            letter, degree = wk.max_exit_degree(walk)
-            rec.update(json.loads(dp.to_json()))
-            rec.update({"theta_star": lab.theta_star,
-                        "max_exit_letter": letter, "max_exit_degree": degree})
-            if args.action == "from-trajectory":
-                strong = wk.strong_reduce(walk)
-                weak = wk.weak_reduce(walk)
-                cells = wk.bts_and_cells(walk)
-                rec.update({"strong_reduced": strong.to_string(),
-                            "strong_removed": len(strong.removed_pairs),
-                            "weak_reduced": weak.to_string(),
-                            "weak_removed": len(weak.removed_pairs)})
-                rec.update(json.loads(cells.to_json()))
-        _emit(args, [rec], manifest)
-        return 0
     if args.action == "enumerate":
         walks_iter = wk.enumerate_even_walks(args.s, force=args.force)
         def records():
@@ -237,7 +221,30 @@ def cmd_walk(args) -> int:
         manifest = _manifest(args, {"s": args.s, "k0": args.k0})
         _emit(args, records(), manifest)
         return 0
-    raise ValueError("unknown walk action %r" % args.action)
+    manifest = _manifest(args, {"trajectory": args.trajectory,
+                                "k0": args.k0})
+    traj = wk.Trajectory.from_string(args.trajectory)
+    walk = wk.walk_from_trajectory(traj)
+    lab = wk.label_steps(walk)
+    rec = {"walk": walk.to_string(), "s": walk.s,
+           "n_letters": walk.n_letters, "even": lab.is_even}
+    if lab.is_even and not walk.has_loops:
+        dp = wk.diagram_params(walk, args.k0)
+        letter, degree = wk.max_exit_degree(walk)
+        rec.update(json.loads(dp.to_json()))
+        rec.update({"theta_star": lab.theta_star,
+                    "max_exit_letter": letter, "max_exit_degree": degree})
+        if args.action == "from-trajectory":
+            strong = wk.strong_reduce(walk)
+            weak = wk.weak_reduce(walk)
+            cells = wk.bts_and_cells(walk)
+            rec.update({"strong_reduced": strong.to_string(),
+                        "strong_removed": len(strong.removed_pairs),
+                        "weak_reduced": weak.to_string(),
+                        "weak_removed": len(weak.removed_pairs)})
+            rec.update(json.loads(cells.to_json()))
+    _emit(args, [rec], manifest)
+    return 0
 
 
 def _refuse_large_count(args) -> None:
@@ -263,9 +270,6 @@ def _refuse_large_count(args) -> None:
 
 def cmd_count(args) -> int:
     from . import catalan as ct
-    if args.action is None:
-        raise ValueError("count needs an action: catalan | multi-edge | "
-                         "subcluster | lemma61 | conjecture | heights")
     if args.s_max < 0:
         raise ValueError("--s-max must be >= 0, got %d" % args.s_max)
     if getattr(args, "l", 1) < 1:
@@ -308,15 +312,13 @@ def cmd_count(args) -> int:
                         "boundary_failures": str(rep["boundary_failures"])})
     elif args.action == "conjecture":
         records = ct.conjecture_6_25_report(args.l_max, args.s_max)
-    elif args.action == "heights":
+    else:  # heights
         for s in range(1, args.s_max + 1):
             for u, cnt in enumerate(ct.height_row(s)):
                 if cnt:
                     records.append({"s": s, "u": u, "value": cnt,
                                     "closed_form": "",
                                     "match": ""})
-    else:
-        raise ValueError("unknown count action %r" % args.action)
     _emit(args, records, manifest)
     return 0
 
@@ -336,14 +338,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    args.threads = _set_threads(args.threads)   # before numpy loads
     from . import sim
-    if args.action is None:
-        raise ValueError("sim needs an action: moments | edge | crossover")
-    base = {}
-    if args.config:
-        if args.action == "crossover":
-            raise ValueError("sim crossover takes no --config")
-        base = _load_config_file(args.config)
+    if args.action == "crossover":
+        manifest = _manifest(args, {"n": args.n, "eps": args.eps,
+                                    "chi": args.chi, "zeta": args.zeta,
+                                    "samples": args.samples,
+                                    "threads": args.threads})
+        rows = sim.crossover_scan(args.n, args.eps, args.chi, args.samples,
+                                  seed=args.seed, zeta=args.zeta)
+        _emit(args, rows, manifest)
+        return 0
+    base = _load_config_file(args.config) if args.config else {}
     flagged = [key for key in ("n", "rho", "dist", "seed") if key in base]
     if flagged:
         raise ValueError("--config must not set %s; the flags set it"
@@ -375,39 +381,29 @@ def cmd_sim(args) -> int:
                    for s in args.s]
         _emit(args, records, manifest)
         return 0
-    if args.action == "edge":
-        if (args.rho is None) == (args.eps is None):
-            raise ValueError("sim edge needs exactly one of --rho / --eps")
-        if args.eps is not None and math.isnan(args.eps):
-            raise ValueError("--eps must be a number, got nan")
-        rho = args.rho if args.rho is not None \
-            else min(float(args.n), sim.rho_of_eps(args.n, args.eps))
-        config = make_config(args.n, rho, args.dist)
-        try:
-            xs = [float(p) for p in args.x_grid.split(",") if p]
-        except ValueError as exc:
-            raise ValueError("bad --x-grid: %s" % exc)
-        manifest = ensemble_manifest(config, x_grid=xs, samples=args.samples)
-        curve = sim.edge_tail(config, xs, args.samples)
-        records = [{"x": x, "threshold": thr, "tail_prob": p,
-                    "stderr": e, "count": c, "n_samples": curve.n_samples}
-                   for x, thr, p, e, c in
-                   zip(curve.x_grid, curve.thresholds, curve.tail_prob,
-                       curve.stderr, curve.counts)]
-        manifest.counters = {"lanczos_steps": curve.lanczos_steps,
-                             "lanczos_fallbacks": curve.lanczos_fallbacks}
-        _emit(args, records, manifest)
-        return 0
-    if args.action == "crossover":
-        manifest = _manifest(args, {"n": args.n, "eps": args.eps,
-                                    "chi": args.chi, "zeta": args.zeta,
-                                    "samples": args.samples,
-                                    "threads": args.threads})
-        rows = sim.crossover_scan(args.n, args.eps, args.chi, args.samples,
-                                  seed=args.seed, zeta=args.zeta)
-        _emit(args, rows, manifest)
-        return 0
-    raise ValueError("unknown sim action %r" % args.action)
+    # sim edge
+    if (args.rho is None) == (args.eps is None):
+        raise ValueError("sim edge needs exactly one of --rho / --eps")
+    if args.eps is not None and math.isnan(args.eps):
+        raise ValueError("--eps must be a number, got nan")
+    rho = args.rho if args.rho is not None \
+        else min(float(args.n), sim.rho_of_eps(args.n, args.eps))
+    config = make_config(args.n, rho, args.dist)
+    try:
+        xs = [float(p) for p in args.x_grid.split(",") if p]
+    except ValueError as exc:
+        raise ValueError("bad --x-grid: %s" % exc)
+    manifest = ensemble_manifest(config, x_grid=xs, samples=args.samples)
+    curve = sim.edge_tail(config, xs, args.samples)
+    records = [{"x": x, "threshold": thr, "tail_prob": p,
+                "stderr": e, "count": c, "n_samples": curve.n_samples}
+               for x, thr, p, e, c in
+               zip(curve.x_grid, curve.thresholds, curve.tail_prob,
+                   curve.stderr, curve.counts)]
+    manifest.counters = {"lanczos_steps": curve.lanczos_steps,
+                         "lanczos_fallbacks": curve.lanczos_fallbacks}
+    _emit(args, records, manifest)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -440,21 +436,12 @@ def _approx_count(value) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return 2
     handlers = {"walk": cmd_walk, "count": cmd_count, "oracle": cmd_oracle,
                 "sim": cmd_sim, "verify": cmd_verify}
     try:
-        if args.subcommand == "sim":
-            args.threads = _set_threads(args.threads)
+        args = build_parser().parse_args(argv)
         return handlers[args.subcommand](args)
-    except ValueError as exc:  # input errors, the CLI's and the library's
+    except ValueError as exc:  # usage errors: argparse's, ours, the library's
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Refused as exc:

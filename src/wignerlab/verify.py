@@ -109,7 +109,8 @@ def walks_suite(fast: bool = False) -> VerifyReport:
             for k0 in (2, 4, 12):
                 dp = wk.diagram_params(w, k0)
                 ok_census = ok_census and dp.census_sum == s \
-                    and dp.sigma == s - w.n_letters + 1
+                    and dp.sigma == s - w.n_letters + 1 \
+                    and dp.sigma_census_b + (g.kappa[1] > 1) == dp.sigma
             red = wk.strong_reduce(w)
             ok_reduce = ok_reduce and \
                 len(red.kept_steps) == 2 * s - 2 * len(red.removed_pairs)

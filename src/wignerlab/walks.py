@@ -464,7 +464,9 @@ class DiagramParams:
 
     @property
     def sigma_census_b(self) -> int:
-        """mu2 + 2*mu3 + u2 + u3 + |nu|_1 (the vertex-count form)."""
+        """mu2 + 2*mu3 + u2 + u3 + |nu|_1.  The census leaves out the root's
+        artificial start, so this is sigma less one when a marked step
+        returns to the root, and sigma otherwise."""
         return self.mu2 + 2 * self.mu3 + self.u2 + self.u3 + self.nu_l1
 
     def census_key(self) -> tuple:

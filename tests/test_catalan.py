@@ -250,11 +250,3 @@ class TestBounds:
         dp = wk.diagram_params(wk.Walk((1, 2, 3, 4, 5, 4, 3, 2, 1)), 4)
         for u in (-1, 0, s + 1):
             assert ct.bound_3_7(dp, u, 1, s, n, 2.0, 1.0, 0.25, 4) == 0.0
-
-    def test_count_bound_nonneg(self):
-        for s in range(1, 5):
-            for w in wk.enumerate_even_walks(s):
-                dp = wk.diagram_params(w, 4)
-                lab = wk.label_steps(w)
-                _, d = wk.max_exit_degree(w)
-                assert ct.bound_3_6(dp, lab.theta_star, d, s, 4) >= 0.0

@@ -3,10 +3,12 @@
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -439,14 +441,113 @@ class TestManifestStamps:
         assert code == 0 and clock[0] > 1_800_000_000
         manifest = json.loads(out.splitlines()[0][len("# manifest: "):])
         assert manifest["started"] < manifest["finished"]
+        # only the sim actions take a seed
+        assert (manifest["seed"] is None) == (argv[0] != "sim")
+
+
+def assert_usage_error(argv, out_file):
+    """argv, run with --out out_file, exits 2 with one error: line on
+    stderr, nothing on stdout and no output file."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wignerlab.cli"] + argv
+        + ["--out", str(out_file)],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert proc.stdout == "" and not out_file.exists()
+
+
+# a minimal argv of each leaf command, and the flags it reads
+LEAVES = {
+    "walk from-trajectory": (["walk", "from-trajectory", "1,2,1"],
+                             {"--out", "--format"}),
+    "walk census": (["walk", "census", "1,2,1"], {"--out", "--format"}),
+    "walk enumerate": (["walk", "enumerate", "--s", "2"],
+                       {"--out", "--format"}),
+    "count catalan": (["count", "catalan"], {"--out", "--format"}),
+    "count multi-edge": (["count", "multi-edge", "--l", "2", "--s-max", "3"],
+                         {"--out", "--format"}),
+    "count subcluster": (["count", "subcluster"], {"--out", "--format"}),
+    "count lemma61": (["count", "lemma61"], {"--out", "--format"}),
+    "count conjecture": (["count", "conjecture"], {"--out", "--format"}),
+    "count heights": (["count", "heights"], {"--out", "--format"}),
+    "oracle": (["oracle", "--n", "2", "--rho", "1", "--s", "1"], {"--out"}),
+    "sim moments": (["sim", "moments", "--n", "8", "--rho", "2", "--s", "1"],
+                    {"--out", "--format", "--seed", "--threads",
+                     "--config"}),
+    "sim edge": (["sim", "edge", "--n", "8", "--rho", "2"],
+                 {"--out", "--format", "--seed", "--threads", "--config"}),
+    "sim crossover": (["sim", "crossover", "--n", "8", "--eps", "0"],
+                      {"--out", "--format", "--seed", "--threads"}),
+    "verify": (["verify", "cli"], {"--out", "--format"}),
+}
+FLAG_VALUES = {"--out": "x.csv", "--format": "json", "--seed": "1",
+               "--threads": "1", "--config": "c.json"}
 
 
 class TestUsage:
-    def test_no_subcommand(self, capsys):
-        assert cli.main([]) == 2
+    def test_no_subcommand(self, tmp_path):
+        assert_usage_error([], tmp_path / "o.csv")
 
-    def test_unknown_subcommand(self, capsys):
-        assert cli.main(["frobnicate"]) == 2
+    def test_unknown_subcommand(self, tmp_path):
+        assert_usage_error(["frobnicate"], tmp_path / "o.csv")
+
+    def test_flag_surface(self):
+        # every leaf parses exactly the flags it reads: 35 pairs of 70
+        parser = cli.build_parser()
+        accepted = 0
+        for name, (argv, reads) in LEAVES.items():
+            assert parser.parse_args(argv)
+            for flag, value in FLAG_VALUES.items():
+                try:
+                    parser.parse_args(argv + [flag, value])
+                    accepted += 1
+                    assert flag in reads, (name, flag)
+                except ValueError:
+                    assert flag not in reads, (name, flag)
+        assert accepted == 35
+
+    @pytest.mark.parametrize("argv", [
+        ["walk", "enumerate", "--s", "2", "--config", "c.json"],
+        ["walk", "enumerate", "--s", "2", "--seed", "1"],
+        ["walk", "enumerate", "--s", "2", "--threads", "-5"],
+        ["count", "catalan", "--s-max", "3", "--config", "/nonexistent.json"],
+        ["count", "catalan", "--s-max", "3", "--seed", "1"],
+        ["count", "catalan", "--s-max", "3", "--threads", "1"],
+        ["oracle", "--n", "2", "--rho", "1", "--s", "1", "--config",
+         "c.json"],
+        ["oracle", "--n", "2", "--rho", "1", "--s", "1", "--seed", "4"],
+        ["oracle", "--n", "2", "--rho", "1", "--s", "1", "--threads", "1"],
+        ["oracle", "--n", "2", "--rho", "1", "--s", "1", "--format", "csv"],
+        ["verify", "cli", "--fast", "--config", "c.json"],
+        ["verify", "cli", "--fast", "--seed", "1"],
+        ["verify", "cli", "--fast", "--threads", "1"],
+        ["--config", "/nope", "count", "catalan"],
+        ["--seed", "1", "sim", "crossover", "--n", "8", "--eps", "0",
+         "--samples", "2"],
+        ["sim", "--seed", "1", "crossover", "--n", "8", "--eps", "0",
+         "--samples", "2"],
+        ["walk", "enumerate", "--s", "x"],
+        ["oracle", "--n", "2", "--rho", "1", "--s", "1", "--dist", "cauchy"],
+        ["walk"],
+        ["sim", "edge", "--rho", "2", "--samples", "2"]])
+    def test_flag_not_read(self, argv, tmp_path):
+        # a flag that the command does not read, a flag before the
+        # subcommand or the action, and argparse's own errors
+        assert_usage_error(argv, tmp_path / "o.csv")
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md") \
+            .read_text(encoding="utf-8")
+        section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("wignerlab ")]
+        assert len(lines) >= 10
+        parser = cli.build_parser()
+        for line in lines:
+            assert parser.parse_args(shlex.split(line)[1:]), line
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--n", "4", "--rho", "2", "--s", "0"],

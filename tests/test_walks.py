@@ -482,6 +482,9 @@ class TestCensus:
                     dp = wk.diagram_params(w, k0)
                     assert dp.census_sum == s
                     assert dp.n_vertices == s - dp.sigma + 1
+                    # the census leaves out the root's artificial start
+                    root_return = wk.walk_graph(w).kappa[1] > 1
+                    assert dp.sigma_census_b + root_return == dp.sigma
 
     def test_k0_too_small(self):
         with pytest.raises(ValueError):
