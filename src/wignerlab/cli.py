@@ -7,8 +7,11 @@ Each leaf command takes only the flags it reads: --out on every leaf,
 flag goes before the subcommand.  Every usage error, argparse's included,
 is one ``error:`` line on stderr.
 
+A flag is taken only as spelled: no abbreviation of it.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guardrail
-refusal (with an estimate of the requested work), 4 I/O error.
+refusal (with an estimate of the requested work), 4 I/O error, 5 internal
+error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -72,7 +75,12 @@ def _load_config_file(path: str) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as ValueError, which main reports on one line."""
+    """Raises a usage error as ValueError, which main reports on one line.
+    Takes no abbreviated flag: add_parser builds every subparser with this
+    class, so the default holds on each command."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise ValueError("%s: %s" % (self.prog, message))
@@ -444,13 +452,18 @@ def main(argv=None) -> int:
     except ValueError as exc:  # usage errors: argparse's, ours, the library's
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except Refused as exc:
+    except Refused as exc:  # before the catch-all: a RuntimeError
         print("refused: %s (estimated work: %s)"
               % (exc, _approx_count(exc.estimate)), file=sys.stderr)
         return 3
     except IOError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 4
+    except Exception as exc:  # a fault of the program, not of the input
+        print("internal error: %s: %s" % (type(exc).__name__,
+                                          str(exc).replace("\n", " ")),
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

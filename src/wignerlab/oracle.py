@@ -11,6 +11,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -220,6 +221,33 @@ class ClassRecord:
     eq_5_15_ok: bool
 
 
+@functools.cache
+def _audit_classes(s: int, k0: int) -> tuple[tuple, ...]:
+    """The even walks of 2s steps grouped by (height, census), in key order:
+    per class (height, census, walk count, largest max exit degree,
+    ((k, sorted pair multiplicities), walk count) per shape).  n enters the
+    audit only through the shape weights, so this is computed once per
+    (s, k0)."""
+    classes: dict[tuple, list] = {}
+    for walk in wk.enumerate_even_walks(s):
+        dp = wk.diagram_params(walk, k0)
+        # the full census including mu1 and sigma: walks that lose a vertex
+        # to a marked return at the root must not share a class with
+        # tree-type walks
+        key = (wk.label_steps(walk).theta_star, dp.mu1, dp.sigma) \
+            + dp.census_key()
+        entry = classes.get(key)
+        if entry is None:   # the key fixes the census: keep the first
+            entry = classes[key] = [dp, 0, 0, Counter()]
+        entry[1] += 1
+        entry[2] = max(entry[2], wk.max_exit_degree(walk)[1])
+        entry[3][walk.n_letters, tuple(sorted(
+            walk.analysis.pair_multiplicity.values()))] += 1
+    return tuple((key[0], dp, n_walks, max_d, tuple(sorted(shapes.items())))
+                 for key, (dp, n_walks, max_d, shapes)
+                 in sorted(classes.items()))
+
+
 def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
     """Group even walks of 2s steps by (height, census); check that each
     class's exact start-vertex-normalized weight stays below the closed-form
@@ -230,30 +258,12 @@ def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
     v2_hat = float(spec.moments[0])
     # entries +-1/2 are bounded by 1/2, so U^2 / V2 = 1
     u_hat_sq = 1.0
-    groups: dict[tuple, list[wk.Walk]] = {}
-    census_of: dict[tuple, wk.DiagramParams] = {}
-    for walk in wk.enumerate_even_walks(s):
-        lab = wk.label_steps(walk)
-        dp = wk.diagram_params(walk, k0)
-        # the full census including mu1 and sigma: walks that lose a vertex
-        # to a marked return at the root must not share a class with
-        # tree-type walks
-        key = (lab.theta_star, dp.mu1, dp.sigma) + dp.census_key()
-        groups.setdefault(key, []).append(walk)
-        census_of[key] = dp
     records = []
     rho_f = float(Fraction(rho))
-    for key in sorted(groups):
-        walks_in = groups[key]
-        u = key[0]
-        dp = census_of[key]
+    for u, dp, n_walks, max_d, shapes in _audit_classes(s, k0):
         weight = Fraction(0)
-        max_d = 0
-        for walk in walks_in:
-            weight += shape_weight(
-                walk.n_letters, walk.analysis.pair_multiplicity.values(), spec)
-            _, d = wk.max_exit_degree(walk)
-            max_d = max(max_d, d)
+        for (k, mults), count in shapes:
+            weight += count * shape_weight(k, mults, spec)
         # sigma is part of the class key, so the class-size factor is the
         # same for every walk in the class
         sigma = dp.sigma
@@ -266,7 +276,7 @@ def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
         bound = ct.bound_3_7(dp, u, max_d, s, n, rho_f, u_hat_sq, v2_hat, k0)
         ok = float(normalized) <= bound * (1 + 1e-9)
         records.append(ClassRecord(
-            u=u, census=dp, n_walks=len(walks_in), max_D=max_d,
+            u=u, census=dp, n_walks=n_walks, max_D=max_d,
             weight=weight, weight_normalized=normalized,
             bound=bound, bound_ok=ok, eq_5_15_ok=eq_5_15))
     return records

@@ -392,17 +392,26 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
     if not (math.isfinite(chi) and chi > 0):
         raise SimConfigError("chi must be a finite number > 0, got %r" % chi)
     # every grid point is checked before the budget and the first sample
-    grid = [(n, eps, zeta * rho_of_eps(n, eps))
+    grid = [(n, eps, zeta * rho_of_eps(n, eps), chi * n ** (2.0 / 3.0))
             for n in n_list for eps in eps_grid]
-    for n, eps, rho in grid:
+    for n, eps, rho, chi_n in grid:
         if rho > n:
             raise SimConfigError(
                 "rho=%.3g exceeds n=%d at eps=%.3g" % (rho, n, eps))
+        if chi_n < 1:
+            raise SimConfigError(
+                "s = floor(chi n^(2/3)) is 0 at n=%d, chi=%r; need s >= 1"
+                % (n, chi))
+        if chi_n == math.inf:
+            raise SimConfigError(
+                "chi n^(2/3) at n=%d, chi=%r exceeds the float range"
+                % (n, chi))
     # two laws at every grid point
-    refuse_over_sample_budget(2 * n_samples * sum(n * n for n, _, _ in grid))
+    refuse_over_sample_budget(
+        2 * n_samples * sum(n * n for n, _, _, _ in grid))
     rows = []
-    for n, eps, rho in grid:
-        s = int(math.floor(chi * n ** (2.0 / 3.0)))
+    for n, eps, rho, chi_n in grid:
+        s = int(chi_n)
         configs = {dist: EnsembleConfig(n=n, rho=rho, dist=dist, seed=seed)
                    for dist in ("rademacher", "gaussian")}
         bound = theorem_7_1_rhs(chi, zeta, v4_of(configs["rademacher"]))

@@ -39,10 +39,10 @@ EVEN_WALK_COUNTS = (1, 1, 3, 16, 122, 1209, 14829, 216955)  # s = 0..7
 
 
 def _unchecked(cls, **fields):
-    """A frozen dataclass built without its check, valid by construction."""
+    """An instance built without its __init__ or check, valid by
+    construction."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -135,8 +135,9 @@ class Walk:
 
     @cached_property
     def analysis(self) -> "WalkAnalysis":
-        """The facts of one sweep over the steps, computed on first use; kept
-        outside the dataclass fields, so equality and hashing ignore it."""
+        """The facts of one sweep over the steps, computed on first use
+        unless the walk search set them; kept outside the dataclass fields,
+        so equality and hashing ignore it."""
         return WalkAnalysis(self)
 
 
@@ -213,7 +214,10 @@ class WalkAnalysis:
     edges.  arrival_conds[v] follows the marked steps arriving at v in time
     order; exits[v] counts those leaving v; reductions memoises
     `_reduce` per spare vertex (None for the strong reduction).  The height
-    is the count of odd pairs: the walk is even when it ends at 0.
+    is the count of odd pairs, never negative: the walk is even when it ends
+    at 0.  The walk search keeps the same state for the walks it enumerates
+    and hands each one a copy (`_keep`), so only walks from elsewhere are
+    swept here.
     """
 
     def __init__(self, walk: Walk):
@@ -222,9 +226,9 @@ class WalkAnalysis:
         odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
         marked_directed: set[tuple[int, int]] = set()
         heights, marked_edges = [0], []
-        conds: dict[int, list[frozenset]] = {}
+        conds: dict[int, tuple[frozenset, ...]] = {}
         exits: dict[int, int] = {}
-        h = low = 0
+        h = 0
         tail = w[0]
         for t in range(1, len(w)):
             head = w[t]
@@ -232,10 +236,10 @@ class WalkAnalysis:
             m = mult.get(pair, 0) + 1
             mult[pair] = m
             if m & 1:
-                conds.setdefault(head, []).append(_CONDITION_SETS[
+                conds[head] = conds.get(head, ()) + (_CONDITION_SETS[
                     (odd_at[head] > 0)
                     + 2 * ((tail, head) in marked_directed)
-                    + 4 * ((head, tail) in marked_directed)])
+                    + 4 * ((head, tail) in marked_directed)],)
                 marked_directed.add((tail, head))
                 marked_edges.append((tail, head, t))
                 exits[tail] = exits.get(tail, 0) + 1
@@ -246,23 +250,33 @@ class WalkAnalysis:
                 odd_at[tail] -= 1
                 odd_at[head] -= 1
                 h -= 1
-                if h < low:
-                    low = h
             heights.append(h)
             tail = head
-        marked = tuple([a < b for a, b in zip(heights, heights[1:])])
-        dyck = None
-        if h == 0 and low == 0:
-            dyck = _unchecked(DyckPath, ups_downs=tuple(
-                [1 if m else -1 for m in marked]))
-        self.labeling = StepLabeling(marked, h == 0, len(marked_edges),
-                                     tuple(heights), dyck)
-        self.pair_multiplicity = mult
+        self._keep(_labeling(tuple(heights)), mult, marked_edges, conds,
+                   exits)
+
+    def _keep(self, labeling, mult, marked_edges, conds, exits):
+        """Store a copy of the sweep's state, or of the walk search's at a
+        leaf: the pair multiplicities, the marked (tail, head, time) steps,
+        the arrival condition sets and the exit counts per vertex."""
+        self.labeling = labeling
+        self.pair_multiplicity = dict(mult)
         self.marked_edges = tuple(marked_edges)
-        self.arrival_conds = conds
-        self.exits = exits
+        self.arrival_conds = dict(conds)
+        self.exits = dict(exits)
         self.reductions: dict[Optional[int], ReducedWalk] = {}
         self.max_exit: Optional[tuple[int, int]] = None
+
+
+def _labeling(heights: tuple[int, ...]) -> StepLabeling:
+    """The labeling read off the heights: a step is marked when it raises
+    the odd-pair count."""
+    marked = tuple([a < b for a, b in zip(heights, heights[1:])])
+    dyck = None
+    if heights[-1] == 0:
+        dyck = _unchecked(DyckPath, ups_downs=tuple(
+            [1 if m else -1 for m in marked]))
+    return StepLabeling(marked, heights[-1] == 0, sum(marked), heights, dyck)
 
 
 def label_steps(walk: Walk) -> StepLabeling:
@@ -761,50 +775,97 @@ def refuse_over_cap(s: int, cap: int) -> None:
                       estimate_even_walk_count(s))
 
 
-def _even_walk_leaves(s: int, cap: int,
-                      force: bool) -> Iterator[tuple[list, dict, int]]:
+def _even_walk_leaves(s: int, cap: int, force: bool) -> Iterator[tuple]:
     """DFS over the canonical even closed walks of 2s steps, lexicographic.
 
     A step goes to an existing letter or the next fresh one, never the
-    current one.  The search prunes at the parent: once the odd pairs equal
-    the remaining steps, it tries only steps along an odd pair at the
-    current letter, so the odd pairs never exceed the remaining steps (the
-    last step returns to 1).  A step moves both counts by one, so their
+    current one.  The search prunes at the parent: once the odd pairs (the
+    height) equal the remaining steps, it tries only steps along an odd pair
+    at the current letter, so the odd pairs never exceed the remaining steps
+    (the last step returns to 1).  A step moves both counts by one, so their
     parities always agree and need no test.  Refuses s > cap unless forced,
-    before any step.  Yields the live (letters, pair multiplicities keyed
-    (min, max), letter count) of each even walk; a pair left behind keeps 0.
+    before any step.
+
+    Next to the letters the search keeps WalkAnalysis's state, undoing each
+    piece on backtrack and deleting a key whose count returns to 0, so every
+    dict has the insertion order of a fresh sweep.  Yields the live
+    (letters, heights, pair multiplicities keyed (min, max), marked
+    (tail, head, time) steps, arrival condition sets, exits, letter count)
+    of each even walk; the caller copies what it keeps.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     if not force:
         refuse_over_cap(s, cap)
     total = 2 * s
-    seq = [1]
+    width = total + 2               # letters stay below it
+    seq, heights, edges = [1], [0], []
     mult: dict[tuple[int, int], int] = {}
-    odd_pairs = 0
+    conds: dict[int, tuple[frozenset, ...]] = {}
+    exits: dict[int, int] = {}
+    odd_at = [0] * width            # odd pairs touching each letter
+    directed = [0] * (width * width)    # marked steps tail -> head
 
     def rec(t: int, max_letter: int):
-        nonlocal odd_pairs
+        h = heights[-1]
         remaining = total - t
-        if remaining == 0:
-            yield seq, mult, max_letter
-            return
         cur = seq[-1]
-        closing = odd_pairs == remaining
+        if remaining == 1:
+            # forced: the one odd pair joins cur to 1, so the last step
+            # takes it back to 1; nothing read at a leaf needs odd_at
+            pair = (1, cur)
+            m = mult[pair]
+            mult[pair] = m + 1
+            seq.append(1)
+            heights.append(0)
+            yield seq, heights, mult, edges, conds, exits, max_letter
+            seq.pop()
+            heights.pop()
+            mult[pair] = m
+            return
+        closing = h == remaining
+        row = cur * width           # directed[row + nxt] counts cur -> nxt
         for nxt in range(1, max_letter + (1 if closing else 2)):
             if nxt == cur:
                 continue
             pair = (cur, nxt) if cur < nxt else (nxt, cur)
             m = mult.get(pair, 0)
-            if closing and not m & 1:
-                continue
+            step = -1 if m & 1 else 1   # -1: the pair turns even, not marked
+            if step > 0:
+                if closing:
+                    continue
+                arrived = conds.get(nxt, ())
+                conds[nxt] = arrived + (_CONDITION_SETS[
+                    (odd_at[nxt] > 0) + 2 * (directed[row + nxt] > 0)
+                    + 4 * (directed[nxt * width + cur] > 0)],)
+                directed[row + nxt] += 1
+                edges.append((cur, nxt, t + 1))
+                exits[cur] = exits.get(cur, 0) + 1
             mult[pair] = m + 1
-            odd_pairs += -1 if m & 1 else 1
+            odd_at[cur] += step
+            odd_at[nxt] += step
+            heights.append(h + step)
             seq.append(nxt)
             yield from rec(t + 1, max(max_letter, nxt))
             seq.pop()
-            mult[pair] = m
-            odd_pairs += 1 if m & 1 else -1
+            heights.pop()
+            odd_at[cur] -= step
+            odd_at[nxt] -= step
+            if m:
+                mult[pair] = m
+            else:
+                del mult[pair]
+            if step < 0:
+                continue
+            if arrived:
+                conds[nxt] = arrived
+            else:
+                del conds[nxt]
+            directed[row + nxt] -= 1
+            edges.pop()
+            exits[cur] -= 1
+            if not exits[cur]:
+                del exits[cur]
 
     return rec(0, 1)
 
@@ -812,20 +873,29 @@ def _even_walk_leaves(s: int, cap: int,
 def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP,
                          force: bool = False) -> Iterator[Walk]:
     """All canonical even closed walks of 2s steps, lexicographic order;
-    refuses s > cap unless forced."""
-    for letters, _, _ in _even_walk_leaves(s, cap, force):
-        yield _unchecked(Walk, letters=tuple(letters))
+    refuses s > cap unless forced.  Each walk carries its analysis from the
+    search, so no step of it is swept again."""
+    labelings: dict[tuple[int, ...], StepLabeling] = {}   # one per Dyck path
+    for letters, heights, *state, _ in _even_walk_leaves(s, cap, force):
+        heights = tuple(heights)
+        labeling = labelings.get(heights)
+        if labeling is None:
+            labeling = labelings[heights] = _labeling(heights)
+        analysis = object.__new__(WalkAnalysis)
+        analysis._keep(labeling, *state)
+        yield _unchecked(Walk, letters=tuple(letters), analysis=analysis)
 
 
 @functools.cache
 def shape_table(s: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """(k, sorted pair multiplicities, walk count) per shape of the even
     walks of 2s steps, sorted.  Class size and weight depend only on the
-    shape, so this is all the walk oracle needs; it builds no Walk, is
-    computed once per s and refuses s > SHAPE_TABLE_CAP."""
+    shape, so this is all the walk oracle needs; it builds no Walk and no
+    analysis, is computed once per s and refuses s > SHAPE_TABLE_CAP."""
     counts: Counter = Counter()
-    for _, mult, k in _even_walk_leaves(s, SHAPE_TABLE_CAP, False):
-        counts[k, tuple(sorted(m for m in mult.values() if m))] += 1
+    for _, _, mult, _, _, _, k in _even_walk_leaves(
+            s, SHAPE_TABLE_CAP, False):
+        counts[k, tuple(sorted(mult.values()))] += 1
     return tuple((k, mults, c) for (k, mults), c in sorted(counts.items()))
 
 

@@ -486,6 +486,12 @@ FLAG_VALUES = {"--out": "x.csv", "--format": "json", "--seed": "1",
                "--threads": "1", "--config": "c.json"}
 
 
+# s = floor(0.1 * 8^(2/3)) is 0; n = 1000 comes first and would take
+# seconds to sample
+CROSSOVER_S_ZERO = ["sim", "crossover", "--n", "1000", "--n", "8", "--eps",
+                    "0", "--chi", "0.1", "--samples", "40"]
+
+
 class TestUsage:
     def test_no_subcommand(self, tmp_path):
         assert_usage_error([], tmp_path / "o.csv")
@@ -531,10 +537,15 @@ class TestUsage:
         ["walk", "enumerate", "--s", "x"],
         ["oracle", "--n", "2", "--rho", "1", "--s", "1", "--dist", "cauchy"],
         ["walk"],
-        ["sim", "edge", "--rho", "2", "--samples", "2"]])
+        ["sim", "edge", "--rho", "2", "--samples", "2"],
+        ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2", "--se",
+         "3"],
+        ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2", "--conf",
+         "c.json"]])
     def test_flag_not_read(self, argv, tmp_path):
         # a flag that the command does not read, a flag before the
-        # subcommand or the action, and argparse's own errors
+        # subcommand or the action, an abbreviated flag, and argparse's own
+        # errors
         assert_usage_error(argv, tmp_path / "o.csv")
 
     def test_readme_examples_parse(self):
@@ -593,7 +604,10 @@ class TestUsage:
         ["sim", "crossover", "--n", "8", "--n", "-4", "--eps", "0",
          "--samples", "1000000000000"],
         ["sim", "crossover", "--n", "8", "--eps", "0", "--eps", "5",
-         "--samples", "1000000000000"]])
+         "--samples", "1000000000000"],
+        CROSSOVER_S_ZERO,
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "1e308",
+         "--samples", "2"]])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  Leading NAME=value
         # items set environment variables, as in a shell; {bad_config} is a
@@ -612,12 +626,29 @@ class TestUsage:
         while "=" in argv[0]:
             name, value = argv.pop(0).split("=", 1)
             env[name] = value
+        started = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "wignerlab.cli"] + argv,
             capture_output=True, text=True, timeout=10, env=env)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+        if argv == CROSSOVER_S_ZERO:
+            # s is checked at every n before n = 1000 is sampled
+            assert time.monotonic() - started < 1
+            assert "n=8, chi=0.1" in proc.stderr
+
+    def test_internal_error(self, monkeypatch, capsys, tmp_path):
+        # an exception that is no input error, refusal or I/O error
+        def broken(args):
+            raise RuntimeError("broken handler")
+        monkeypatch.setattr(cli, "cmd_count", broken)
+        out_file = tmp_path / "o.csv"
+        code, out, err = run_cli(["count", "catalan", "--s-max", "3",
+                                  "--out", str(out_file)], capsys)
+        assert code == 5 and out == ""
+        assert err == "internal error: RuntimeError: broken handler\n"
+        assert not out_file.exists()
 
     def test_entry_point(self):
         proc = subprocess.run(

@@ -432,6 +432,25 @@ class TestSweepAgainstReference:
         assert "analysis" not in repr(a)
 
 
+class TestSearchAnalysis:
+    def test_search_state_is_a_fresh_sweep(self):
+        # the analysis each enumerated walk carries from the search, against
+        # the sweep of the same letters; pickles pin dict insertion order
+        for s in range(1, 7):
+            for w in wk.enumerate_even_walks(s):
+                assert "analysis" in vars(w)   # attached, not computed
+                fresh = wk.Walk(w.letters)
+                ref = wk.WalkAnalysis(fresh)
+                assert vars(w.analysis).keys() == vars(ref).keys()
+                for name, value in vars(ref).items():
+                    assert pickle.dumps(getattr(w.analysis, name)) == \
+                        pickle.dumps(value), (w.letters, name)
+                assert pickle.dumps(wk.label_steps(w)) == \
+                    pickle.dumps(wk.label_steps(fresh))
+                assert pickle.dumps(wk.walk_graph(w)) == \
+                    pickle.dumps(wk.walk_graph(fresh))
+
+
 class TestDyckTree:
     def test_dyck_words(self):
         from wignerlab.catalan import catalan
