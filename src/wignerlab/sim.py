@@ -124,11 +124,15 @@ def v4_of(config: EnsembleConfig) -> float:
 
 
 def theorem_7_1_rhs(chi: float, zeta: float, V4: float) -> float:
-    """16 V4 / (zeta sqrt(pi chi)) e^{-e chi^3}."""
+    """16 V4 / (zeta sqrt(pi chi)) e^{-e chi^3}; 0.0 once it underflows
+    (e chi^3 > ~745), also where chi^3 exceeds the float range."""
     if chi <= 0 or zeta <= 0:
         raise ValueError("chi and zeta must be > 0")
-    return 16.0 * V4 / (zeta * math.sqrt(math.pi * chi)) \
-        * math.exp(-math.e * chi ** 3)
+    try:
+        decay = math.exp(-math.e * chi ** 3)
+    except OverflowError:
+        decay = 0.0
+    return 16.0 * V4 / (zeta * math.sqrt(math.pi * chi)) * decay
 
 
 def _sample_streams(config: EnsembleConfig, start: int,
@@ -311,10 +315,25 @@ def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
     refuse_over_sample_budget(config.n ** 2 * n_samples)
     traces: dict[int, list[np.ndarray]] = {s: [] for s in s_list}
     for eig in sample_spectra(config, n_samples):
+        nonzero = eig.any(axis=1)
         for s in s_list:
-            traces[s].append(np.sum(eig ** (2 * s), axis=1))
-    return {s: SampleStats.from_values(np.concatenate(traces[s]))
-            for s in s_list}
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = np.sum(eig ** (2 * s), axis=1)
+            # inf, nan, or 0.0 from a sample with a nonzero eigenvalue
+            if not np.all(np.isfinite(trace) & ((trace > 0) | ~nonzero)):
+                raise SimConfigError(
+                    "Tr H^(2s) at s=%d leaves the float range (inf, nan or an "
+                    "underflow to 0.0); need a smaller s" % s)
+            traces[s].append(trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = {s: SampleStats.from_values(np.concatenate(traces[s]))
+                 for s in s_list}
+    for s, st in stats.items():
+        if not (math.isfinite(st.mean) and math.isfinite(st.stderr)):
+            raise SimConfigError(
+                "the mean or stderr of Tr H^(2s) at s=%d exceeds the float "
+                "range; need a smaller s" % s)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -394,6 +413,7 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
     # every grid point is checked before the budget and the first sample
     grid = [(n, eps, zeta * rho_of_eps(n, eps), chi * n ** (2.0 / 3.0))
             for n in n_list for eps in eps_grid]
+    bounds = []
     for n, eps, rho, chi_n in grid:
         if rho > n:
             raise SimConfigError(
@@ -406,15 +426,20 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
             raise SimConfigError(
                 "chi n^(2/3) at n=%d, chi=%r exceeds the float range"
                 % (n, chi))
+        bounds.append(theorem_7_1_rhs(
+            chi, zeta, v4_of(EnsembleConfig(n=n, rho=rho))))
+        if bounds[-1] == 0.0:
+            raise SimConfigError(
+                "the Theorem 7.1 lower bound at chi=%r underflows to 0.0 "
+                "(e chi^3 > ~745); need a smaller chi" % chi)
     # two laws at every grid point
     refuse_over_sample_budget(
         2 * n_samples * sum(n * n for n, _, _, _ in grid))
     rows = []
-    for n, eps, rho, chi_n in grid:
+    for (n, eps, rho, chi_n), bound in zip(grid, bounds):
         s = int(chi_n)
         configs = {dist: EnsembleConfig(n=n, rho=rho, dist=dist, seed=seed)
                    for dist in ("rademacher", "gaussian")}
-        bound = theorem_7_1_rhs(chi, zeta, v4_of(configs["rademacher"]))
         a, b = (estimate_moments(config, [s], n_samples)[s]
                 for config in configs.values())
         joint = math.hypot(a.stderr, b.stderr)

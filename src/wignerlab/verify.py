@@ -48,10 +48,6 @@ class VerifyReport:
     def n_fail(self) -> int:
         return sum(1 for c in self.checks if c.status == "fail")
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.n_fail == 0 else 1
-
     def records(self):
         for c in self.checks:
             yield {"check": c.id, "status": c.status, "detail": c.detail}

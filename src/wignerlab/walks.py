@@ -198,7 +198,11 @@ class StepLabeling:
         return max(self.heights)
 
 
-# condition sets of an arrival, indexed by o + 2*Delta + 4*Lambda
+# condition sets of an arrival, indexed by o + 2*Delta + 4*Lambda, where just
+# before the arriving marked step
+#   o      -- some pair at the vertex has odd multiplicity (the vertex is open),
+#   Delta  -- a marked edge with the same tail and head already exists,
+#   Lambda -- the reversed marked edge already exists.
 _CONDITION_SETS = tuple(map(frozenset, (
     (), ("o",), ("Delta",), ("o", "Delta"), ("Lambda",), ("o", "Lambda"),
     ("Delta", "Lambda"), ("o", "Delta", "Lambda"))))
@@ -208,11 +212,15 @@ class WalkAnalysis:
     """Everything one left-to-right sweep over a walk's 2s steps determines.
 
     A step is marked when its vertex pair has odd multiplicity after it.  At
-    each marked arrival the sweep records the conditions of
-    `arrival_conditions` that hold just before the step, read off the running
-    pair parity, the odd-pair count per vertex and the set of marked directed
-    edges.  arrival_conds[v] follows the marked steps arriving at v in time
-    order; exits[v] counts those leaving v; reductions memoises
+    each marked arrival the sweep records which of the conditions o (the
+    vertex is open: some pair at it has odd multiplicity), Delta (the same
+    marked edge, tail and head, already exists) and Lambda (the reversed
+    marked edge already exists) hold just before the step, read off the
+    running pair parity, the odd-pair count per vertex and the set of marked
+    directed edges.  arrival_conds[v] follows the marked steps arriving at v
+    in time order, so arrival i (from 1; creating a non-root letter is
+    arrival 1) is arrival_conds[v][i-1]; exits[v] counts those leaving v;
+    reductions memoises
     `_reduce` per spare vertex (None for the strong reduction).  The height
     is the count of odd pairs, never negative: the walk is even when it ends
     at 0.  The walk search keeps the same state for the walks it enumerates
@@ -226,7 +234,7 @@ class WalkAnalysis:
         odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
         marked_directed: set[tuple[int, int]] = set()
         heights, marked_edges = [0], []
-        conds: dict[int, tuple[frozenset, ...]] = {}
+        conds: dict[int, list[frozenset]] = {}
         exits: dict[int, int] = {}
         h = 0
         tail = w[0]
@@ -236,10 +244,10 @@ class WalkAnalysis:
             m = mult.get(pair, 0) + 1
             mult[pair] = m
             if m & 1:
-                conds[head] = conds.get(head, ()) + (_CONDITION_SETS[
+                conds.setdefault(head, []).append(_CONDITION_SETS[
                     (odd_at[head] > 0)
                     + 2 * ((tail, head) in marked_directed)
-                    + 4 * ((head, tail) in marked_directed)],)
+                    + 4 * ((head, tail) in marked_directed)])
                 marked_directed.add((tail, head))
                 marked_edges.append((tail, head, t))
                 exits[tail] = exits.get(tail, 0) + 1
@@ -252,8 +260,8 @@ class WalkAnalysis:
                 h -= 1
             heights.append(h)
             tail = head
-        self._keep(_labeling(tuple(heights)), mult, marked_edges, conds,
-                   exits)
+        self._keep(_labeling(tuple(heights)), mult, marked_edges,
+                   {v: tuple(c) for v, c in conds.items()}, exits)
 
     def _keep(self, labeling, mult, marked_edges, conds, exits):
         """Store a copy of the sweep's state, or of the walk search's at a
@@ -400,27 +408,6 @@ def walk_graph(walk: Walk) -> WalkGraph:
     mult = {frozenset(pair): m for pair, m in a.pair_multiplicity.items()}
     return WalkGraph(vertices, mult, a.marked_edges, kappa,
                      a.labeling.is_even)
-
-
-def arrival_conditions(walk: Walk, vertex: int,
-                       arrival_index: int) -> set[str]:
-    """Which of the open/duplicate/reversed conditions hold at an arrival.
-
-    Arrivals are the marked steps reaching `vertex`, numbered from 1 in time
-    order (the creation of the vertex being arrival 1 for non-root letters).
-    Returns a subset of {"o", "Delta", "Lambda"}:
-      o      -- some pair at the vertex has odd multiplicity just before the
-                arrival (the vertex is open),
-      Delta  -- the arriving marked edge duplicates an existing marked edge
-                with the same tail and head,
-      Lambda -- the reversed marked edge already exists.
-    """
-    conds = walk.analysis.arrival_conds.get(vertex, ())
-    if arrival_index < 2 or arrival_index > len(conds):
-        raise IndexError(
-            "arrival_index %d out of range 2..%d for vertex %d"
-            % (arrival_index, len(conds), vertex))
-    return set(conds[arrival_index - 1])
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,7 @@ class TestSeries:
     def test_functional_equation(self):
         # f = 1 + x f^2
         f = ct.catalan_series(40)
-        rhs = (f * f).shift(1)
-        assert f.coeffs[0] == 1
-        assert f.coeffs[1:] == rhs.coeffs[1:]
-
-    def test_derivative(self):
-        fp = ct.catalan_series_derivative(10)
-        t = ct.catalan_table_recurrence(11)
-        assert fp.coeffs == tuple((k + 1) * t[k + 1] for k in range(11))
+        assert f.coeffs == (1,) + (f * f).coeffs[:40]
 
     def test_truncation_guard(self):
         f = ct.catalan_series(5)
@@ -95,6 +88,11 @@ class TestMultiEdge:
         with pytest.raises(Refused) as exc:
             ct.multi_edge_counts_enum(5, 13)
         assert exc.value.estimate == ct.catalan(13) == 742_900
+
+    def test_l_below_1_rejected(self):
+        for l in (0, -1):
+            with pytest.raises(ValueError):
+                ct.multi_edge_gf_row(l, 5)
 
     def test_l1_is_s_ts(self):
         row = ct.multi_edge_gf_row(1, 200)
@@ -190,6 +188,26 @@ class TestAgainstReference:
         return totals
 
     @staticmethod
+    def multi_edge_gf_literal(l, s_max):
+        # 2 x^{l+1} f' f^{2l-1} + x^l f^{2l} term by term, f = 1 + x f^2
+        t = [1]
+        for s in range(s_max + 1):
+            t.append(sum(t[j] * t[s - j] for j in range(s + 1)))
+
+        def mul(a, b):
+            return [sum(a[i] * b[k - i] for i in range(k + 1))
+                    for k in range(s_max + 1)]
+
+        f = t[:s_max + 1]
+        fp = [(k + 1) * t[k + 1] for k in range(s_max + 1)]
+        power = [1] + [0] * s_max
+        for _ in range(2 * l - 1):
+            power = mul(power, f)
+        fp_power, power = mul(fp, power), mul(power, f)
+        return [(2 * fp_power[s - l - 1] if s > l else 0)
+                + (power[s - l] if s >= l else 0) for s in range(s_max + 1)]
+
+    @staticmethod
     def height_exact(cum, s):
         # trees of s edges with height exactly u, u = 0..s
         return [cum[0][s]] + [cum[u][s] - cum[u - 1][s]
@@ -216,6 +234,13 @@ class TestAgainstReference:
         for s_max in (0, 1, 2, 80):
             assert ct.root_subcluster_ballot_table(s_max) == \
                 self.subcluster_conv(s_max)
+
+    def test_multi_edge_gf_row(self):
+        # the one series power against the literal generating function
+        for l in range(1, 9):
+            for s_max in (0, l - 1, l, 80):
+                assert ct.multi_edge_gf_row(l, s_max) == \
+                    self.multi_edge_gf_literal(l, s_max)
 
     def test_multi_edge_enumeration(self):
         for s in range(1, 11):

@@ -638,6 +638,19 @@ class TestUsage:
             assert time.monotonic() - started < 1
             assert "n=8, chi=0.1" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "1e5",
+         "--samples", "2"],
+        ["sim", "moments", "--n", "8", "--rho", "8", "--s", "2000",
+         "--samples", "2"],
+        ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "7",
+         "--samples", "4"]],
+        ids=["crossover-s-overflow", "moments-underflow", "bound-underflow"])
+    def test_no_cell_outside_float_range(self, argv, tmp_path):
+        # a cell that would read inf, nan, or an underflowed 0.0 (the bound
+        # behind lower_bound_ok included) is a usage error, not a body
+        assert_usage_error(argv, tmp_path / "o.csv")
+
     def test_internal_error(self, monkeypatch, capsys, tmp_path):
         # an exception that is no input error, refusal or I/O error
         def broken(args):

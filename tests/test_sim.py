@@ -346,6 +346,18 @@ class TestLanczos:
 
 
 class TestEstimators:
+    @pytest.mark.parametrize("config, s", [
+        # |lambda| < 0.9 here: some sample's Tr H^(2s) underflows to 0.0
+        (sim.EnsembleConfig(n=8, rho=8), 2000),
+        # |lambda_max| > 4 here: every Tr H^(2s) overflows to inf
+        (sim.EnsembleConfig(n=8, rho=8, v=4.0), 2000),
+        # each Tr H^(2s) is finite, their stderr is not
+        (sim.EnsembleConfig(n=8, rho=8, dist="student", df=2.5), 342)],
+        ids=["underflow", "overflow", "stderr-overflow"])
+    def test_no_moment_outside_float_range(self, config, s):
+        with pytest.raises(sim.SimConfigError, match="s=%d" % s):
+            sim.estimate_moments(config, [1, s], 50)
+
     def test_trace_vs_frobenius(self):
         # Tr H^2 and lambda_max read off the spectrum sample_spectra yields
         cfg = sim.EnsembleConfig(n=25, rho=5.0, seed=3)
@@ -414,6 +426,15 @@ class TestEdge:
         with pytest.raises(sim.SimConfigError):
             sim.crossover_scan([64], [10.0], 0.5, 4)
 
+    @pytest.mark.parametrize("chi", [7.0, 1e5, 1e200])
+    def test_crossover_bound_underflow(self, chi, monkeypatch):
+        # e chi^3 > ~745: rejected before any sample is drawn
+        def no_sample(*args):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(sim, "estimate_moments", no_sample)
+        with pytest.raises(sim.SimConfigError, match="underflows"):
+            sim.crossover_scan([8], [0.0], chi, 2)
+
     def test_crossover_loads_only_sim(self):
         # a fresh process, so that no other test has loaded the exact layers
         code = ("import sys\n"
@@ -436,3 +457,6 @@ class TestClosedForms:
             math.exp(-math.e) / math.sqrt(math.pi), rel=1e-12)
         with pytest.raises(ValueError):
             sim.theorem_7_1_rhs(0.0, 1.0, 1.0)
+        # underflow, also where chi^3 exceeds the float range
+        assert sim.theorem_7_1_rhs(7.0, 1.0, 1.0) == 0.0
+        assert sim.theorem_7_1_rhs(1e200, 1.0, 1.0) == 0.0

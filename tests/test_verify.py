@@ -10,7 +10,6 @@ def test_fast_suites_pass():
         assert rep.checks, name
         failed = [c.id for c in rep.checks if c.status == "fail"]
         assert not failed, failed
-        assert rep.exit_code == 0
 
 
 def test_check_ids_are_unique_and_addressable():

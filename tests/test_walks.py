@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import pickle
+import time
 from collections import Counter
 
 import pytest
@@ -319,12 +320,10 @@ def assert_views_match_reference(walk):
     assert pickle.dumps(wk.walk_graph(walk)) == pickle.dumps(graph)
     for v in graph.vertices:
         k = graph.kappa[v] - (v == 1)    # marked arrivals, no zero instant
+        conds = walk.analysis.arrival_conds.get(v, ())
+        assert len(conds) == k
         for i in range(2, k + 1):
-            assert wk.arrival_conditions(walk, v, i) == \
-                ref_arrival_conditions(walk, v, i)
-        for i in (1, k + 1):
-            with pytest.raises(IndexError):
-                wk.arrival_conditions(walk, v, i)
+            assert conds[i - 1] == ref_arrival_conditions(walk, v, i)
     assert wk.max_exit_degree(walk) == ref_max_exit_degree(walk)
     for spare in (None,) + graph.vertices:
         red = wk._reduce(walk, spare)
@@ -424,6 +423,16 @@ class TestSweepAgainstReference:
                                    max_size=2 * s))
         assert_views_match_reference(
             wk.walk_from_trajectory(wk.Trajectory(tuple(steps), 6)))
+
+    def test_long_walk_sweeps_in_linear_time(self):
+        # 200,000 steps 1,2,1,2,...: every step 1 -> 2 is a marked arrival
+        walk = wk.Walk(tuple([1, 2] * 100_000 + [1]))
+        start = time.perf_counter()
+        conds = wk.WalkAnalysis(walk).arrival_conds
+        assert time.perf_counter() - start < 5.0
+        assert len(conds[2]) == 100_000
+        assert conds[2][0] == frozenset()
+        assert set(conds[2][1:]) == {frozenset(("Delta",))}
 
     def test_analysis_outside_equality(self):
         a, b = W16(), W16()
