@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import Refused
-from .walks import DiagramParams, dyck_words
+from .walks import DiagramParams
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +173,40 @@ def multi_edge_counts_enum(l_max: int, s: int) -> list[int]:
     """[N^(1)_s .. N^(l_max)_s] by brute force over all plane trees:
     ways to pick l edges sharing a parent vertex.
 
-    Each tree is read as its Dyck word: an up-step adds a child to the open
-    node and opens a new one, a down-step closes the top node.  hist[d]
-    counts the nodes with d children over all trees, and
-    N^(l)_s = sum_d hist[d] C(d, l)."""
+    A depth-first search over the Dyck prefixes of 2s steps reaches each
+    tree once, as a leaf, and prunes nothing.  An up-step adds a child to
+    the top open node and opens a new one, a down-step closes the top
+    node; the child counts of the open nodes are undone on backtrack.
+    The search returns the number of trees below each prefix, so closing
+    a node with d children adds that number to hist[d], and each leaf
+    adds 1 at the root's degree.  hist[d] counts the nodes with d
+    children over all trees, and N^(l)_s = sum_d hist[d] C(d, l)."""
     if s > TREE_ENUM_CAP:
         raise Refused("tree enumeration at s=%d exceeds cap %d"
                       % (s, TREE_ENUM_CAP), catalan(s))
     hist = [0] * (s + 1)
-    for word in dyck_words(s):
-        open_nodes = [0]
-        for step in word:
-            if step == 1:
-                open_nodes[-1] += 1
-                open_nodes.append(0)
-            else:
-                hist[open_nodes.pop()] += 1
-        hist[open_nodes[0]] += 1  # the root
+    open_nodes = [0]  # child counts of the open nodes, the root first
+
+    def trees_below(ups: int, downs: int) -> int:
+        if downs == s:
+            hist[open_nodes[0]] += 1  # the root
+            return 1
+        trees = 0
+        if ups < s:
+            open_nodes[-1] += 1
+            open_nodes.append(0)
+            trees = trees_below(ups + 1, downs)
+            open_nodes.pop()
+            open_nodes[-1] -= 1
+        if downs < ups:
+            d = open_nodes.pop()
+            closed = trees_below(ups, downs + 1)
+            open_nodes.append(d)
+            hist[d] += closed
+            trees += closed
+        return trees
+
+    trees_below(0, 0)
     return [sum(hist[d] * math.comb(d, l) for d in range(l, s + 1))
             for l in range(1, l_max + 1)]
 

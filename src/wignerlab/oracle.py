@@ -4,15 +4,14 @@ M_2s = E Tr H^{2s} is a weighted sum over closed trajectories of 2s steps.
 The weight of a trajectory factorizes over its distinct vertex pairs: a pair
 traversed m times contributes V_m rho^{-m/2} (rho/n) for even m and zero for
 odd m; diagonal steps contribute zero.  The oracle evaluates the sum two
-independent ways, by raw trajectory enumeration and by a sum over the shapes
-of the canonical even walks (walks.shape_table), and the two must agree
-exactly.
+independent ways, by a search over the trajectories and by a sum over the
+shapes of the canonical even walks (walks.shape_table), and the two must
+agree exactly.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -137,20 +136,53 @@ def shape_weight(k: int, mults, spec: MomentSpec) -> Fraction:
 
 
 def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
-    """M_2s by enumeration of all n^{2s} closed trajectories."""
+    """M_2s by a depth-first search over the closed trajectories of 2s
+    steps, from each first vertex.  A diagonal step weighs 0, so the search
+    never takes one; it prunes nothing else, and reaches every other
+    trajectory once, as a leaf.  It carries the pair multiplicities, keyed
+    (min, max), and the number of odd ones, undone on backtrack; a leaf
+    whose multiplicities are all even counts 1 under their sorted tuple,
+    and each tuple is weighed once."""
     n, s = spec.n, spec.s
     refuse_over_budget(n, s, "trajectory")
+    last = 2 * s - 1
+    mult: dict[tuple[int, int], int] = {}
+    shapes: Counter = Counter()
+    odd = 0
+
+    def extend(first: int, at: int, depth: int) -> None:
+        nonlocal odd
+        if depth == last:   # the closing step, back to the first vertex
+            # all even after it: the one odd pair is the closing one
+            if at != first and odd == 1:
+                pair = (at, first) if at < first else (first, at)
+                m = mult.get(pair, 0) + 1
+                if m % 2 == 0:
+                    mult[pair] = m
+                    shapes[tuple(sorted(mult.values()))] += 1
+                    mult[pair] = m - 1
+            return
+        for nxt in range(1, n + 1):
+            if nxt == at:
+                continue
+            pair = (at, nxt) if at < nxt else (nxt, at)
+            m = mult.get(pair, 0) + 1
+            mult[pair] = m
+            flip = 1 if m % 2 else -1
+            odd += flip
+            extend(first, nxt, depth + 1)
+            odd -= flip
+            if m == 1:
+                del mult[pair]
+            else:
+                mult[pair] = m - 1
+
+    for first in range(1, n + 1):
+        extend(first, first, 0)
     total = Fraction(0)
-    for steps in itertools.product(range(1, n + 1), repeat=2 * s):
-        closed = steps + (steps[0],)
-        if any(closed[i] == closed[i + 1] for i in range(2 * s)):
-            continue  # diagonal entries vanish
-        mult = Counter(frozenset((closed[i], closed[i + 1]))
-                       for i in range(2 * s))
-        if any(m % 2 for m in mult.values()):
-            continue
-        w = Fraction(1)
-        for m in mult.values():
+    for mults, count in shapes.items():
+        w = Fraction(count)
+        for m in mults:
             w *= pair_weight(m, spec)
         total += w
     return total

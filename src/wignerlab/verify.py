@@ -225,7 +225,7 @@ def oracle_suite(fast: bool = False) -> VerifyReport:
     ok = True
     grid = [(n, s) for n in range(2, 5 if fast else 7) for s in range(1, 4)]
     if not fast:
-        grid.append((4, 4))
+        grid += [(4, 4), (4, 5), (3, 6)]
     for n, s in grid:
         spec = orc.make_spec(n, Fraction(3, 2), s)
         ok = ok and orc.exact_moment_trajectory(spec) == \

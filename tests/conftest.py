@@ -1,8 +1,13 @@
-"""Shared pytest plumbing: the acceptance scoreboard.
+"""Shared pytest plumbing: the acceptance scoreboard and a call profiler.
 
 Acceptance tests record one line per criterion; printing happens in the
 terminal summary so the lines survive output capture.
 """
+
+import sys
+import types
+
+import pytest
 
 CRITERION_LINES: list[str] = []
 
@@ -14,3 +19,31 @@ def pytest_terminal_summary(terminalreporter):
     for line in sorted(CRITERION_LINES,
                        key=lambda l: int(l.split(":")[0].split()[-1])):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def nested_calls():
+    """nested_calls(module, fn, *args) runs fn(*args) under a profiler and
+    returns (result or raised exception, names of the functions defined
+    inside module's functions that ran), so a test can see whether a
+    search helper took a step."""
+    def run(module, fn, *args):
+        top = {f.__code__ for f in vars(module).values()
+               if isinstance(f, types.FunctionType)}
+        ran = set()
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == module.__file__ \
+                    and code not in top:
+                ran.add(code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = exc
+        finally:
+            sys.setprofile(None)
+        return result, ran
+    return run

@@ -12,6 +12,31 @@ from wignerlab import walks as wk
 FIRST_CATALANS = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
+# ---------------------------------------------------------------------------
+# Reference: the tree census as computed before the prefix search, reading
+# every Dyck word from its first step.
+# ---------------------------------------------------------------------------
+
+def ref_degree_histogram(s):
+    hist = [0] * (s + 1)
+    for word in wk.dyck_words(s):
+        open_nodes = [0]
+        for step in word:
+            if step == 1:
+                open_nodes[-1] += 1
+                open_nodes.append(0)
+            else:
+                hist[open_nodes.pop()] += 1
+        hist[open_nodes[0]] += 1  # the root
+    return hist
+
+
+def ref_multi_edge_counts_enum(l_max, s):
+    hist = ref_degree_histogram(s)
+    return [sum(hist[d] * math.comb(d, l) for d in range(l, s + 1))
+            for l in range(1, l_max + 1)]
+
+
 class TestCatalan:
     def test_first_values(self):
         assert [ct.catalan(s) for s in range(11)] == FIRST_CATALANS
@@ -88,6 +113,21 @@ class TestMultiEdge:
         with pytest.raises(Refused) as exc:
             ct.multi_edge_counts_enum(5, 13)
         assert exc.value.estimate == ct.catalan(13) == 742_900
+
+    def test_refused_before_any_step(self, nested_calls):
+        result, ran = nested_calls(ct, ct.multi_edge_counts_enum, 5, 3)
+        assert result == [15, 6, 1, 0, 0] and "trees_below" in ran
+        result, ran = nested_calls(ct, ct.multi_edge_counts_enum, 5,
+                                   ct.TREE_ENUM_CAP + 1)
+        assert isinstance(result, Refused) and ran == set()
+
+    def test_search_matches_word_loop(self):
+        for s in range(11):
+            hist = ref_degree_histogram(s)
+            # every node of every tree is counted once
+            assert sum(hist) == (s + 1) * ct.catalan(s)
+            assert ct.multi_edge_counts_enum(5, s) == \
+                ref_multi_edge_counts_enum(5, s)
 
     def test_l_below_1_rejected(self):
         for l in (0, -1):

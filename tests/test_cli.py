@@ -1,9 +1,13 @@
 """CLI integration tests: subcommands, formats, exit codes, determinism."""
 
+import csv
 import importlib
 import json
+import contextlib
+import io
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -11,8 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import (assume, event, example, given, settings,
+                        strategies as st)
 
 from wignerlab import Refused, cli
+from wignerlab import oracle as orc
 from wignerlab import reports
 
 W16_TRAJ = "5,2,7,9,7,1,2,7,9,7,2,7,2,1,7,2,5"
@@ -390,6 +397,23 @@ class TestSim:
             assert counters["lanczos_fallbacks"] == 0
             assert (counters["lanczos_steps"] > 0) == lanczos
 
+    def test_crossover_bound_only_at_eps_zero(self, capsys):
+        # the Theorem 7.1 comparison is made at eps = 0; other rows leave
+        # both cells empty, and the eps = 0 row is the same on its own
+        argv = ["sim", "crossover", "--n", "64", "--eps", "0", "--eps",
+                "0.3", "--samples", "4", "--seed", "1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = list(csv.DictReader(body_of(out).splitlines()))
+        assert [r["eps"] for r in rows] == ["0.0", "0.3"]
+        assert rows[0]["thm_7_1_lower_bound"] == "0.037229762462701294"
+        assert rows[0]["lower_bound_ok"] == "true"
+        assert rows[1]["thm_7_1_lower_bound"] == rows[1]["lower_bound_ok"] \
+            == ""
+        code, alone, _ = run_cli(argv[:6] + argv[8:], capsys)
+        assert code == 0
+        assert body_of(alone).splitlines() == body_of(out).splitlines()[:2]
+
     def test_io_error(self, capsys):
         code, _, err = run_cli(
             ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
@@ -669,6 +693,96 @@ class TestUsage:
              "--s-max", "3"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "3,5,5,true" in proc.stdout
+
+
+# oracle argv values that are not runnable sizes: 0, negatives, 1e308,
+# fractions and non-numbers, and an integer past int()'s digit limit
+ODD_VALUES = ["0", "-1", "-7", "1e308", "-1e308", "3/2", "1/0", "0/5", "nan",
+              "inf", "-inf", "x", "", " ", "0x10", "1" * 5000]
+ODD_FLAG = st.one_of(st.sampled_from(ODD_VALUES), st.text(max_size=6),
+                     st.integers(-10 ** 6, 10 ** 30).map(str))
+# (n, s) that run in milliseconds: n^(2s) <= 10^5
+SMALL_SIZES = [(str(n), str(s)) for n in range(1, 7) for s in range(1, 13)
+               if n ** (2 * s) <= 10 ** 5]
+
+
+class _Hang(BaseException):
+    """Raised by the alarm: main() cannot report it as an exit code."""
+
+
+def _runnable(method, n_arg, s_arg, rho_arg):
+    """True when oracle would compute a moment for this argv."""
+    try:
+        n, s, rho = int(n_arg), int(s_arg), Fraction(rho_arg)
+        orc.refuse_over_budget(n, s, method)
+    except (ValueError, ZeroDivisionError, Refused):
+        return False
+    return 0 < rho <= n
+
+
+class TestOracleFuzz:
+    """oracle argvs drawn from small sizes and odd values: every exit is 0,
+    a usage error, a refusal or an I/O error, with one stderr line and no
+    traceback."""
+
+    # the runnable branches are listed twice, so that about a fifth of
+    # the examples compute a moment
+    @given(method=st.sampled_from(["walk", "trajectory", "both"]),
+           size=st.one_of(st.sampled_from(SMALL_SIZES),
+                          st.sampled_from(SMALL_SIZES),
+                          st.tuples(ODD_FLAG, ODD_FLAG),
+                          st.tuples(st.integers(1, 6).map(str), ODD_FLAG),
+                          st.tuples(ODD_FLAG, st.integers(1, 12).map(str))),
+           rho_arg=st.one_of(st.sampled_from(["1", "2", "1/2", "3/2"]),
+                             st.sampled_from(["1", "1/3", "5/4"]),
+                             st.fractions().map(str), ODD_FLAG))
+    @settings(max_examples=200, deadline=None)
+    @example("trajectory", ("3", "30000000"), "1")
+    @example("trajectory", ("1", "200000"), "1")
+    @example("both", ("9", "6"), "2")
+    @example("trajectory", ("-3", "100000"), "1")
+    @example("walk", ("4", "9"), "2")
+    @example("both", ("4", "2"), "1e308")
+    @example("trajectory", ("1e308", "2"), "1")
+    @example("walk", ("4", "0"), "2")
+    @example("both", ("4", "1"), "x")
+    @example("both", ("4", "4"), "3/2")
+    @example("walk", ("2", "7"), "1/2")
+    @example("trajectory", ("1", "11"), "1")
+    def test_exit_codes(self, method, size, rho_arg):
+        n_arg, s_arg = size
+        runnable = _runnable(method, n_arg, s_arg, rho_arg)
+        # keep each example fast
+        assume(not runnable or int(n_arg) ** (2 * int(s_arg)) <= 10 ** 5)
+        argv = ["oracle", "--method", method, "--n", n_arg, "--s", s_arg,
+                "--rho", rho_arg]
+
+        def hang(signum, frame):
+            raise _Hang(argv)
+
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        out, err = out.getvalue(), err.getvalue()
+        event("exit %d" % code)
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
+        if code == 0:
+            assert runnable and err == ""
+            assert set(json.loads(out)) == {"value_num", "value_den",
+                                            "method_agreement"}
+        else:
+            assert not runnable and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(("error:", "refused:"))
 
 
 class TestReports:

@@ -1,5 +1,6 @@
 """Unit tests for the exact rational moment oracle and the class audit."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -50,6 +51,29 @@ def ref_exact_moment_walk(spec):
         size = ref_class_size(first[shape], spec.n)
         if size:
             total += count * size * ref_walk_weight(first[shape], spec)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Reference: the trajectory method as computed before the prefix search,
+# building every one of the n^{2s} step sequences.
+# ---------------------------------------------------------------------------
+
+def ref_exact_moment_trajectory(spec):
+    n, s = spec.n, spec.s
+    total = Fraction(0)
+    for steps in itertools.product(range(1, n + 1), repeat=2 * s):
+        closed = steps + (steps[0],)
+        if any(closed[i] == closed[i + 1] for i in range(2 * s)):
+            continue  # diagonal entries vanish
+        mult = Counter(frozenset((closed[i], closed[i + 1]))
+                       for i in range(2 * s))
+        if any(m % 2 for m in mult.values()):
+            continue
+        w = Fraction(1)
+        for m in mult.values():
+            w *= orc.pair_weight(m, spec)
+        total += w
     return total
 
 
@@ -146,13 +170,33 @@ class TestExactMoment:
             orc.refuse_over_budget(3, 30_000_000, "trajectory")
         assert exc.value.estimate.adjusted() == 28_627_275
 
-    @pytest.mark.slow
     def test_methods_agree_at_7(self):
         # the shape table at s = 7, one step past the walk enumeration,
-        # against all 3^14 trajectories on three vertices (about 10 s)
+        # against the 3^14 trajectories on three vertices, of which the
+        # search visits the 2^14 + 2 with no diagonal step
         spec = orc.make_spec(3, 2, 7)
         assert orc.exact_moment_walk(spec) == \
             orc.exact_moment_trajectory(spec) == Fraction(3727, 1572864)
+
+    @pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+    def test_search_matches_sequence_loop(self, dist):
+        for n in range(1, 5):
+            for s in range(1, 5):
+                for rho in (Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+                    if rho <= n:
+                        spec = orc.make_spec(n, rho, s, dist)
+                        assert orc.exact_moment_trajectory(spec) == \
+                            ref_exact_moment_trajectory(spec)
+
+    def test_refused_before_any_step(self, nested_calls):
+        spec = orc.make_spec(3, 2, 2)
+        result, ran = nested_calls(orc, orc.exact_moment_trajectory, spec)
+        assert result == ref_exact_moment_trajectory(spec)
+        assert "extend" in ran
+        for n, s in ((9, 6), (1, orc.TRAJECTORY_S_CAP + 1)):
+            result, ran = nested_calls(orc, orc.exact_moment_trajectory,
+                                       orc.make_spec(n, 1, s))
+            assert isinstance(result, Refused) and ran == set()
 
     def test_walk_method_guard(self):
         # the walk enumerator's refusal, with its estimate in walks
