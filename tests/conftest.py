@@ -21,29 +21,35 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+class _Stepped(BaseException):
+    """Stops a profiled call at its first nested function call."""
+
+
 @pytest.fixture
-def nested_calls():
-    """nested_calls(module, fn, *args) runs fn(*args) under a profiler and
-    returns (result or raised exception, names of the functions defined
-    inside module's functions that ran), so a test can see whether a
-    search helper took a step."""
+def first_nested_call():
+    """first_nested_call(module, fn, *args) runs fn(*args) under a profiler
+    until it calls a function defined inside one of module's functions, and
+    returns (name of that function or None, fn's result or raised
+    exception).  A test sees whether a search helper would take a step,
+    and a search that starts where it should have refused cannot hang it.
+    """
     def run(module, fn, *args):
         top = {f.__code__ for f in vars(module).values()
                if isinstance(f, types.FunctionType)}
-        ran = set()
 
         def profile(frame, event, arg):
             code = frame.f_code
             if event == "call" and code.co_filename == module.__file__ \
                     and code not in top:
-                ran.add(code.co_name)
+                raise _Stepped(code.co_name)
 
         sys.setprofile(profile)
         try:
-            result = fn(*args)
+            return None, fn(*args)
+        except _Stepped as stop:
+            return stop.args[0], None
         except Exception as exc:
-            result = exc
+            return None, exc
         finally:
             sys.setprofile(None)
-        return result, ran
     return run

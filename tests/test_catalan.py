@@ -114,12 +114,12 @@ class TestMultiEdge:
             ct.multi_edge_counts_enum(5, 13)
         assert exc.value.estimate == ct.catalan(13) == 742_900
 
-    def test_refused_before_any_step(self, nested_calls):
-        result, ran = nested_calls(ct, ct.multi_edge_counts_enum, 5, 3)
-        assert result == [15, 6, 1, 0, 0] and "trees_below" in ran
-        result, ran = nested_calls(ct, ct.multi_edge_counts_enum, 5,
-                                   ct.TREE_ENUM_CAP + 1)
-        assert isinstance(result, Refused) and ran == set()
+    def test_refused_before_any_step(self, first_nested_call):
+        assert first_nested_call(ct, ct.multi_edge_counts_enum, 5, 3) \
+            == ("trees_below", None)
+        step, result = first_nested_call(ct, ct.multi_edge_counts_enum, 5,
+                                         ct.TREE_ENUM_CAP + 1)
+        assert step is None and isinstance(result, Refused)
 
     def test_search_matches_word_loop(self):
         for s in range(11):

@@ -1,10 +1,10 @@
 """CLI integration tests: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import importlib
-import json
-import contextlib
 import io
+import json
 import os
 import shlex
 import signal

@@ -188,15 +188,13 @@ class TestExactMoment:
                         assert orc.exact_moment_trajectory(spec) == \
                             ref_exact_moment_trajectory(spec)
 
-    def test_refused_before_any_step(self, nested_calls):
-        spec = orc.make_spec(3, 2, 2)
-        result, ran = nested_calls(orc, orc.exact_moment_trajectory, spec)
-        assert result == ref_exact_moment_trajectory(spec)
-        assert "extend" in ran
+    def test_refused_before_any_step(self, first_nested_call):
+        assert first_nested_call(orc, orc.exact_moment_trajectory,
+                                 orc.make_spec(3, 2, 2)) == ("extend", None)
         for n, s in ((9, 6), (1, orc.TRAJECTORY_S_CAP + 1)):
-            result, ran = nested_calls(orc, orc.exact_moment_trajectory,
-                                       orc.make_spec(n, 1, s))
-            assert isinstance(result, Refused) and ran == set()
+            step, result = first_nested_call(
+                orc, orc.exact_moment_trajectory, orc.make_spec(n, 1, s))
+            assert step is None and isinstance(result, Refused)
 
     def test_walk_method_guard(self):
         # the walk enumerator's refusal, with its estimate in walks
