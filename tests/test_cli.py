@@ -725,7 +725,7 @@ class TestOracleFuzz:
     a usage error, a refusal or an I/O error, with one stderr line and no
     traceback."""
 
-    # the runnable branches are listed twice, so that about a fifth of
+    # the runnable branches are listed twice, so that about a sixth of
     # the examples compute a moment
     @given(method=st.sampled_from(["walk", "trajectory", "both"]),
            size=st.one_of(st.sampled_from(SMALL_SIZES),
