@@ -216,14 +216,14 @@ def cmd_walk(args) -> int:
     if args.k0 < 2:
         raise ValueError("--k0 must be >= 2, got %d" % args.k0)
     if args.action == "enumerate":
-        walks_iter = wk.enumerate_even_walks(args.s, force=args.force)
+        walks_iter = wk.enumerate_even_walks(
+            args.s, cap=args.s if args.force else wk.DEFAULT_ENUM_CAP)
         def records():
             for walk in walks_iter:
-                lab = wk.label_steps(walk)
                 dp = wk.diagram_params(walk, args.k0)
                 yield {"walk": walk.to_string(), "s": walk.s,
                        "n_letters": walk.n_letters,
-                       "theta_star": lab.theta_star,
+                       "theta_star": walk.analysis.theta_star,
                        "sigma": dp.sigma,
                        "census": dp.census_key()}
         manifest = _manifest(args, {"s": args.s, "k0": args.k0})
@@ -233,14 +233,14 @@ def cmd_walk(args) -> int:
                                 "k0": args.k0})
     traj = wk.Trajectory.from_string(args.trajectory)
     walk = wk.walk_from_trajectory(traj)
-    lab = wk.label_steps(walk)
+    a = walk.analysis
     rec = {"walk": walk.to_string(), "s": walk.s,
-           "n_letters": walk.n_letters, "even": lab.is_even}
-    if lab.is_even and not walk.has_loops:
+           "n_letters": walk.n_letters, "even": a.is_even}
+    if a.is_even and not walk.has_loops:
         dp = wk.diagram_params(walk, args.k0)
         letter, degree = wk.max_exit_degree(walk)
         rec.update(json.loads(dp.to_json()))
-        rec.update({"theta_star": lab.theta_star,
+        rec.update({"theta_star": a.theta_star,
                     "max_exit_letter": letter, "max_exit_degree": degree})
         if args.action == "from-trajectory":
             strong = wk.strong_reduce(walk)
@@ -284,6 +284,14 @@ def cmd_count(args) -> int:
         raise ValueError("--l must be >= 1, got %d" % args.l)
     if getattr(args, "l_max", 1) < 1:
         raise ValueError("--l-max must be >= 1, got %d" % args.l_max)
+    # no empty table: rows start at s = 1 (multi-edge: at s = --l)
+    if args.action in ("heights", "subcluster", "conjecture") \
+            and args.s_max < 1:
+        raise ValueError("count %s needs --s-max >= 1, got %d"
+                         % (args.action, args.s_max))
+    if args.action == "multi-edge" and args.s_max < args.l:
+        raise ValueError("count multi-edge needs --s-max >= --l, got %d < %d"
+                         % (args.s_max, args.l))
     _refuse_large_count(args)
     manifest = _manifest(args, {key: getattr(args, key) for key in (
         "l", "l_max", "s_max", "check_closed_form") if hasattr(args, key)})

@@ -266,8 +266,7 @@ def _audit_classes(s: int, k0: int) -> tuple[tuple, ...]:
         # the full census including mu1 and sigma: walks that lose a vertex
         # to a marked return at the root must not share a class with
         # tree-type walks
-        key = (wk.label_steps(walk).theta_star, dp.mu1, dp.sigma) \
-            + dp.census_key()
+        key = (walk.analysis.theta_star, dp.mu1, dp.sigma) + dp.census_key()
         entry = classes.get(key)
         if entry is None:   # the key fixes the census: keep the first
             entry = classes[key] = [dp, 0, 0, Counter()]

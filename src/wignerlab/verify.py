@@ -82,7 +82,7 @@ def walks_suite(fast: bool = False) -> VerifyReport:
         non_even = 0
         for steps in itertools.product(range(1, n + 1), repeat=2 * s):
             w = wk.walk_from_trajectory(wk.Trajectory(steps, n))
-            if w.has_loops or not wk.label_steps(w).is_even:
+            if w.has_loops or not w.analysis.is_even:
                 non_even += 1
             else:
                 by_walk[w] += 1
@@ -96,17 +96,20 @@ def walks_suite(fast: bool = False) -> VerifyReport:
     ok_marked = ok_vertex = ok_census = ok_reduce = ok_balance = ok_cells = True
     for s in range(1, s_enum + 1):
         for w in wk.enumerate_even_walks(s):
-            lab = wk.label_steps(w)
-            ok_marked = ok_marked and lab.is_even and lab.marked_count == s \
-                and lab.dyck is not None
-            g = wk.walk_graph(w)
-            ok_vertex = ok_vertex and g.sigma == s - w.n_letters + 1 \
-                and sum(g.pair_multiplicity.values()) == 2 * s
+            a = w.analysis
+            ok_marked = ok_marked and a.is_even and sum(a.marked) == s \
+                and wk.DyckPath(tuple([1 if m else -1 for m in a.marked])
+                                ).height == a.theta_star
+            # sigma = sum(kappa - 1), kappa counting the root's zero instant
+            sigma = sum(map(len, a.arrival_conds.values())) + 1 - w.n_letters
+            ok_vertex = ok_vertex and sigma == s - w.n_letters + 1 \
+                and sum(a.pair_multiplicity.values()) == 2 * s
             for k0 in (2, 4, 12):
                 dp = wk.diagram_params(w, k0)
                 ok_census = ok_census and dp.census_sum == s \
                     and dp.sigma == s - w.n_letters + 1 \
-                    and dp.sigma_census_b + (g.kappa[1] > 1) == dp.sigma
+                    and dp.sigma_census_b + (1 in a.arrival_conds) \
+                    == dp.sigma
             red = wk.strong_reduce(w)
             ok_reduce = ok_reduce and \
                 len(red.kept_steps) == 2 * s - 2 * len(red.removed_pairs)

@@ -4,11 +4,11 @@ A trajectory is a closed integer path of 2s steps.  Relabeling its vertices in
 first-appearance order produces a canonical walk; the walks with every vertex
 pair traversed an even number of times are the only ones with nonzero weight
 in the trace expansion of a symmetric random matrix.  This module provides the
-canonicalizer, the marked-step labeling (Dyck path / plane tree structure),
-the walk multigraph with self-intersection degrees, the arrival census, the
-strong and weak reductions, the maximal exit degree, and the cell report
-around the vertex of maximal exit degree.  Inside the walk search and the
-per-walk sweep a vertex pair is keyed (min, max); walk_graph gives frozensets.
+canonicalizer, the Dyck path / plane tree bijection, one record per walk
+(WalkAnalysis: marked steps, pair multiplicities, marked arrivals and exits),
+the self-intersection census, the strong and weak reductions, the maximal
+exit degree, and the cell report around the vertex of maximal exit degree.
+A vertex pair is keyed (min, max) throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
@@ -36,14 +36,6 @@ class ClassificationError(ValueError):
 DEFAULT_ENUM_CAP = 6
 SHAPE_TABLE_CAP = 7
 EVEN_WALK_COUNTS = (1, 1, 3, 16, 122, 1209, 14829, 216955)  # s = 0..7
-
-
-def _unchecked(cls, **fields):
-    """An instance built without its __init__ or check, valid by
-    construction."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +130,7 @@ class Walk:
         """The facts of one sweep over the steps, computed on first use
         unless the walk search set them; kept outside the dataclass fields,
         so equality and hashing ignore it."""
-        return WalkAnalysis(self)
+        return _sweep(self.letters)
 
 
 def walk_from_trajectory(traj: Trajectory) -> Walk:
@@ -153,7 +145,7 @@ def walk_from_trajectory(traj: Trajectory) -> Walk:
 
 
 # ---------------------------------------------------------------------------
-# Marked steps, Dyck paths, plane trees
+# Dyck paths, the walk record, plane trees
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -183,21 +175,6 @@ class DyckPath:
         return max(itertools.accumulate(self.ups_downs, initial=0))
 
 
-@dataclass(frozen=True)
-class StepLabeling:
-    """Marked/non-marked flags for the 2s steps of a walk."""
-
-    marked: tuple[bool, ...]        # index t-1 holds the flag of step t
-    is_even: bool
-    marked_count: int
-    heights: tuple[int, ...]        # prefix sums of +1/-1, length 2s+1
-    dyck: Optional[DyckPath]        # None when the +1/-1 word is not a Dyck path
-
-    @property
-    def theta_star(self) -> int:
-        return max(self.heights)
-
-
 # condition sets of an arrival, indexed by o + 2*Delta + 4*Lambda, where just
 # before the arriving marked step
 #   o      -- some pair at the vertex has odd multiplicity (the vertex is open),
@@ -208,88 +185,87 @@ _CONDITION_SETS = tuple(map(frozenset, (
     ("Delta", "Lambda"), ("o", "Delta", "Lambda"))))
 
 
+@dataclass
 class WalkAnalysis:
-    """Everything one left-to-right sweep over a walk's 2s steps determines.
+    """Everything one left-to-right pass over a walk's 2s steps determines.
 
-    A step is marked when its vertex pair has odd multiplicity after it.  At
-    each marked arrival the sweep records which of the conditions o (the
-    vertex is open: some pair at it has odd multiplicity), Delta (the same
-    marked edge, tail and head, already exists) and Lambda (the reversed
-    marked edge already exists) hold just before the step, read off the
-    running pair parity, the odd-pair count per vertex and the set of marked
-    directed edges.  arrival_conds[v] follows the marked steps arriving at v
-    in time order, so arrival i (from 1; creating a non-root letter is
-    arrival 1) is arrival_conds[v][i-1]; exits[v] counts those leaving v;
-    reductions memoises
-    `_reduce` per spare vertex (None for the strong reduction).  The height
-    is the count of odd pairs, never negative: the walk is even when it ends
-    at 0.  The walk search keeps the same state for the walks it enumerates
-    and hands each one a copy (`_keep`), so only walks from elsewhere are
-    swept here.
+    A step is marked (marked[t-1] for step t) when its vertex pair has odd
+    multiplicity after it.  heights[t] counts the odd pairs after step t,
+    so it is never negative, and the walk is even when it ends at 0: the
+    marks then form a Dyck path.  marked_edges holds the marked
+    (tail, head, time) steps.  At each marked arrival the pass records
+    which of the conditions o (the vertex is open: some pair at it has odd
+    multiplicity), Delta (the same marked edge, tail and head, already
+    exists) and Lambda (the reversed marked edge already exists) hold just
+    before the step.  arrival_conds[v] follows the marked steps arriving at
+    v in time order, so arrival i (from 1; creating a non-root letter is
+    arrival 1) is arrival_conds[v][i-1]; exits[v] counts those leaving v.
+    With a zero instant for the root's creation, letter v has
+    kappa(v) = len(arrival_conds[v]) + (v == 1) arrival instants, so
+    sum(kappa) - 1 = s and |V_g| = s - sigma + 1, sigma = sum(kappa - 1).
+    reductions memoises `_reduce` per spare vertex (None for the strong
+    reduction) and max_exit `max_exit_degree`; comparison ignores both.
+    The walk search builds the record from its own state; `_sweep` builds
+    it for walks from elsewhere.
     """
 
-    def __init__(self, walk: Walk):
-        w = walk.letters
-        mult: dict[tuple[int, int], int] = {}
-        odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
-        marked_directed: set[tuple[int, int]] = set()
-        heights, marked_edges = [0], []
-        conds: dict[int, list[frozenset]] = {}
-        exits: dict[int, int] = {}
-        h = 0
-        tail = w[0]
-        for t in range(1, len(w)):
-            head = w[t]
-            pair = (tail, head) if tail < head else (head, tail)
-            m = mult.get(pair, 0) + 1
-            mult[pair] = m
-            if m & 1:
-                conds.setdefault(head, []).append(_CONDITION_SETS[
-                    (odd_at[head] > 0)
-                    + 2 * ((tail, head) in marked_directed)
-                    + 4 * ((head, tail) in marked_directed)])
-                marked_directed.add((tail, head))
-                marked_edges.append((tail, head, t))
-                exits[tail] = exits.get(tail, 0) + 1
-                odd_at[tail] += 1   # a loop counts twice; only > 0 is read
-                odd_at[head] += 1
-                h += 1
-            else:
-                odd_at[tail] -= 1
-                odd_at[head] -= 1
-                h -= 1
-            heights.append(h)
-            tail = head
-        self._keep(_labeling(tuple(heights)), mult, marked_edges,
-                   {v: tuple(c) for v, c in conds.items()}, exits)
+    heights: tuple[int, ...]
+    marked: tuple[bool, ...]
+    pair_multiplicity: dict[tuple[int, int], int]
+    marked_edges: tuple[tuple[int, int, int], ...]
+    arrival_conds: dict[int, tuple[frozenset, ...]]
+    exits: dict[int, int]
+    reductions: dict[Optional[int], "ReducedWalk"] = field(
+        default_factory=dict, compare=False, repr=False)
+    max_exit: Optional[tuple[int, int]] = field(
+        default=None, compare=False, repr=False)
 
-    def _keep(self, labeling, mult, marked_edges, conds, exits):
-        """Store a copy of the sweep's state, or of the walk search's at a
-        leaf: the pair multiplicities, the marked (tail, head, time) steps,
-        the arrival condition sets and the exit counts per vertex."""
-        self.labeling = labeling
-        self.pair_multiplicity = dict(mult)
-        self.marked_edges = tuple(marked_edges)
-        self.arrival_conds = dict(conds)
-        self.exits = dict(exits)
-        self.reductions: dict[Optional[int], ReducedWalk] = {}
-        self.max_exit: Optional[tuple[int, int]] = None
+    @property
+    def is_even(self) -> bool:
+        return self.heights[-1] == 0
+
+    @property
+    def theta_star(self) -> int:
+        """The maximum height; for an even walk, that of its Dyck path."""
+        return max(self.heights)
 
 
-def _labeling(heights: tuple[int, ...]) -> StepLabeling:
-    """The labeling read off the heights: a step is marked when it raises
-    the odd-pair count."""
-    marked = tuple([a < b for a, b in zip(heights, heights[1:])])
-    dyck = None
-    if heights[-1] == 0:
-        dyck = _unchecked(DyckPath, ups_downs=tuple(
-            [1 if m else -1 for m in marked]))
-    return StepLabeling(marked, heights[-1] == 0, sum(marked), heights, dyck)
-
-
-def label_steps(walk: Walk) -> StepLabeling:
-    """Mark each step whose vertex pair has odd multiplicity after the step."""
-    return walk.analysis.labeling
+def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
+    """The analysis of the walk with letters w: the running pair
+    multiplicities, odd pairs per vertex and marked directed edges decide
+    each step's mark and arrival conditions."""
+    mult: dict[tuple[int, int], int] = {}
+    odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
+    marked_directed: set[tuple[int, int]] = set()
+    heights, marked, marked_edges = [0], [], []
+    conds: dict[int, list[frozenset]] = {}
+    exits: dict[int, int] = {}
+    tail = w[0]
+    for t in range(1, len(w)):
+        head = w[t]
+        pair = (tail, head) if tail < head else (head, tail)
+        m = mult.get(pair, 0) + 1
+        mult[pair] = m
+        marked.append(m & 1 == 1)
+        if m & 1:
+            conds.setdefault(head, []).append(_CONDITION_SETS[
+                (odd_at[head] > 0)
+                + 2 * ((tail, head) in marked_directed)
+                + 4 * ((head, tail) in marked_directed)])
+            marked_directed.add((tail, head))
+            marked_edges.append((tail, head, t))
+            exits[tail] = exits.get(tail, 0) + 1
+            odd_at[tail] += 1   # a loop counts twice; only > 0 is read
+            odd_at[head] += 1
+            heights.append(heights[-1] + 1)
+        else:
+            odd_at[tail] -= 1
+            odd_at[head] -= 1
+            heights.append(heights[-1] - 1)
+        tail = head
+    return WalkAnalysis(tuple(heights), tuple(marked), mult,
+                        tuple(marked_edges),
+                        {v: tuple(c) for v, c in conds.items()}, exits)
 
 
 @dataclass(frozen=True)
@@ -371,44 +347,8 @@ def all_trees(s: int) -> Iterator[PlaneTree]:
 
 
 # ---------------------------------------------------------------------------
-# Walk multigraph and self-intersection census
+# Self-intersection census
 # ---------------------------------------------------------------------------
-
-@dataclass
-class WalkGraph:
-    """Multigraph of a walk with pair multiplicities and marked-edge data.
-
-    kappa[beta] counts the marked arrival instants at beta.  The root letter
-    carries an artificial zero instant for its creation, so kappa(root) is
-    1 plus the number of marked steps arriving there; every other letter is
-    created by a marked arrival and has kappa >= 1.  With that convention
-    sum(kappa) - 1 = s and |V_g| = s - sigma + 1 with
-    sigma = sum(kappa - 1).
-    """
-
-    vertices: tuple[int, ...]
-    pair_multiplicity: dict[frozenset, int]
-    marked_edges: tuple[tuple[int, int, int], ...]  # (tail, head, time)
-    kappa: dict[int, int]
-    is_even: bool
-
-    @property
-    def sigma(self) -> int:
-        return sum(k - 1 for k in self.kappa.values())
-
-
-def walk_graph(walk: Walk) -> WalkGraph:
-    a = walk.analysis
-    kappa: dict[int, int] = {1: 1}  # zero instant at the root
-    for _tail, head, _t in a.marked_edges:
-        kappa[head] = kappa.get(head, 0) + 1
-    vertices = tuple(range(1, walk.n_letters + 1))
-    for v in vertices:
-        kappa.setdefault(v, 0)
-    mult = {frozenset(pair): m for pair, m in a.pair_multiplicity.items()}
-    return WalkGraph(vertices, mult, a.marked_edges, kappa,
-                     a.labeling.is_even)
-
 
 @dataclass(frozen=True)
 class DiagramParams:
@@ -497,7 +437,7 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
     if k0 < 2:
         raise ValueError("k0 must be >= 2")
     a = walk.analysis
-    if not a.labeling.is_even:
+    if not a.is_even:
         raise ClassificationError("census requires an even walk")
     s = walk.s
     mu1 = r = p = q = mu2_pp = u2 = mu3_p = mu3_pp = u3 = 0
@@ -577,7 +517,7 @@ def _reduce(walk: Walk, spare_vertex: Optional[int]) -> ReducedWalk:
     if spare_vertex in memo:
         return memo[spare_vertex]
     w = walk.letters
-    marked = walk.analysis.labeling.marked
+    marked = walk.analysis.marked
     kept: list[int] = []
     removed = []
     top = 0     # the kept step on top of the stack, 0 when none
@@ -662,7 +602,7 @@ def bts_and_cells(walk: Walk) -> CellReport:
     breve, d_max = max_exit_degree(walk)
     hat_set = set(strong_reduce(walk).kept_steps)
     brv_set = set(_reduce(walk, spare_vertex=breve).kept_steps)
-    marked = a.labeling.marked
+    marked = a.marked
     # marked instant = rank of a marked step among marked steps, 1-based
     instant_of = {t: i for i, (_, _, t) in enumerate(a.marked_edges, 1)}
 
@@ -728,7 +668,7 @@ def exit_arrival_balance(walk: Walk) -> tuple[int, int]:
     """(marked exits, non-marked arrivals) at the max-exit vertex within the
     weak-reduced walk; the two numbers coincide for even walks."""
     w = walk.letters
-    marked = walk.analysis.labeling.marked
+    marked = walk.analysis.marked
     breve, _ = max_exit_degree(walk)
     kept = _reduce(walk, spare_vertex=breve).kept_steps
     return (sum(1 for t in kept if marked[t - 1] and w[t - 1] == breve),
@@ -762,7 +702,7 @@ def refuse_over_cap(s: int, cap: int) -> None:
                       estimate_even_walk_count(s))
 
 
-def _even_walk_leaves(s: int, cap: int, force: bool) -> Iterator[tuple]:
+def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
     """DFS over the canonical even closed walks of 2s steps, lexicographic.
 
     A step goes to an existing letter or the next fresh one, never the
@@ -770,10 +710,10 @@ def _even_walk_leaves(s: int, cap: int, force: bool) -> Iterator[tuple]:
     height) equal the remaining steps, it tries only steps along an odd pair
     at the current letter, so the odd pairs never exceed the remaining steps
     (the last step returns to 1).  A step moves both counts by one, so their
-    parities always agree and need no test.  Refuses s > cap unless forced,
-    before any step.
+    parities always agree and need no test.  Refuses s > cap before any
+    step.
 
-    Next to the letters the search keeps WalkAnalysis's state, undoing each
+    Next to the letters the search keeps the state of `_sweep`, undoing each
     piece on backtrack and deleting a key whose count returns to 0, so every
     dict has the insertion order of a fresh sweep.  Yields the live
     (letters, heights, pair multiplicities keyed (min, max), marked
@@ -782,8 +722,7 @@ def _even_walk_leaves(s: int, cap: int, force: bool) -> Iterator[tuple]:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if not force:
-        refuse_over_cap(s, cap)
+    refuse_over_cap(s, cap)
     total = 2 * s
     width = total + 2               # letters stay below it
     seq, heights, edges = [1], [0], []
@@ -857,20 +796,22 @@ def _even_walk_leaves(s: int, cap: int, force: bool) -> Iterator[tuple]:
     return rec(0, 1)
 
 
-def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP,
-                         force: bool = False) -> Iterator[Walk]:
+def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Walk]:
     """All canonical even closed walks of 2s steps, lexicographic order;
-    refuses s > cap unless forced.  Each walk carries its analysis from the
-    search, so no step of it is swept again."""
-    labelings: dict[tuple[int, ...], StepLabeling] = {}   # one per Dyck path
-    for letters, heights, *state, _ in _even_walk_leaves(s, cap, force):
-        heights = tuple(heights)
-        labeling = labelings.get(heights)
-        if labeling is None:
-            labeling = labelings[heights] = _labeling(heights)
-        analysis = object.__new__(WalkAnalysis)
-        analysis._keep(labeling, *state)
-        yield _unchecked(Walk, letters=tuple(letters), analysis=analysis)
+    refuses s > cap.  Each walk carries its analysis from the search, so no
+    step of it is swept again."""
+    shared: dict[tuple, tuple] = {}     # (heights, marks) per Dyck path
+    for letters, heights, mult, edges, conds, exits, _ in \
+            _even_walk_leaves(s, cap):
+        key = tuple(heights)
+        marks = shared.get(key)
+        if marks is None:
+            marks = shared[key] = key, tuple(
+                [a < b for a, b in zip(key, key[1:])])
+        walk = object.__new__(Walk)     # valid by construction: no check
+        walk.__dict__.update(letters=tuple(letters), analysis=WalkAnalysis(
+            *marks, dict(mult), tuple(edges), dict(conds), dict(exits)))
+        yield walk
 
 
 @functools.cache
@@ -880,8 +821,7 @@ def shape_table(s: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     shape, so this is all the walk oracle needs; it builds no Walk and no
     analysis, is computed once per s and refuses s > SHAPE_TABLE_CAP."""
     counts: Counter = Counter()
-    for _, _, mult, _, _, _, k in _even_walk_leaves(
-            s, SHAPE_TABLE_CAP, False):
+    for _, _, mult, _, _, _, k in _even_walk_leaves(s, SHAPE_TABLE_CAP):
         counts[k, tuple(sorted(mult.values()))] += 1
     return tuple((k, mults, c) for (k, mults), c in sorted(counts.items()))
 

@@ -30,7 +30,7 @@ def test_criterion_1_worked_example():
     t0 = time.monotonic()
     traj = wk.Trajectory.from_string("5,2,7,9,7,1,2,7,9,7,2,7,2,1,7,2,5")
     walk = wk.walk_from_trajectory(traj)
-    lab = wk.label_steps(walk)
+    a = walk.analysis
     letter, degree = wk.max_exit_degree(walk)
     strong = wk.strong_reduce(walk)
     weak = wk.weak_reduce(walk)
@@ -41,7 +41,7 @@ def test_criterion_1_worked_example():
     expected_reduced = (1, 2, 3, 5, 2, 3, 2, 5, 3, 2, 1)
     checks = [
         walk.letters == (1, 2, 3, 4, 3, 5, 2, 3, 4, 3, 2, 3, 2, 5, 3, 2, 1),
-        lab.theta_star == 4,
+        a.theta_star == 4,
         (letter, degree) == (3, 5),
         strong.kept_steps == (1, 2, 5, 6, 7, 12, 13, 14, 15, 16),
         strong.letters == expected_reduced,
@@ -171,10 +171,13 @@ def test_criterion_9_structural_invariants():
     ok = True
     for s in range(1, 6):
         for w in wk.enumerate_even_walks(s):
-            lab = wk.label_steps(w)
-            g = wk.walk_graph(w)
-            ok = ok and lab.marked_count == s and lab.dyck is not None
-            ok = ok and w.n_letters == s - g.sigma + 1
+            a = w.analysis
+            ok = ok and a.is_even and sum(a.marked) == s
+            ok = ok and wk.DyckPath(tuple(
+                1 if m else -1 for m in a.marked)).height == a.theta_star
+            # sigma = sum(kappa - 1), kappa counting the root's zero instant
+            sigma = sum(map(len, a.arrival_conds.values())) + 1 - w.n_letters
+            ok = ok and w.n_letters == s - sigma + 1
             for k0 in (2, 4, 12):
                 ok = ok and wk.diagram_params(w, k0).census_sum == s
             exits, arrivals = wk.exit_arrival_balance(w)

@@ -6,6 +6,8 @@ import importlib
 import io
 import json
 import os
+import random
+import re
 import shlex
 import signal
 import subprocess
@@ -21,6 +23,7 @@ from hypothesis import (assume, event, example, given, settings,
 from wignerlab import Refused, cli
 from wignerlab import oracle as orc
 from wignerlab import reports
+from wignerlab import walks as wk
 
 W16_TRAJ = "5,2,7,9,7,1,2,7,9,7,2,7,2,1,7,2,5"
 
@@ -110,7 +113,13 @@ class TestCount:
         ["subcluster", "--s-max", "-1"],
         ["lemma61", "--s-max", "-1"],
         ["conjecture", "--s-max", "-1"],
-        ["heights", "--s-max", "-1"]])
+        ["heights", "--s-max", "-1"],
+        # an empty table: no row has s in range
+        ["heights", "--s-max", "0"],
+        ["subcluster", "--s-max", "0"],
+        ["conjecture", "--s-max", "0"],
+        ["multi-edge", "--l", "5", "--s-max", "2"],
+        ["multi-edge", "--l", "1000000000000", "--s-max", "3"]])
     def test_bad_sizes(self, argv):
         # a subprocess, so that a hang fails the test instead of stalling it
         proc = subprocess.run(
@@ -127,7 +136,7 @@ class TestCount:
     @pytest.mark.parametrize("argv", [
         ["catalan", "--s-max", "100000000"],
         ["multi-edge", "--l", "2", "--s-max", "601"],
-        ["multi-edge", "--l", "1000000000000", "--s-max", "3"],
+        ["multi-edge", "--l", "1000000000000", "--s-max", "1000000000000"],
         ["subcluster", "--s-max", "601"],
         ["lemma61", "--s-max", "1001"],
         ["conjecture", "--l-max", "101", "--s-max", "5"],
@@ -710,6 +719,24 @@ class _Hang(BaseException):
     """Raised by the alarm: main() cannot report it as an exit code."""
 
 
+def _main_under_alarm(argv, seconds=20):
+    """(exit code, stdout, stderr) of cli.main(argv), run in process under
+    an alarm that fails a hang."""
+    def hang(signum, frame):
+        raise _Hang(argv)
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _runnable(method, n_arg, s_arg, rho_arg):
     """True when oracle would compute a moment for this argv."""
     try:
@@ -756,21 +783,7 @@ class TestOracleFuzz:
         assume(not runnable or int(n_arg) ** (2 * int(s_arg)) <= 10 ** 5)
         argv = ["oracle", "--method", method, "--n", n_arg, "--s", s_arg,
                 "--rho", rho_arg]
-
-        def hang(signum, frame):
-            raise _Hang(argv)
-
-        out, err = io.StringIO(), io.StringIO()
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(20)
-        try:
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err = _main_under_alarm(argv)
         event("exit %d" % code)
         assert code in (0, 2, 3, 4), (argv, err)
         assert "Traceback" not in err
@@ -782,6 +795,138 @@ class TestOracleFuzz:
             assert not runnable and out == ""
             lines = err.splitlines()
             assert len(lines) == 1, lines
+            assert lines[0].startswith(("error:", "refused:"))
+
+
+def _as_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _sizes(small, cap):
+    """Values of a size flag: a runnable size in small, one above cap,
+    which is refused at once, or an odd value; never one between, as a
+    size near the cap runs for seconds (count catalan --s-max 3000)."""
+    lo, hi = small
+
+    def not_slow(text):
+        n = _as_int(text)
+        return n is None or not hi < n <= cap
+    # the runnable branch is listed twice, so that about half the values
+    # are runnable sizes
+    return st.one_of(st.integers(lo, hi).map(str),
+                     st.integers(lo, hi).map(str),
+                     st.integers(cap + 1, 10 ** 30).map(str),
+                     st.sampled_from(ODD_VALUES),
+                     st.text(max_size=6).filter(not_slow))
+
+
+def _random_walk(seed):
+    rng = random.Random(seed)
+    return ",".join(str(rng.randint(1, 8)) for _ in range(2000))
+
+
+# trajectory strings: a few labels, among them 0, negatives, empty pieces,
+# text and a label past int()'s digit limit, or a long walk
+TRAJ_LABEL = st.one_of(st.integers(1, 6).map(str),
+                       st.sampled_from(["0", "-2", "", " ", "x", "2.5",
+                                        "7" * 300, "1" * 5000]))
+TRAJECTORIES = st.one_of(
+    st.lists(TRAJ_LABEL, max_size=12).map(",".join),
+    st.lists(st.integers(1, 6).map(str), min_size=1, max_size=12).map(
+        ",".join),
+    st.tuples(st.integers(1000, 3000),
+              st.sampled_from([",1", "", ",3", ",3,1"])).map(
+        lambda a: ",".join(["1,2"] * a[0]) + a[1]),
+    st.integers(0, 2 ** 32).map(_random_walk))
+# count action -> (flag, runnable sizes) per flag; the caps are COUNT_CAPS
+COUNT_FLAGS = {"catalan": [("--s-max", (0, 100))],
+               "multi-edge": [("--l", (1, 8)), ("--s-max", (0, 60))],
+               "subcluster": [("--s-max", (0, 40))],
+               "lemma61": [("--s-max", (0, 80))],
+               "conjecture": [("--l-max", (1, 6)), ("--s-max", (0, 40))],
+               "heights": [("--s-max", (0, 40))]}
+ANY_CELL_INF_NAN = re.compile(r"(?<![a-z_])-?(inf|nan)(?![a-z_])", re.I)
+
+
+@st.composite
+def walk_count_argvs(draw):
+    """A walk or count argv; each flag is left out now and then."""
+    action = draw(st.sampled_from(["from-trajectory", "census", "enumerate"]
+                                  + list(COUNT_FLAGS)))
+    sometimes = st.sampled_from([True, True, True, False])
+    if action in COUNT_FLAGS:
+        argv = ["count", action]
+        for flag, small in COUNT_FLAGS[action]:
+            if draw(sometimes):
+                argv += [flag, draw(_sizes(small, cli.COUNT_CAPS[action]))]
+        if action == "multi-edge" and draw(st.booleans()):
+            argv.append("--check-closed-form")
+        return argv
+    if action == "enumerate":
+        s = draw(_sizes((1, 5), wk.DEFAULT_ENUM_CAP))
+        argv = ["walk", action, "--s", s]
+        n = _as_int(s)
+        if (n is None or n <= 5) and draw(st.booleans()):
+            argv.append("--force")      # never past s = 5
+    else:
+        argv = ["walk", action, draw(TRAJECTORIES)]
+    if draw(sometimes):
+        argv += ["--k0", draw(st.one_of(st.integers(2, 14).map(str),
+                                        st.integers(2, 14).map(str),
+                                        ODD_FLAG))]
+    return argv
+
+
+class TestWalkCountFuzz:
+    """walk and count argvs drawn from small sizes, sizes above the caps,
+    odd values and odd trajectories: every exit is 0, a usage error, a
+    refusal or an I/O error; a failure writes one stderr line and no body,
+    a success a header and at least one row, none of them inf or nan."""
+
+    @given(argv=walk_count_argvs())
+    @settings(max_examples=300, deadline=None)
+    # each of these wrote a manifest and no table, with exit 0
+    @example(argv=["count", "heights", "--s-max", "0"])
+    @example(argv=["count", "subcluster", "--s-max", "0"])
+    @example(argv=["count", "conjecture", "--s-max", "0"])
+    @example(argv=["count", "multi-edge", "--l", "5", "--s-max", "2"])
+    # the edges of the size rules, refusals and odd trajectories
+    @example(argv=["count", "multi-edge", "--l", "10000", "--s-max", "3"])
+    @example(argv=["count", "catalan", "--s-max", "0"])
+    @example(argv=["count", "lemma61", "--s-max", "0"])
+    @example(argv=["walk", "enumerate", "--s", "0", "--force"])
+    @example(argv=["walk", "enumerate", "--s", "7"])
+    @example(argv=["walk", "enumerate", "--s", "1" * 5000])
+    @example(argv=["walk", "from-trajectory", W16_TRAJ, "--k0", "1"])
+    @example(argv=["walk", "from-trajectory", "1,1"])
+    @example(argv=["walk", "census", "1,2,2,1"])
+    @example(argv=["walk", "census", "1,,2"])
+    @example(argv=["walk", "census", "0,1"])
+    @example(argv=["walk", "from-trajectory", "1," + "7" * 300])
+    @example(argv=["walk", "from-trajectory", "1," + "1" * 5000])
+    @example(argv=["walk", "from-trajectory", ",".join(["1,2"] * 3000)])
+    def test_exit_codes(self, argv):
+        code, out, err = _main_under_alarm(argv)
+        event("%s exit %d" % (argv[1], code))
+        shown = [a[:40] for a in argv]
+        assert code in (0, 2, 3, 4), (shown, err[:200])
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+            lines = out.splitlines(keepends=True)
+            assert lines[0].startswith("# manifest:")
+            rows = list(csv.reader(io.StringIO("".join(lines[1:]))))
+            assert len(rows) >= 2, (shown, rows)    # a header and a row
+            assert all(len(row) == len(rows[0]) for row in rows)
+            assert not any(ANY_CELL_INF_NAN.search(cell)
+                           for row in rows for cell in row), shown
+        else:
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1, (shown, lines)
             assert lines[0].startswith(("error:", "refused:"))
 
 

@@ -224,6 +224,7 @@ class TestExactMoment:
         wk.shape_table.cache_clear()   # make the call run the search
         monkeypatch.setattr(wk, "Walk", no_walk)
         monkeypatch.setattr(wk, "WalkAnalysis", no_walk)
+        monkeypatch.setattr(wk, "_sweep", no_walk)
         assert orc.exact_moment_walk(spec) == expected
 
     def test_gaussian_exceeds_rademacher(self):

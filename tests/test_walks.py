@@ -1,6 +1,7 @@
 """Unit tests for walk canonicalization, labeling, census and reduction."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -22,11 +23,12 @@ def W16():
 
 # ---------------------------------------------------------------------------
 # Reference implementations: from-scratch replays of the walk, one per fact,
-# as the library computed them before the single sweep of WalkAnalysis, and
+# as the library computed them before one sweep kept them all, and
 # the census and cells as computed before their one-pass forms.
 # ---------------------------------------------------------------------------
 
 def ref_label_steps(walk):
+    """(marked flags, is_even, heights) by a replay of the pair parities."""
     w = walk.letters
     parity = Counter()
     marked = []
@@ -38,38 +40,35 @@ def ref_label_steps(walk):
         marked.append(m)
         heights.append(heights[-1] + (1 if m else -1))
     is_even = all(v == 0 for v in parity.values())
-    count = sum(marked)
-    dyck = None
-    if count * 2 == len(marked) and min(heights) >= 0 and heights[-1] == 0:
-        dyck = wk.DyckPath(tuple(1 if m else -1 for m in marked))
-    return wk.StepLabeling(tuple(marked), is_even, count, tuple(heights), dyck)
+    return tuple(marked), is_even, tuple(heights)
 
 
 def ref_walk_graph(walk):
+    """(pair multiplicities keyed (min, max), marked (tail, head, time)
+    steps, kappa): kappa[v] counts the marked arrival instants at v, the
+    root counting an artificial zero instant for its creation."""
     w = walk.letters
-    labeling = ref_label_steps(walk)
+    marked = ref_label_steps(walk)[0]
     mult = {}
     marked_edges = []
     kappa = {1: 1}
-    for t, m in zip(range(1, len(w)), labeling.marked):
-        pair = frozenset((w[t - 1], w[t]))
+    for t, m in zip(range(1, len(w)), marked):
+        pair = (min(w[t - 1], w[t]), max(w[t - 1], w[t]))
         mult[pair] = mult.get(pair, 0) + 1
         if m:
             marked_edges.append((w[t - 1], w[t], t))
             kappa[w[t]] = kappa.get(w[t], 0) + 1
-    vertices = tuple(range(1, walk.n_letters + 1))
-    for v in vertices:
+    for v in range(1, walk.n_letters + 1):
         kappa.setdefault(v, 0)
-    return wk.WalkGraph(vertices, mult, tuple(marked_edges), kappa,
-                        labeling.is_even)
+    return mult, tuple(marked_edges), kappa
 
 
 def ref_arrival_conditions(walk, vertex, arrival_index):
     """Replay the walk prefix up to the arrival and test the conditions."""
     w = walk.letters
-    marked = ref_label_steps(walk).marked
+    marked = ref_label_steps(walk)[0]
     arrivals = [t for t in range(1, len(w)) if marked[t - 1] and w[t] == vertex]
-    if arrival_index < 2 or arrival_index > len(arrivals):
+    if arrival_index < 1 or arrival_index > len(arrivals):
         raise IndexError(arrival_index)
     t = arrivals[arrival_index - 1]
     parity = Counter()
@@ -91,7 +90,7 @@ def ref_arrival_conditions(walk, vertex, arrival_index):
 def ref_reduce(walk, spare_vertex):
     """Delete the leftmost removable pair, then rescan from the start."""
     w = walk.letters
-    marked = ref_label_steps(walk).marked
+    marked = ref_label_steps(walk)[0]
     steps = [(t, w[t - 1], w[t], marked[t - 1]) for t in range(1, len(w))]
     removed = []
     while True:
@@ -112,7 +111,7 @@ def ref_reduce(walk, spare_vertex):
 
 
 def ref_max_exit_degree(walk):
-    exits = Counter(tail for tail, _, _ in ref_walk_graph(walk).marked_edges)
+    exits = Counter(tail for tail, _, _ in ref_walk_graph(walk)[1])
     d_max = max(exits.values())
     return min(v for v, d in exits.items() if d == d_max), d_max
 
@@ -131,14 +130,14 @@ def ref_diagram_params(walk, k0):
     replay of the walk prefix."""
     if k0 < 2:
         raise ValueError("k0 must be >= 2")
-    if not ref_label_steps(walk).is_even:
+    if not ref_label_steps(walk)[1]:
         raise wk.ClassificationError("census requires an even walk")
-    graph = ref_walk_graph(walk)
+    kappa = ref_walk_graph(walk)[2]
     s = walk.s
     mu1 = r = p = q = mu2_pp = u2 = mu3_p = mu3_pp = u3 = 0
     nu = Counter()
-    for vertex in graph.vertices:
-        k = graph.kappa[vertex] - (vertex == 1)  # no zero instant
+    for vertex in range(1, walk.n_letters + 1):
+        k = kappa[vertex] - (vertex == 1)  # no zero instant
         if k == 0:
             continue
         if k == 1:
@@ -176,14 +175,14 @@ def ref_bts_and_cells(walk):
     through the strongly reduced walk and each mirror cell's owner by a
     scan of the I proper cells before it."""
     w = walk.letters
-    graph = ref_walk_graph(walk)
+    _, marked_edges, kappa = ref_walk_graph(walk)
     breve, d_max = ref_max_exit_degree(walk)
     hat = ref_reduce(walk, None)
     brv = ref_reduce(walk, breve)
     hat_set = set(hat.kept_steps)
     brv_set = set(brv.kept_steps)
-    marked = ref_label_steps(walk).marked
-    instant_of = {t: i for i, (_, _, t) in enumerate(graph.marked_edges, 1)}
+    marked = ref_label_steps(walk)[0]
+    instant_of = {t: i for i, (_, _, t) in enumerate(marked_edges, 1)}
 
     proper_I = []
     mirrors_of = {}
@@ -265,7 +264,7 @@ def ref_bts_and_cells(walk):
         for psi in psis:
             pos += psi
             ok = ok and w[pos] == breve
-    ok = ok and graph.kappa[breve] - (breve == 1) == I + K
+    ok = ok and kappa[breve] - (breve == 1) == I + K
 
     return wk.CellReport(breve, d_max, proper, tuple(local_bts),
                          tuple(remote_bts), I, M, K, J, F_p, F_pp, ok)
@@ -313,19 +312,39 @@ def ref_shapes(s):
                    for w in wk.enumerate_even_walks(s))
 
 
+def ref_analysis(walk):
+    """Each compared field of WalkAnalysis, by name, from the replays."""
+    marked, _, heights = ref_label_steps(walk)
+    mult, marked_edges, kappa = ref_walk_graph(walk)
+    arrivals, exits = {}, {}    # in order of the first marked step
+    for tail, head, _ in marked_edges:
+        arrivals[head] = arrivals.get(head, 0) + 1
+        exits[tail] = exits.get(tail, 0) + 1
+    assert all(arrivals.get(v, 0) == k - (v == 1) for v, k in kappa.items())
+    # one object per condition set, as in the library: a pickle writes a
+    # shared object once and then refers back to it
+    shared = {}
+    conds = {v: tuple(shared.setdefault(c, c) for c in (
+        frozenset(ref_arrival_conditions(walk, v, i))
+        for i in range(1, k + 1))) for v, k in arrivals.items()}
+    return {"heights": heights, "marked": marked, "pair_multiplicity": mult,
+            "marked_edges": marked_edges, "arrival_conds": conds,
+            "exits": exits}
+
+
 def assert_views_match_reference(walk):
-    assert pickle.dumps(wk.label_steps(walk)) == \
-        pickle.dumps(ref_label_steps(walk))
-    graph = ref_walk_graph(walk)
-    assert pickle.dumps(wk.walk_graph(walk)) == pickle.dumps(graph)
-    for v in graph.vertices:
-        k = graph.kappa[v] - (v == 1)    # marked arrivals, no zero instant
-        conds = walk.analysis.arrival_conds.get(v, ())
-        assert len(conds) == k
-        for i in range(2, k + 1):
-            assert conds[i - 1] == ref_arrival_conditions(walk, v, i)
+    # pickles pin dict insertion order
+    a = walk.analysis
+    ref = ref_analysis(walk)
+    compared = [f.name for f in dataclasses.fields(a) if f.compare]
+    assert compared == list(ref)
+    for name in compared:
+        assert pickle.dumps(getattr(a, name)) == pickle.dumps(ref[name]), \
+            (walk.letters, name)
+    _, is_even, heights = ref_label_steps(walk)
+    assert a.is_even == is_even and a.theta_star == max(heights)
     assert wk.max_exit_degree(walk) == ref_max_exit_degree(walk)
-    for spare in (None,) + graph.vertices:
+    for spare in (None,) + tuple(range(1, walk.n_letters + 1)):
         red = wk._reduce(walk, spare)
         ref = ref_reduce(walk, spare)
         assert red.removed_pairs == ref.removed_pairs
@@ -335,7 +354,7 @@ def assert_views_match_reference(walk):
         ref_reduce(walk, wk.max_exit_degree(walk)[0])
     assert wk.bts_and_cells(walk) == ref_bts_and_cells(walk)
     for k0 in (2, 4, 12):
-        if graph.is_even:
+        if is_even:
             assert wk.diagram_params(walk, k0) == ref_diagram_params(walk, k0)
         else:
             with pytest.raises(wk.ClassificationError):
@@ -390,23 +409,25 @@ class TestCanonicalization:
 
 class TestLabeling:
     def test_w16_marked_steps(self):
-        lab = wk.label_steps(W16())
-        assert tuple(t + 1 for t, m in enumerate(lab.marked) if m) == \
+        a = W16().analysis
+        assert tuple(t + 1 for t, m in enumerate(a.marked) if m) == \
             (1, 2, 3, 5, 6, 8, 10, 12)
-        assert lab.theta_star == 4
-        assert lab.marked_count == 8
+        assert a.theta_star == 4
+        assert sum(a.marked) == 8
 
     def test_even_walk_has_s_marked(self):
         for s in range(1, 5):
             for w in wk.enumerate_even_walks(s):
-                lab = wk.label_steps(w)
-                assert lab.is_even
-                assert lab.marked_count == s
-                assert lab.dyck.height == lab.theta_star
+                a = w.analysis
+                assert a.is_even
+                assert sum(a.marked) == s
+                dyck = wk.DyckPath(tuple(1 if m else -1 for m in a.marked))
+                assert dyck.height == a.theta_star
 
     def test_odd_walk_flagged(self):
         w = wk.walk_from_trajectory(wk.Trajectory((1, 2, 2, 1), 2))
-        assert not wk.label_steps(w).is_even
+        assert not w.analysis.is_even
+        assert w.analysis.heights[-1] > 0
 
 
 class TestSweepAgainstReference:
@@ -428,7 +449,7 @@ class TestSweepAgainstReference:
         # 200,000 steps 1,2,1,2,...: every step 1 -> 2 is a marked arrival
         walk = wk.Walk(tuple([1, 2] * 100_000 + [1]))
         start = time.perf_counter()
-        conds = wk.WalkAnalysis(walk).arrival_conds
+        conds = wk._sweep(walk.letters).arrival_conds
         assert time.perf_counter() - start < 5.0
         assert len(conds[2]) == 100_000
         assert conds[2][0] == frozenset()
@@ -448,16 +469,11 @@ class TestSearchAnalysis:
         for s in range(1, 7):
             for w in wk.enumerate_even_walks(s):
                 assert "analysis" in vars(w)   # attached, not computed
-                fresh = wk.Walk(w.letters)
-                ref = wk.WalkAnalysis(fresh)
-                assert vars(w.analysis).keys() == vars(ref).keys()
-                for name, value in vars(ref).items():
-                    assert pickle.dumps(getattr(w.analysis, name)) == \
-                        pickle.dumps(value), (w.letters, name)
-                assert pickle.dumps(wk.label_steps(w)) == \
-                    pickle.dumps(wk.label_steps(fresh))
-                assert pickle.dumps(wk.walk_graph(w)) == \
-                    pickle.dumps(wk.walk_graph(fresh))
+                ref = wk._sweep(w.letters)
+                assert w.analysis == ref
+                for f in dataclasses.fields(ref):
+                    assert pickle.dumps(getattr(w.analysis, f.name)) == \
+                        pickle.dumps(getattr(ref, f.name)), (w.letters, f.name)
 
 
 class TestDyckTree:
@@ -490,11 +506,12 @@ class TestDyckTree:
 
 class TestCensus:
     def test_w16_graph(self):
-        g = wk.walk_graph(W16())
+        conds = W16().analysis.arrival_conds
         # marked arrivals per letter, root counting its artificial start
-        assert g.kappa == {1: 1, 2: 4, 3: 1, 4: 2, 5: 1}
-        assert sum(g.kappa.values()) - 1 == W16().s
-        assert g.sigma == 4
+        kappa = {v: len(conds.get(v, ())) + (v == 1) for v in range(1, 6)}
+        assert kappa == {1: 1, 2: 4, 3: 1, 4: 2, 5: 1}
+        assert sum(kappa.values()) - 1 == W16().s
+        assert sum(k - 1 for k in kappa.values()) == 4
 
     def test_w16_census(self):
         dp = wk.diagram_params(W16(), 4)
@@ -511,7 +528,7 @@ class TestCensus:
                     assert dp.census_sum == s
                     assert dp.n_vertices == s - dp.sigma + 1
                     # the census leaves out the root's artificial start
-                    root_return = wk.walk_graph(w).kappa[1] > 1
+                    root_return = bool(w.analysis.arrival_conds.get(1))
                     assert dp.sigma_census_b + root_return == dp.sigma
 
     def test_k0_too_small(self):
@@ -592,7 +609,7 @@ class TestEnumeration:
 
     @pytest.mark.slow
     def test_estimate_is_the_count_at_7(self):
-        count = sum(1 for _ in wk.enumerate_even_walks(7, force=True))
+        count = sum(1 for _ in wk.enumerate_even_walks(7, cap=7))
         assert count == wk.estimate_even_walk_count(7) == 216955
 
     def test_partition_small(self):
@@ -603,7 +620,7 @@ class TestEnumeration:
         skipped = 0
         for steps in itertools.product(range(1, n + 1), repeat=2 * s):
             w = wk.walk_from_trajectory(wk.Trajectory(steps, n))
-            if w.has_loops or not wk.label_steps(w).is_even:
+            if w.has_loops or not w.analysis.is_even:
                 skipped += 1
             else:
                 by_walk[w] += 1
@@ -682,7 +699,7 @@ class TestGoldenBodies:
             dp = ref_diagram_params(walk, 4)
             rows.append((",".join(map(str, walk.letters)), 5,
                          max(walk.letters),
-                         max(ref_label_steps(walk).heights), dp.sigma,
+                         max(ref_label_steps(walk)[2]), dp.sigma,
                          dp.census_key()))
         assert len(rows) == 1 + wk.EVEN_WALK_COUNTS[5]
         self.assert_body(
@@ -691,13 +708,13 @@ class TestGoldenBodies:
 
     def test_from_trajectory(self, capsys):
         walk = W16()
-        lab = ref_label_steps(walk)
+        _, is_even, heights = ref_label_steps(walk)
         letter, degree = ref_max_exit_degree(walk)
         strong, weak = ref_reduce(walk, None), ref_reduce(walk, letter)
         rec = {"walk": ",".join(map(str, walk.letters)), "s": 8,
-               "n_letters": 5, "even": lab.is_even}
+               "n_letters": 5, "even": is_even}
         rec.update(json.loads(ref_diagram_params(walk, 4).to_json()))
-        rec.update({"theta_star": max(lab.heights),
+        rec.update({"theta_star": max(heights),
                     "max_exit_letter": letter, "max_exit_degree": degree,
                     "strong_reduced": ",".join(map(str, strong.letters)),
                     "strong_removed": len(strong.removed_pairs),
