@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import Refused
 from .walks import DiagramParams
@@ -44,57 +43,23 @@ def catalan_check(s_max: int) -> bool:
     return all(table[s] == catalan(s) for s in range(s_max + 1))
 
 
-# ---------------------------------------------------------------------------
-# Exact power series
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class SeriesExact:
-    """Truncated power series with exact coefficients."""
+    """Truncated power series with exact coefficients for exponents
+    0..order.  No library routine multiplies series; the class stays only
+    because the traced benchmark run (perfbench/spans.py) wraps its
+    __mul__, until the benchmark drops that entry (ROADMAP item 1)."""
 
     coeffs: tuple
-    order: int  # coefficients are exact for exponents 0..order
-
-    @classmethod
-    def from_list(cls, coeffs: Sequence, order: int) -> "SeriesExact":
-        c = list(coeffs[:order + 1])
-        c += [0] * (order + 1 - len(c))
-        return cls(tuple(c), order)
-
-    def __getitem__(self, k: int):
-        if k > self.order:
-            raise IndexError("coefficient %d beyond truncation order %d"
-                             % (k, self.order))
-        return self.coeffs[k]
+    order: int
 
     def __mul__(self, other: "SeriesExact") -> "SeriesExact":
         order = min(self.order, other.order)
         out = [0] * (order + 1)
         for i, a in enumerate(self.coeffs[:order + 1]):
-            if a == 0:
-                continue
             for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
+                out[i + j] += a * other.coeffs[j]
         return SeriesExact(tuple(out), order)
-
-    def pow(self, e: int) -> "SeriesExact":
-        if e < 0:
-            raise ValueError("exponent must be >= 0, got %d" % e)
-        out = SeriesExact.from_list([1], self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-
-def catalan_series(order: int) -> SeriesExact:
-    """f with coefficients t_0, t_1, ...; satisfies f = 1 + x f^2."""
-    return SeriesExact.from_list(catalan_table_recurrence(order), order)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +185,16 @@ def multi_edge_gf_row(l: int, s_max: int) -> list[int]:
     """[N^(l)_0 .. N^(l)_{s_max}]: the coefficients of
     2 x^{l+1} f' f^{2l-1} + x^l f^{2l}.  With P = f^{2l}, 2l f' f^{2l-1} = P',
     so the series is x^l (x P' / l + P) and its x^s coefficient is
-    ((s-l)/l + 1) P_{s-l} = s P_{s-l} / l."""
+    ((s-l)/l + 1) P_{s-l} = s P_{s-l} / l.  P comes from J. C. P. Miller's
+    power recurrence (Knuth, TAOCP Vol. 2, 4.7): P_0 = t_0 = 1 and
+    k P_k = sum_{j=1..k} ((2l+1) j - k) t_j P_{k-j}, exact in integers."""
     if l < 1:
         raise ValueError("l must be >= 1, got %d" % l)
-    power = catalan_series(max(s_max - l, 0)).pow(2 * l)
+    t = catalan_table_recurrence(max(s_max - l, 0))
+    power = [1]
+    for k in range(1, len(t)):
+        power.append(sum(((2 * l + 1) * j - k) * t[j] * power[k - j]
+                         for j in range(1, k + 1)) // k)
     return [0] * min(l, s_max + 1) + [s * power[s - l] // l
                                       for s in range(l, s_max + 1)]
 
@@ -235,7 +206,7 @@ def multi_edge_closed_form(l: int, s: int) -> int:
     l <= 5 and s <= 12 only."""
     if l > s:
         return 0
-    return math.factorial(2 * s) // (math.factorial(s - l) * math.factorial(s + l))
+    return math.comb(2 * s, s - l)
 
 
 def conjecture_6_25_report(l_max: int, s_max: int) -> list[dict]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from decimal import Decimal
@@ -400,10 +399,8 @@ def cmd_sim(args) -> int:
     # sim edge
     if (args.rho is None) == (args.eps is None):
         raise ValueError("sim edge needs exactly one of --rho / --eps")
-    if args.eps is not None and math.isnan(args.eps):
-        raise ValueError("--eps must be a number, got nan")
     rho = args.rho if args.rho is not None \
-        else min(float(args.n), sim.rho_of_eps(args.n, args.eps))
+        else min(sim.rho_of_eps(args.n, args.eps), float(args.n))
     config = make_config(args.n, rho, args.dist)
     try:
         xs = [float(p) for p in args.x_grid.split(",") if p]

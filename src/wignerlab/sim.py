@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -64,7 +65,8 @@ class EnsembleConfig:
             value = getattr(self, name)
             if name == "delta" and value is None:
                 continue
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not (isinstance(value, numbers.Real)
+                    and abs(value) <= sys.float_info.max):
                 raise SimConfigError("%s must be a finite real number, got %r"
                                      % (name, value))
         if not isinstance(self.truncate, bool):
@@ -92,9 +94,11 @@ class EnsembleConfig:
 
 def rho_of_eps(n: int, eps: float) -> float:
     """n^{2/3 (1+eps)}; SimConfigError when n < 1 (the power would be
-    complex) or when the power leaves the float range."""
+    complex), eps is not finite, or the power leaves the float range."""
     if n < 1:
         raise SimConfigError("n must be >= 1, got %d" % n)
+    if not math.isfinite(eps):
+        raise SimConfigError("eps must be finite, got %r" % eps)
     try:
         return n ** ((2.0 / 3.0) * (1.0 + eps))
     except OverflowError:
@@ -363,14 +367,15 @@ def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
     xs = list(x_grid)
     if not xs:
         raise ValueError("x_grid must not be empty")
-    if any(math.isnan(x) for x in xs):
-        raise ValueError("x_grid must not hold nan")
-    if xs != sorted(xs):
-        raise ValueError("x_grid must be sorted ascending")
-    refuse_over_sample_budget(config.n ** 2 * n_samples)
     thresholds = [2.0 * config.v * (1.0 + x * config.n ** (-2.0 / 3.0))
                   for x in xs]
     scale = 2.0 * config.v * config.n ** (-2.0 / 3.0)
+    if not all(map(math.isfinite, thresholds + [scale])):
+        raise SimConfigError("an edge threshold or the edge scale is not "
+                             "finite at v=%r, x_grid=%r" % (config.v, xs))
+    if xs != sorted(xs):
+        raise ValueError("x_grid must be sorted ascending")
+    refuse_over_sample_budget(config.n ** 2 * n_samples)
     lanczos = config.n >= LANCZOS_MIN_N and block_samples(config.n) == 1
     counts = [0] * len(xs)
     steps = fallbacks = start = 0

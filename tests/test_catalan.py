@@ -3,7 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from wignerlab import Refused
 from wignerlab import catalan as ct
@@ -37,6 +36,20 @@ def ref_multi_edge_counts_enum(l_max, s):
             for l in range(1, l_max + 1)]
 
 
+def ref_catalans(s_max):
+    # t_0..t_{s_max} from t_{s+1} = sum_j t_j t_{s-j}, every term summed
+    t = [1]
+    for s in range(s_max):
+        t.append(sum(t[j] * t[s - j] for j in range(s + 1)))
+    return t
+
+
+def ref_series_mul(a, b, order):
+    # the plain product of two power series, coefficients 0..order
+    return [sum(a[i] * b[k - i] for i in range(k + 1))
+            for k in range(order + 1)]
+
+
 class TestCatalan:
     def test_first_values(self):
         assert [ct.catalan(s) for s in range(11)] == FIRST_CATALANS
@@ -51,27 +64,9 @@ class TestCatalan:
 
 class TestSeries:
     def test_functional_equation(self):
-        # f = 1 + x f^2
-        f = ct.catalan_series(40)
+        # f = 1 + x f^2, f from the reference recurrence
+        f = ct.SeriesExact(tuple(ref_catalans(40)), 40)
         assert f.coeffs == (1,) + (f * f).coeffs[:40]
-
-    def test_truncation_guard(self):
-        f = ct.catalan_series(5)
-        with pytest.raises(IndexError):
-            f[6]
-
-    @given(st.integers(0, 12), st.integers(1, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_pow_matches_repeated_mul(self, order, e):
-        f = ct.catalan_series(order)
-        by_mul = ct.SeriesExact.from_list([1], order)
-        for _ in range(e):
-            by_mul = by_mul * f
-        assert f.pow(e).coeffs == by_mul.coeffs
-
-    def test_pow_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ct.catalan_series(5).pow(-1)
 
 
 class TestRootSubcluster:
@@ -107,6 +102,12 @@ class TestMultiEdge:
             enum = ct.multi_edge_counts_enum(min(5, s), s)
             for l in range(1, min(5, s) + 1):
                 assert enum[l - 1] == ct.multi_edge_count_gf(l, s)
+
+    @pytest.mark.parametrize("l", [1, 57, 300, 600])
+    def test_gf_row_at_the_cli_cap(self, l):
+        # count multi-edge takes s_max up to 600; the row is C(2s, s-l)
+        assert ct.multi_edge_gf_row(l, 600) == \
+            [math.comb(2 * s, s - l) if s >= l else 0 for s in range(601)]
 
     def test_enum_cap(self):
         # refused before any tree is built; the estimate counts the trees
@@ -203,11 +204,11 @@ class TestAgainstReference:
 
     @staticmethod
     def subcluster_conv(s_max):
-        f = ct.catalan_series(s_max)
+        f = ref_catalans(s_max)
         table = [[0] * (s_max + 1) for _ in range(s_max + 1)]
-        power = ct.SeriesExact.from_list([1], s_max)
+        power = [1] + [0] * s_max
         for d in range(1, s_max + 1):
-            power = power * f
+            power = ref_series_mul(power, f, s_max)
             for s in range(d, s_max + 1):
                 table[s][d] = power[s - d]
         return table
@@ -230,20 +231,14 @@ class TestAgainstReference:
     @staticmethod
     def multi_edge_gf_literal(l, s_max):
         # 2 x^{l+1} f' f^{2l-1} + x^l f^{2l} term by term, f = 1 + x f^2
-        t = [1]
-        for s in range(s_max + 1):
-            t.append(sum(t[j] * t[s - j] for j in range(s + 1)))
-
-        def mul(a, b):
-            return [sum(a[i] * b[k - i] for i in range(k + 1))
-                    for k in range(s_max + 1)]
-
+        t = ref_catalans(s_max + 1)
         f = t[:s_max + 1]
         fp = [(k + 1) * t[k + 1] for k in range(s_max + 1)]
         power = [1] + [0] * s_max
         for _ in range(2 * l - 1):
-            power = mul(power, f)
-        fp_power, power = mul(fp, power), mul(power, f)
+            power = ref_series_mul(power, f, s_max)
+        fp_power, power = (ref_series_mul(fp, power, s_max),
+                           ref_series_mul(power, f, s_max))
         return [(2 * fp_power[s - l - 1] if s > l else 0)
                 + (power[s - l] if s >= l else 0) for s in range(s_max + 1)]
 
@@ -289,10 +284,8 @@ class TestAgainstReference:
                     self.multi_edge_trees(l_max, s)
 
     def test_catalan_recurrence(self):
-        t = [1]
-        for s in range(400):
-            t.append(sum(t[j] * t[s - j] for j in range(s + 1)))
-        assert ct.catalan_table_recurrence(400) == t
+        # f = 1 + x f^2, coefficient by coefficient
+        assert ct.catalan_table_recurrence(400) == ref_catalans(400)
 
 
 class TestBounds:

@@ -23,6 +23,7 @@ from hypothesis import (assume, event, example, given, settings,
 from wignerlab import Refused, cli
 from wignerlab import oracle as orc
 from wignerlab import reports
+from wignerlab import sim
 from wignerlab import walks as wk
 
 W16_TRAJ = "5,2,7,9,7,1,2,7,9,7,2,7,2,1,7,2,5"
@@ -640,7 +641,18 @@ class TestUsage:
          "--samples", "1000000000000"],
         CROSSOVER_S_ZERO,
         ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "1e308",
-         "--samples", "2"]])
+         "--samples", "2"],
+        # thresholds or an eps that are not finite
+        ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2",
+         "--x-grid=inf"],
+        ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2",
+         "--x-grid=-inf"],
+        ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2",
+         "--config", "{config_huge_v}"],
+        ["sim", "edge", "--n", "8", "--eps", "inf", "--samples", "2"],
+        ["sim", "crossover", "--n", "8", "--eps", "inf", "--samples", "2"],
+        # an --n past the float range
+        ["sim", "edge", "--n", "1" * 400, "--eps", "0", "--samples", "2"]])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  Leading NAME=value
         # items set environment variables, as in a shell; {bad_config} is a
@@ -650,7 +662,8 @@ class TestUsage:
                    "config_n": {"n": 7}, "config_rho": {"rho": 1.0},
                    "config_dist": {"dist": "gaussian"},
                    "config_seed": {"seed": 9}, "config_v": {"v": 0.25},
-                   "config_truncate": {"truncate": "no", "delta": 0.01}}
+                   "config_truncate": {"truncate": "no", "delta": 0.01},
+                   "config_huge_v": {"v": 1e308}}
         paths = {name: tmp_path / (name + ".json") for name in configs}
         for name, config in configs.items():
             paths[name].write_text(json.dumps(config))
@@ -665,6 +678,7 @@ class TestUsage:
             capture_output=True, text=True, timeout=10, env=env)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         if argv == CROSSOVER_S_ZERO:
             # s is checked at every n before n = 1000 is sampled
@@ -911,23 +925,157 @@ class TestWalkCountFuzz:
     def test_exit_codes(self, argv):
         code, out, err = _main_under_alarm(argv)
         event("%s exit %d" % (argv[1], code))
-        shown = [a[:40] for a in argv]
-        assert code in (0, 2, 3, 4), (shown, err[:200])
-        assert "Traceback" not in err
-        if code == 0:
-            assert err == ""
-            lines = out.splitlines(keepends=True)
-            assert lines[0].startswith("# manifest:")
-            rows = list(csv.reader(io.StringIO("".join(lines[1:]))))
-            assert len(rows) >= 2, (shown, rows)    # a header and a row
-            assert all(len(row) == len(rows[0]) for row in rows)
-            assert not any(ANY_CELL_INF_NAN.search(cell)
-                           for row in rows for cell in row), shown
-        else:
-            assert out == ""
-            lines = err.splitlines()
-            assert len(lines) == 1, (shown, lines)
-            assert lines[0].startswith(("error:", "refused:"))
+        assert_csv_or_one_line(argv, code, out, err)
+
+
+FAILURE_PREFIX = {2: "error:", 3: "refused:", 4: "i/o error:"}
+
+
+def assert_csv_or_one_line(argv, code, out, err, summary=""):
+    """The exit is 0, a usage error, a refusal or an I/O error.  A success
+    writes `summary` (a regex) on stderr, and a manifest, a CSV header and
+    at least one row, no cell inf or nan; a failure writes one stderr line
+    and no body."""
+    shown = [a[:40] for a in argv]
+    assert code in (0, 2, 3, 4), (shown, err[:200])
+    assert "Traceback" not in err
+    if code == 0:
+        assert re.fullmatch(summary, err), (shown, err[:200])
+        lines = out.splitlines(keepends=True)
+        assert lines[0].startswith("# manifest:")
+        rows = list(csv.reader(io.StringIO("".join(lines[1:]))))
+        assert len(rows) >= 2, (shown, rows)    # a header and a row
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert not any(ANY_CELL_INF_NAN.search(cell)
+                       for row in rows for cell in row), shown
+    else:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, (shown, lines)
+        assert lines[0].startswith(FAILURE_PREFIX[code]), (shown, lines)
+
+
+# sim --config files, named by placeholder: {config_KEY} in an argv is the
+# path of the file that holds SIM_CONFIGS[KEY]
+SIM_CONFIGS = {"huge_v": {"v": 1e308}, "v": {"v": 0.25},
+               "truncate": {"truncate": True, "delta": 0.1},
+               "student": {"df": 3.5}, "text_v": {"v": "x"},
+               "dist": {"dist": "gaussian"}, "unknown": {"w": 1},
+               "list": [1], "not_json": "{"}
+
+
+def _floats(lo, hi):
+    """A runnable float value, and an odd one."""
+    return st.floats(lo, hi).map(repr), ODD_FLAG
+
+
+def _size(small, cap):
+    """A runnable size, and one past cap or an odd value."""
+    return st.integers(*small).map(str), _sizes(small, cap)
+
+
+X_GRID = (st.lists(st.floats(-6, 6), min_size=1, max_size=5).map(
+              lambda xs: ",".join(map(repr, sorted(xs)))),
+          st.lists(st.one_of(st.floats(-6, 6).map(repr),
+                             st.sampled_from(ODD_VALUES)),
+                   max_size=5).map(",".join))
+DIST = (st.sampled_from(["rademacher", "gaussian", "student"]),
+        st.sampled_from(["cauchy", "", "Gaussian"]))
+CONFIG = (st.sampled_from(["{config_v}", "{config_truncate}",
+                           "{config_student}"]),
+          st.sampled_from(["{config_%s}" % key for key in SIM_CONFIGS]
+                          + ["missing.json"]))
+
+
+@st.composite
+def sim_verify_argvs(draw):
+    """A sim or verify argv, each flag as --flag=value.  A value is now and
+    then odd; a size is small (n <= 12, crossover n <= 27 with chi <= 1,
+    s <= 4, 2 to 4 samples), past DENSE_CAP or SAMPLE_BUDGET, which is
+    refused at once, past 10^6 for s, which leaves the float range, or
+    odd.  A required flag is left out now and then, an optional one more
+    often.  Only verify cli may run."""
+    action = draw(st.sampled_from(["moments", "edge", "crossover", "verify"]))
+    if action == "verify":
+        suite = draw(st.sampled_from(["cli", "cli", "all", "walks",
+                                      "catalan", "oracle", "sim"]))
+        argv = ["verify", suite]
+        if draw(st.booleans()):
+            argv.append("--fast")
+        if suite != "cli" or draw(st.booleans()):
+            argv.append(draw(st.sampled_from(
+                ["--format=xml", "--bogus", "extra", "--n=8"])))
+        return argv
+    # (flag, (runnable values, odd values), required)
+    flags = [("--samples", _size((2, 4), sim.SAMPLE_BUDGET), False),
+             ("--seed", (st.integers(0, 99).map(str), ODD_FLAG), False)]
+    if action == "crossover":
+        flags += [("--n", _size((1, 27), sim.DENSE_CAP), True),
+                  ("--eps", _floats(-1, 0.5), True),
+                  ("--n", _size((1, 27), sim.DENSE_CAP), False),
+                  ("--eps", _floats(-1, 0.5), False),
+                  ("--chi", _floats(0.1, 1), False),
+                  ("--zeta", _floats(0.1, 1), False)]
+    else:
+        flags += [("--n", _size((1, 12), sim.DENSE_CAP), True),
+                  ("--dist", DIST, False), ("--config", CONFIG, False)]
+    if action == "moments":
+        flags += [("--rho", _floats(0.1, 1), True),
+                  ("--s", _size((1, 4), 10 ** 6), True),
+                  ("--s", _size((1, 4), 10 ** 6), False)]
+    if action == "edge":
+        # one of --rho and --eps, now and then both or neither
+        rho_first = draw(st.booleans())
+        flags += [("--rho", _floats(0.1, 1), rho_first),
+                  ("--eps", _floats(-1, 0.5), not rho_first),
+                  ("--x-grid", X_GRID, False)]
+    argv = ["sim", action]
+    for flag, values, required in flags:
+        if draw(st.integers(0, 9)) < (9 if required else 4):
+            odd = draw(st.integers(0, 5)) == 5
+            argv.append("%s=%s" % (flag, draw(values[odd])))
+    return argv
+
+
+class TestSimVerifyFuzz:
+    """sim and verify argvs drawn as in sim_verify_argvs, held to the
+    same rules as TestWalkCountFuzz."""
+
+    @pytest.fixture(scope="class")
+    def config_paths(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("sim_configs")
+        paths = {}
+        for key, config in SIM_CONFIGS.items():
+            paths["config_" + key] = folder / (key + ".json")
+            paths["config_" + key].write_text(
+                config if isinstance(config, str) else json.dumps(config))
+        return paths
+
+    @given(argv=sim_verify_argvs())
+    @settings(max_examples=300, deadline=None)
+    # each of these exited 5: an --n past the float range
+    @example(argv=["sim", "edge", "--n", "1" * 400, "--rho", "2",
+                   "--samples", "2"])
+    @example(argv=["sim", "edge", "--n", "1" * 400, "--eps", "0",
+                   "--samples", "2"])
+    @example(argv=["sim", "moments", "--n", "1" * 400, "--rho", "2",
+                   "--s", "1", "--samples", "2"])
+    # cells outside the float range, and a vacuous bound
+    @example(argv=["sim", "moments", "--n", "8", "--rho", "8", "--s",
+                   "2000", "--samples", "2"])
+    @example(argv=["sim", "crossover", "--n", "8", "--eps", "0", "--chi",
+                   "1e5", "--samples", "2"])
+    @example(argv=["sim", "crossover", "--n", "8", "--eps", "0", "--chi",
+                   "7", "--samples", "4"])
+    @example(argv=["verify", "cli"])
+    def test_exit_codes(self, argv, config_paths):
+        for key, path in config_paths.items():
+            argv = [arg.replace("{%s}" % key, str(path)) for arg in argv]
+        code, out, err = _main_under_alarm(argv)
+        event("%s exit %d" % (argv[1], code))
+        summary = (r"verify cli: \d+ pass, 0 fail, \d+ report\n"
+                   if argv[0] == "verify" else "")
+        assert_csv_or_one_line(argv, code, out, err, summary)
 
 
 class TestReports:

@@ -97,6 +97,9 @@ class TestConfig:
             sim.EnsembleConfig(n=4, rho=1.0, v=float("nan"))
         with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=4, rho=1.0, df=float("inf"))
+        # an int past the float range is no finite real number either
+        with pytest.raises(sim.SimConfigError):
+            sim.EnsembleConfig(n=10 ** 400, rho=1.0)
         # truncate must be a bool: a --config string "no" is truthy
         for flag in ("no", 1, None):
             with pytest.raises(sim.SimConfigError):
@@ -408,6 +411,24 @@ class TestEdge:
             sim.edge_tail(cfg, [1.0, 0.0], 10)
         with pytest.raises(ValueError):
             sim.edge_tail(cfg, [], 10)
+
+    @pytest.mark.parametrize("v, x", [
+        (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan), (1e308, 0.0),
+        (1e308, -4.0)])
+    def test_threshold_not_finite(self, v, x, monkeypatch):
+        # v = 1e308 at n = 8: the thresholds and the scale are inf, and
+        # 2v (1 - 4/4) is inf * 0 = nan; rejected before the sample budget
+        monkeypatch.setattr(sim, "refuse_over_sample_budget", None)
+        cfg = sim.EnsembleConfig(n=8, rho=2.0, v=v)
+        with pytest.raises(sim.SimConfigError, match="not finite"):
+            sim.edge_tail(cfg, [x], 2)
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+    def test_eps_not_finite(self, eps):
+        with pytest.raises(sim.SimConfigError, match="eps must be finite"):
+            sim.rho_of_eps(8, eps)
+        with pytest.raises(sim.SimConfigError, match="eps must be finite"):
+            sim.crossover_scan([8], [eps], 0.5, 2)
 
     def test_crossover_rows(self):
         rows = sim.crossover_scan([64], [0.0], 0.5, 20, seed=1)
