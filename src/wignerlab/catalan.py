@@ -8,10 +8,11 @@ the final bound evaluators, which are plain closed-form expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import Refused
-from .walks import DiagramParams
+
+# bound_3_7 takes a walks.DiagramParams; its annotation is never evaluated,
+# so this module loads no walk code.
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +44,15 @@ def catalan_check(s_max: int) -> bool:
     return all(table[s] == catalan(s) for s in range(s_max + 1))
 
 
-@dataclass(frozen=True)
 class SeriesExact:
     """Truncated power series with exact coefficients for exponents
-    0..order.  No library routine multiplies series; the class stays only
-    because the traced benchmark run (perfbench/spans.py) wraps its
-    __mul__, until the benchmark drops that entry (ROADMAP item 1)."""
+    0..order.  A plain class: no library routine multiplies series, and it
+    stays only because the traced benchmark run (perfbench/spans.py) wraps
+    its __mul__, until the benchmark drops that entry (ROADMAP item 1)."""
 
-    coeffs: tuple
-    order: int
+    def __init__(self, coeffs: tuple, order: int):
+        self.coeffs = coeffs
+        self.order = order
 
     def __mul__(self, other: "SeriesExact") -> "SeriesExact":
         order = min(self.order, other.order)

@@ -17,12 +17,9 @@ error (any other exception, reported on one line).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from decimal import Decimal
-from fractions import Fraction
 
 from . import Refused, reports
 
@@ -53,7 +50,8 @@ def _set_threads(value):
     return value
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -354,6 +352,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_sim(args) -> int:
     args.threads = _set_threads(args.threads)   # before numpy loads
+    import dataclasses
+
     from . import sim
     if args.action == "crossover":
         manifest = _manifest(args, {"n": args.n, "eps": args.eps,
@@ -430,6 +430,8 @@ def cmd_verify(args) -> int:
     for rep in reports_:
         for rec in rep.records():
             records.append(dict(rec, suite=rep.suite))
+    manifest.timings = {check_id: round(seconds, 6) for rep in reports_
+                        for check_id, seconds in rep.timings.items()}
     _emit(args, records, manifest)
     n_fail = sum(rep.n_fail for rep in reports_)
     n_pass = sum(1 for r in records if r["status"] == "pass")
@@ -445,6 +447,7 @@ def _approx_count(value) -> str:
     raises."""
     if value < 2 ** 64:
         return "%d" % value
+    from decimal import Decimal
     return "~10^%d" % Decimal(value).adjusted()
 
 

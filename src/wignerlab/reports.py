@@ -17,23 +17,25 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from . import __version__
 
 
-@dataclass
 class RunManifest:
-    subcommand: str
-    config: dict
-    seed: Optional[int] = None
-    version: str = __version__
-    started: str = ""
-    finished: str = ""
-    # work counters of the run, written only when set
-    counters: Optional[dict] = None
+    """The manifest line of one run.  counters (work counters) and timings
+    (seconds per verify check) are written only when set."""
+
+    def __init__(self, subcommand: str, config: dict,
+                 seed: int | None = None):
+        self.subcommand = subcommand
+        self.config = config
+        self.seed = seed
+        self.version = __version__
+        self.started = ""
+        self.finished = ""
+        self.counters: dict | None = None
+        self.timings: dict | None = None
 
     def start(self) -> "RunManifest":
         self.started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -54,14 +56,26 @@ class RunManifest:
         }
         if self.counters is not None:
             payload["counters"] = self.counters
+        if self.timings is not None:
+            payload["timings"] = self.timings
         return "# manifest: " + json.dumps(payload, sort_keys=True)
 
 
-def _csv_cell(value) -> str:
+def _fraction_types() -> tuple:
+    """(fractions.Fraction,) once that module is loaded, else (): no
+    Fraction exists before it is, so a report without one never loads it.
+    A writer resolves this once per report, after its first record."""
+    module = sys.modules.get("fractions")
+    return (module.Fraction,) if module is not None else ()
+
+
+def _csv_cell(value, fraction: tuple | None = None) -> str:
+    if fraction is None:
+        fraction = _fraction_types()
     kind = type(value)
     if kind is int or kind is str:  # most cells; bool is not int here
         return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, fraction):
         return "%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -70,15 +84,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    if isinstance(value, Fraction):
+def _json_value(value, fraction: tuple):
+    if isinstance(value, fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
+        return [_json_value(v, fraction) for v in value]
     if isinstance(value, dict):
-        return {str(k): _json_value(v) for k, v in value.items()}
+        return {str(k): _json_value(v, fraction) for k, v in value.items()}
     return str(value)
 
 
@@ -88,12 +102,13 @@ def _write_csv(stream, records: Iterable[dict]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     for i, rec in enumerate(records):
         if i == 0:
+            fraction = _fraction_types()
             writer.writerow(list(rec.keys()))
-        writer.writerow([_csv_cell(v) for v in rec.values()])
+        writer.writerow([_csv_cell(v, fraction) for v in rec.values()])
 
 
 @contextlib.contextmanager
-def open_output(path: Optional[str]):
+def open_output(path: str | None):
     """A text stream to path, or stdout when path is None.
 
     The text goes to a temporary file in the target's directory, which
@@ -122,7 +137,7 @@ def open_output(path: Optional[str]):
         raise
 
 
-def emit_report(records: Iterable[dict], fmt: str, path: Optional[str],
+def emit_report(records: Iterable[dict], fmt: str, path: str | None,
                 manifest: RunManifest) -> None:
     """Stream records to path (or stdout) as CSV or JSON Lines.
 
@@ -141,8 +156,9 @@ def emit_report(records: Iterable[dict], fmt: str, path: Optional[str],
         if fmt == "csv":
             _write_csv(stream, records)
         else:
+            fraction = _fraction_types()
             for rec in records:
-                stream.write(json.dumps({k: _json_value(v)
+                stream.write(json.dumps({k: _json_value(v, fraction)
                                          for k, v in rec.items()},
                                         sort_keys=True) + "\n")
 

@@ -3,10 +3,10 @@
 Entries are H_ij = a_ij b_ij for i < j, symmetric, zero diagonal, with
 b_ij = rho^{-1/2} Bernoulli(rho/n) masks and i.i.d. symmetric a_ij of
 variance v^2.  Sampling uses counter-based Philox substreams keyed by
-(seed, sample index), so serial and parallel runs produce identical
-matrices sample by sample, and so do blocks of any size: spectra are taken
-one stacked block of samples at a time.  Once a block holds one large
-matrix, edge_tail reads lambda_max by Lanczos instead of a full spectrum.
+(seed, sample index), so a sample's matrix does not depend on the block or
+the sample range that holds it: spectra are taken one stacked block of
+samples at a time.  Once a block holds one large matrix, edge_tail reads
+lambda_max by Lanczos instead of a full spectrum.
 """
 
 from __future__ import annotations
@@ -168,8 +168,10 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
         raise Refused("n=%d exceeds dense cap %d" % (n, DENSE_CAP), n * n)
     m = n * (n - 1) // 2
     a = np.empty((stop - start, m))
-    keep = np.empty((stop - start, m), dtype=bool)
     p = config.rho / n
+    # at p = 1 the mask keeps every entry; it is each stream's last draw,
+    # so leaving it undrawn changes no other number
+    keep = np.empty((stop - start, m), dtype=bool) if p < 1.0 else None
     for row, rng in enumerate(_sample_streams(config, start, stop)):
         if config.dist == "rademacher":
             a[row] = rng.integers(0, 2, size=m)
@@ -177,7 +179,8 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
             a[row] = rng.normal(0.0, config.v, size=m)
         else:
             a[row] = rng.standard_t(config.df, size=m)
-        keep[row] = rng.random(m) < p
+        if keep is not None:
+            keep[row] = rng.random(m) < p
     if config.dist == "rademacher":
         a *= 2.0
         a -= 1.0
@@ -187,7 +190,8 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     level = config.truncation_level()
     if level is not None:
         a[np.abs(a) > level] = 0.0
-    a *= keep
+    if keep is not None:
+        a *= keep
     a /= math.sqrt(config.rho)
     h = np.zeros((stop - start, n, n))
     off = 0
@@ -252,7 +256,9 @@ def sample_spectra(config: EnsembleConfig,
     """Eigenvalues of samples 0..n_samples-1, as (b, n) arrays: one
     eigvalsh call per block of sample_blocks."""
     for block in sample_blocks(config, n_samples):
-        yield np.linalg.eigvalsh(block)
+        eig = np.linalg.eigvalsh(block)
+        del block  # so that one block, not two, is alive while sampling
+        yield eig
 
 
 def lanczos_start(config: EnsembleConfig, sample_index: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,9 +36,17 @@ class Check:
 class VerifyReport:
     suite: str
     checks: list = field(default_factory=list)
+    # seconds per check id: the time since the suite's previous check, or
+    # since the suite started
+    timings: dict = field(default_factory=dict)
+    _last: float = field(default_factory=time.perf_counter, init=False,
+                         repr=False)
 
     def add(self, check_id: str, ok: bool, detail: str = "",
             report_grade: bool = False):
+        now = time.perf_counter()
+        self.timings[check_id] = now - self._last
+        self._last = now
         if report_grade:
             status = "report"
         else:

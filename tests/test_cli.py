@@ -441,6 +441,33 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "bogus"], capsys)
         assert code == 2
 
+    def test_check_timings(self, capsys):
+        # each check's seconds go in the manifest, keyed by check id; the
+        # body is the one written before verify timed its checks
+        code, out, _ = run_cli(["verify", "walks", "--fast"], capsys)
+        assert code == 0
+        header, body = out.split("\n", 1)
+        timings = json.loads(header[len("# manifest: "):])["timings"]
+        checks = [row["check"] for row in csv.DictReader(body.splitlines())]
+        assert sorted(timings) == sorted(checks)
+        assert all(seconds >= 0 for seconds in timings.values())
+        assert body == VERIFY_WALKS_FAST_BODY
+
+
+VERIFY_WALKS_FAST_BODY = """\
+check,status,detail,suite
+walks.canonical_idempotence,pass,,walks
+walks.partition_property,pass,s=1 n=7 classes=1; s=2 n=5 classes=3,walks
+walks.marked_count_dyck,pass,s <= 4,walks
+walks.vertex_count_identity,pass,s <= 4,walks
+walks.census_identity,pass,"k0 in {2,4,12}, s <= 4",walks
+walks.reduction_soundness,pass,s <= 4,walks
+walks.exit_arrival_balance,pass,s <= 4,walks
+walks.cell_report_consistency,pass,s <= 4,walks
+walks.dyck_tree_bijection,pass,"s=6, 132 paths",walks
+walks.tree_type_reduces_empty,pass,,walks
+"""
+
 
 class TestManifestStamps:
     @pytest.mark.parametrize("argv, module, name", [
@@ -524,6 +551,55 @@ FLAG_VALUES = {"--out": "x.csv", "--format": "json", "--seed": "1",
 # seconds to sample
 CROSSOVER_S_ZERO = ["sim", "crossover", "--n", "1000", "--n", "8", "--eps",
                     "0", "--chi", "0.1", "--samples", "40"]
+
+
+# standard modules that a command which never runs them must not load
+UNUSED_STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def loaded_by(argv):
+    """The sorted wignerlab.* modules, and the UNUSED_STDLIB modules, that
+    main(argv) leaves loaded in a fresh ``python -S`` process, in which
+    the site hook loads nothing first."""
+    code = ("import sys\n"
+            "from wignerlab import cli\n"
+            "assert cli.main(%r) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules"
+            " if m.startswith('wignerlab.'))))\n"
+            "print(' '.join(m for m in %r if m in sys.modules))"
+            % (argv + ["--out", os.devnull], UNUSED_STDLIB))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    library, stdlib = proc.stdout.split("\n")[:2]
+    return library.split(), stdlib.split()
+
+
+class TestLoadScope:
+    """Each command imports only the modules it runs."""
+
+    @pytest.mark.parametrize("leaf", [leaf for leaf in LEAVES
+                                      if leaf.startswith("count ")])
+    def test_count(self, leaf):
+        library, stdlib = loaded_by(LEAVES[leaf][0])
+        assert library == ["wignerlab.catalan", "wignerlab.cli",
+                           "wignerlab.reports"]
+        assert stdlib == []
+
+    def test_walk(self):
+        library, stdlib = loaded_by(["walk", "enumerate", "--s", "3"])
+        assert library == ["wignerlab.cli", "wignerlab.reports",
+                           "wignerlab.walks"]
+        assert "fractions" not in stdlib and "decimal" not in stdlib
+
+    def test_oracle(self):
+        library, _ = loaded_by(["oracle", "--method", "walk", "--n", "3",
+                                "--rho", "2", "--s", "2"])
+        assert library == ["wignerlab.catalan", "wignerlab.cli",
+                           "wignerlab.oracle", "wignerlab.reports",
+                           "wignerlab.walks"]
 
 
 class TestUsage:

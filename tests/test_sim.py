@@ -173,12 +173,16 @@ class TestBlockSampler:
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: "%s%s" % (
         law["dist"], "-trunc" if law["truncate"] else ""))
     def test_matrix_matches_reference(self, n, law):
+        # at rho = n the sampler draws no mask; the reference still draws
+        # it, as the last draw of each stream
+        full = sim.EnsembleConfig(n=n, rho=float(n), seed=23, **law)
         cfg = sim.EnsembleConfig(n=n, rho=min(3.0, float(n)), seed=23, **law)
         for k in range(3):
-            h = sim.sample_matrix(cfg, k)
-            ref = ref_sample_matrix(cfg, k)
-            assert h.shape == ref.shape and h.dtype == ref.dtype
-            assert h.tobytes() == ref.tobytes()
+            for c in (cfg, full):
+                h = sim.sample_matrix(c, k)
+                ref = ref_sample_matrix(c, k)
+                assert h.shape == ref.shape and h.dtype == ref.dtype
+                assert h.tobytes() == ref.tobytes()
         # rows of a block are the samples themselves
         block = sim.sample_block(cfg, 5, 9)
         assert block.shape == (4, n, n)
@@ -360,6 +364,20 @@ class TestEstimators:
     def test_no_moment_outside_float_range(self, config, s):
         with pytest.raises(sim.SimConfigError, match="s=%d" % s):
             sim.estimate_moments(config, [1, s], 50)
+
+    def test_one_sample_alive(self):
+        # estimate_moments frees each block after its eigvalsh, before the
+        # next one is drawn.  Its traced peak is about 1.8 matrices; with
+        # the last block still alive it was 2.8
+        n = 600
+        cfg = sim.EnsembleConfig(n=n, rho=600.0, seed=4)
+        tracemalloc.start()
+        try:
+            sim.estimate_moments(cfg, [1, 2], 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * n * n * 8
 
     def test_trace_vs_frobenius(self):
         # Tr H^2 and lambda_max read off the spectrum sample_spectra yields
