@@ -32,7 +32,8 @@ COUNT_CAPS = {"catalan": 3000, "multi-edge": 600, "subcluster": 600,
 
 def _set_threads(value):
     """The requested BLAS thread count: --threads, else LAB_THREADS, else
-    None.  0 or None leaves the BLAS defaults alone."""
+    None.  0 or None leaves the BLAS defaults alone.  A count outside
+    0..os.cpu_count() is refused before any BLAS variable is written."""
     if value is None:
         env = os.environ.get("LAB_THREADS")
         if not env:
@@ -41,8 +42,10 @@ def _set_threads(value):
             value = int(env)
         except ValueError:
             raise ValueError("LAB_THREADS must be an integer, got %r" % env)
-    if value < 0:
-        raise ValueError("thread count must be >= 0, got %d" % value)
+    cpus = os.cpu_count() or 1
+    if not 0 <= value <= cpus:
+        raise ValueError("thread count must be in 0..%d (the CPU count), "
+                         "got %d" % (cpus, value))
     if value:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):

@@ -5,8 +5,12 @@ b_ij = rho^{-1/2} Bernoulli(rho/n) masks and i.i.d. symmetric a_ij of
 variance v^2.  Sampling uses counter-based Philox substreams keyed by
 (seed, sample index), so a sample's matrix does not depend on the block or
 the sample range that holds it: spectra are taken one stacked block of
-samples at a time.  Once a block holds one large matrix, edge_tail reads
-lambda_max by Lanczos instead of a full spectrum.
+samples at a time.  Each sample's stream is read in chunks of at most CHUNK
+values straight into its matrix, which gives the bytes of one read, so the
+sampler holds the block's matrices, a 1-byte mask per entry and O(CHUNK)
+scratch; eigvalsh adds one copy of its matrix.  Once a block holds one
+large matrix, edge_tail reads lambda_max by Lanczos, whose basis is its
+extra memory, instead of a full spectrum.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ DENSE_CAP = 4096
 SAMPLE_BUDGET = 10 ** 9
 # sample_spectra stacks samples up to this many matrix entries per block
 BLOCK_ENTRIES = 1 << 16
+# sample_block reads at most this many values per generator call and
+# transforms the entries this many at a time
+CHUNK = 1 << 16
 # edge_tail's Lanczos route for lambda_max, taken from n = LANCZOS_MIN_N on
 # (where blocks hold one matrix): at n = 200 a full eigvalsh is still the
 # faster, from n = 256 Lanczos is.  Tolerances are in edge scales 2v n^{-2/3}
@@ -161,45 +168,71 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     """Samples start..stop-1 as a (stop - start, n, n) stack.
 
     Sample k depends on (seed, k) alone, so a matrix does not depend on the
-    block that holds it.
+    block that holds it.  Each sample is built inside its own matrix: its
+    m = n(n-1)/2 entries are drawn, at most CHUNK per generator call, into
+    the matrix's last m slots, then transformed CHUNK at a time and
+    expanded in place.  Philox is counter-based, so reading a stream in
+    chunks gives the bytes of one read.  Beside the block's matrices the
+    sampler holds a 1-byte mask per entry and O(CHUNK) scratch; a caller's
+    eigvalsh adds one copy of its matrix, Lanczos its basis.
     """
     n = config.n
     if n > DENSE_CAP:
         raise Refused("n=%d exceeds dense cap %d" % (n, DENSE_CAP), n * n)
     m = n * (n - 1) // 2
-    a = np.empty((stop - start, m))
+    b = stop - start
+    h = np.empty((b, n, n))
+    flat = h.reshape(b, n * n)
+    base = n * n - m
+    a = flat[:, base:]  # the upper triangle, row by row
     p = config.rho / n
     # at p = 1 the mask keeps every entry; it is each stream's last draw,
     # so leaving it undrawn changes no other number
-    keep = np.empty((stop - start, m), dtype=bool) if p < 1.0 else None
-    for row, rng in enumerate(_sample_streams(config, start, stop)):
-        if config.dist == "rademacher":
-            a[row] = rng.integers(0, 2, size=m)
-        elif config.dist == "gaussian":
-            a[row] = rng.normal(0.0, config.v, size=m)
-        else:
-            a[row] = rng.standard_t(config.df, size=m)
-        if keep is not None:
-            keep[row] = rng.random(m) < p
+    keep = np.empty((b, m), dtype=bool) if p < 1.0 else None
+    spans = [(slice(lo, min(lo + CHUNK, m)), min(CHUNK, m - lo))
+             for lo in range(0, m, CHUNK)]
     if config.dist == "rademacher":
-        a *= 2.0
-        a -= 1.0
-        a *= config.v
-    elif config.dist == "student":
-        a *= config.v / math.sqrt(config.df / (config.df - 2.0))
+        def draw(rng, size):
+            return rng.integers(0, 2, size=size)
+    elif config.dist == "gaussian":
+        def draw(rng, size):
+            return rng.normal(0.0, config.v, size=size)
+    else:
+        def draw(rng, size):
+            return rng.standard_t(config.df, size=size)
+    for row, rng in enumerate(_sample_streams(config, start, stop)):
+        for span, size in spans:
+            a[row, span] = draw(rng, size)
+        if keep is not None:
+            for span, size in spans:
+                np.less(rng.random(size), p, keep[row, span])
     level = config.truncation_level()
-    if level is not None:
-        a[np.abs(a) > level] = 0.0
-    if keep is not None:
-        a *= keep
-    a /= math.sqrt(config.rho)
-    h = np.zeros((stop - start, n, n))
+    width = max(1, CHUNK // max(b, 1))  # columns per chunk: CHUNK values
+    for lo in range(0, m, width):
+        x = a[:, lo:lo + width]
+        if config.dist == "rademacher":
+            x *= 2.0
+            x -= 1.0
+            x *= config.v
+        elif config.dist == "student":
+            x *= config.v / math.sqrt(config.df / (config.df - 2.0))
+        if level is not None:
+            x[np.abs(x) > level] = 0.0
+        if keep is not None:
+            x *= keep[:, lo:lo + width]
+        x /= math.sqrt(config.rho)
+    # row i's entries move to [i (n + 1) + 1, (i + 1) n).  That ends at or
+    # before base + off, where row i + 1's entries start, as (i + 1) n <=
+    # n (n + 1) / 2 + off for i < n - 1: rows in increasing order overwrite
+    # only entries already read (numpy copies an overlapping slice itself)
     off = 0
     for i in range(n - 1):
-        seg = a[:, off:off + n - 1 - i]
-        h[:, i, i + 1:] = seg
-        h[:, i + 1:, i] = seg
+        flat[:, i * (n + 1) + 1:(i + 1) * n] = a[:, off:off + n - 1 - i]
         off += n - 1 - i
+    # the diagonal and the lower triangle still hold stale entries
+    flat[:, ::n + 1] = 0.0
+    for i in range(n - 1):
+        h[:, i + 1:, i] = h[:, i, i + 1:]
     h += 0.0  # a masked-out negative entry is -0.0; store +0.0
     return h
 

@@ -761,6 +761,41 @@ class TestUsage:
             assert time.monotonic() - started < 1
             assert "n=8, chi=0.1" in proc.stderr
 
+    @pytest.mark.parametrize("source", ["--threads", "LAB_THREADS"])
+    def test_threads_above_cpu_count(self, source, monkeypatch, capsys,
+                                     tmp_path):
+        # refused in process before any BLAS variable is written, so no
+        # process or thread ever starts with such a count.  monkeypatch
+        # restores the variables, so that a regression cannot leak such a
+        # count into the processes later tests start
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+        before = {var: os.environ.get(var) for var in blas}
+        for var, value in before.items():
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        out_file = tmp_path / "o.csv"
+        for count in (os.cpu_count() + 1, 10 ** 6):
+            for argv in (["sim", "moments", "--n", "8", "--rho", "2", "--s",
+                          "1"],
+                         ["sim", "edge", "--n", "8", "--rho", "2"],
+                         ["sim", "crossover", "--n", "8", "--eps", "0"]):
+                argv = argv + ["--out", str(out_file)]
+                if source == "--threads":
+                    monkeypatch.delenv("LAB_THREADS", raising=False)
+                    argv += ["--threads", str(count)]
+                else:
+                    monkeypatch.setenv("LAB_THREADS", str(count))
+                code, out, err = run_cli(argv, capsys)
+                assert code == 2 and out == ""
+                assert err == ("error: thread count must be in 0..%d (the "
+                               "CPU count), got %d\n" % (os.cpu_count(),
+                                                          count))
+                assert not out_file.exists()
+                assert {var: os.environ.get(var) for var in blas} == before
+
     @pytest.mark.parametrize("argv", [
         ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "1e5",
          "--samples", "2"],

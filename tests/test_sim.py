@@ -189,6 +189,53 @@ class TestBlockSampler:
         for row, k in enumerate(range(5, 9)):
             assert block[row].tobytes() == ref_sample_matrix(cfg, k).tobytes()
 
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: "%s%s" % (
+        law["dist"], "-trunc" if law["truncate"] else ""))
+    def test_chunk_boundaries(self, law):
+        # m = 80,601 entries, odd, read as one full chunk and an uneven
+        # tail, and the mask after them: the chunked reads of each stream
+        # give the one-shot reference's bytes
+        n = 402
+        m = n * (n - 1) // 2
+        assert m % 2 == 1 and sim.CHUNK < m < 2 * sim.CHUNK
+        for rho in (3.0, float(n)):
+            cfg = sim.EnsembleConfig(n=n, rho=rho, seed=23, **law)
+            assert (sim.sample_matrix(cfg, 0).tobytes()
+                    == ref_sample_matrix(cfg, 0).tobytes())
+            block = sim.sample_block(cfg, 5, 9)
+            assert block.shape == (4, n, n)
+            for row, k in enumerate(range(5, 9)):
+                assert (block[row].tobytes()
+                        == ref_sample_matrix(cfg, k).tobytes())
+
+    def test_empty_block(self):
+        # start == stop gives an empty (0, n, n) stack
+        for n in (1, 4, 300):
+            cfg = sim.EnsembleConfig(n=n, rho=min(3.0, float(n)))
+            assert sim.sample_block(cfg, 5, 5).shape == (0, n, n)
+
+    @pytest.mark.parametrize("n, config, bound", [
+        (600, dict(rho=60.0), 1.3),
+        (600, dict(rho=600.0, dist="gaussian"), 1.3),
+        (600, dict(rho=60.0, dist="student", truncate=True, delta=0.05), 1.3),
+        (2000, dict(rho=2000.0), 1.1)],
+        ids=["rademacher", "gaussian-full", "student-trunc", "n2000-full"])
+    def test_peak_one_matrix(self, n, config, bound):
+        # a sample is built inside its own matrix: beside it the sampler
+        # holds a 1-byte mask per entry and O(CHUNK) scratch.  Measured
+        # 1.02-1.27 matrices; drawing the entries into a separate array
+        # took 1.50-1.56.  The warm-up call keeps numpy.random's one-time
+        # allocations out of the peak
+        sim.sample_block(sim.EnsembleConfig(n=8, rho=2.0, seed=1), 0, 1)
+        cfg = sim.EnsembleConfig(n=n, seed=4, **config)
+        tracemalloc.start()
+        try:
+            sim.sample_block(cfg, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * n * 8
+
     def test_truncation_bites(self):
         # the truncated laws above do zero some entries
         cfg = sim.EnsembleConfig(n=200, rho=200.0, dist="gaussian", seed=23,
@@ -320,8 +367,8 @@ class TestLanczos:
 
     def test_one_sample_alive(self):
         # edge_tail frees each sample before it draws the next.  Its traced
-        # peak is about 1.9 matrices (one sample, the sampler's work arrays);
-        # with the last sample still alive it was 2.8
+        # peak is about 1.6 matrices (one sample, the Lanczos basis); with
+        # the last sample still alive it was 2.8
         n = 600
         cfg = sim.EnsembleConfig(n=n, rho=60.0, seed=4)
         tracemalloc.start()
@@ -367,7 +414,7 @@ class TestEstimators:
 
     def test_one_sample_alive(self):
         # estimate_moments frees each block after its eigvalsh, before the
-        # next one is drawn.  Its traced peak is about 1.8 matrices; with
+        # next one is drawn.  Its traced peak is about 1.2 matrices; with
         # the last block still alive it was 2.8
         n = 600
         cfg = sim.EnsembleConfig(n=n, rho=600.0, seed=4)
