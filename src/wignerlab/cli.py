@@ -7,7 +7,7 @@ Each leaf command takes only the flags it reads: --out on every leaf,
 flag goes before the subcommand.  Every usage error, argparse's included,
 is one ``error:`` line on stderr.
 
-A flag is taken only as spelled: no abbreviation of it.
+A flag is taken only as spelled, and no flag overrides a guardrail.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guardrail
 refusal (with an estimate of the requested work), 4 I/O error, 5 internal
@@ -121,8 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="all canonical even walks of 2s steps")
     p_en.add_argument("--s", type=int, required=True)
     p_en.add_argument("--k0", type=int, default=4)
-    p_en.add_argument("--force", action="store_true",
-                      help="override the enumeration size guardrail")
 
     p_count = sub.add_parser("count", help="exact counting tables")
     count_sub = p_count.add_subparsers(dest="action", required=True)
@@ -216,10 +214,8 @@ def cmd_walk(args) -> int:
     if args.k0 < 2:
         raise ValueError("--k0 must be >= 2, got %d" % args.k0)
     if args.action == "enumerate":
-        walks_iter = wk.enumerate_even_walks(
-            args.s, cap=args.s if args.force else wk.DEFAULT_ENUM_CAP)
         def records():
-            for walk in walks_iter:
+            for walk in wk.enumerate_even_walks(args.s):
                 dp = wk.diagram_params(walk, args.k0)
                 yield {"walk": walk.to_string(), "s": walk.s,
                        "n_letters": walk.n_letters,

@@ -97,7 +97,7 @@ def make_spec(n: int, rho, s: int, dist: str = "rademacher") -> MomentSpec:
 def refuse_over_budget(n: int, s: int, method: str) -> None:
     """Refused when the method is over its cap: s above TRAJECTORY_S_CAP or
     n^(2s) sequences above TRAJECTORY_BUDGET (trajectory, both), or s above
-    the shape-table cap (walk, both).  The trajectory estimate is n^(2s),
+    the walk search's cap (walk, both).  The trajectory estimate is n^(2s),
     or s (the moments to build) at n = 1.  Runs before make_spec, whose
     moment list costs O(s^2)."""
     if n < 1 or s < 1:
@@ -113,7 +113,7 @@ def refuse_over_budget(n: int, s: int, method: str) -> None:
                                           TRAJECTORY_S_CAP),
                 sequences if n > 1 else s)
     if method != "trajectory":
-        wk.refuse_over_cap(s, wk.SHAPE_TABLE_CAP)
+        wk.refuse_over_cap(s, wk.ENUM_CAP)
 
 
 def pair_weight(m: int, spec: MomentSpec) -> Fraction:

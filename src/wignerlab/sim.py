@@ -54,8 +54,8 @@ class EnsembleConfig:
 
     dist is one of rademacher, gaussian, student; student entries use df
     degrees of freedom and are rescaled so the variance is v^2, exercising
-    the truncation path for laws with finitely many moments.  When truncate
-    is set, entries a_ij larger than n^delta in absolute value are zeroed.
+    the truncation path for laws with finitely many moments.  A delta that
+    is not None zeroes the entries with |a_ij| > n^delta (the paper's H-hat).
     """
 
     n: int
@@ -63,7 +63,6 @@ class EnsembleConfig:
     dist: str = "rademacher"
     v: float = 0.5
     seed: int = 0
-    truncate: bool = False
     delta: Optional[float] = None
     df: float = 14.0
 
@@ -76,9 +75,6 @@ class EnsembleConfig:
                     and abs(value) <= sys.float_info.max):
                 raise SimConfigError("%s must be a finite real number, got %r"
                                      % (name, value))
-        if not isinstance(self.truncate, bool):
-            raise SimConfigError("truncate must be true or false, got %r"
-                                 % (self.truncate,))
         if self.n < 1:
             raise SimConfigError("n must be >= 1")
         if not 0 < self.rho <= self.n:
@@ -90,13 +86,14 @@ class EnsembleConfig:
             raise SimConfigError("unknown dist %r" % self.dist)
         if self.dist == "student" and self.df <= 2:
             raise SimConfigError("student df must exceed 2")
-        if self.truncate and self.delta is None:
-            raise SimConfigError("truncate=True needs delta")
 
     def truncation_level(self) -> Optional[float]:
-        if not self.truncate:
+        if self.delta is None:
             return None
-        return float(self.n) ** self.delta
+        try:
+            return float(self.n) ** self.delta
+        except OverflowError:  # a level past the float range zeroes nothing
+            return math.inf
 
 
 def rho_of_eps(n: int, eps: float) -> float:
@@ -135,15 +132,16 @@ def v4_of(config: EnsembleConfig) -> float:
 
 
 def theorem_7_1_rhs(chi: float, zeta: float, V4: float) -> float:
-    """16 V4 / (zeta sqrt(pi chi)) e^{-e chi^3}; 0.0 once it underflows
-    (e chi^3 > ~745), also where chi^3 exceeds the float range."""
+    """16 V4 / (zeta sqrt(pi chi)) e^{-e chi^3}: 0.0 past e chi^3 ~ 745 (chi^3
+    past the float range too), inf once zeta sqrt(pi chi) nears 0.0."""
     if chi <= 0 or zeta <= 0:
         raise ValueError("chi and zeta must be > 0")
     try:
         decay = math.exp(-math.e * chi ** 3)
     except OverflowError:
         decay = 0.0
-    return 16.0 * V4 / (zeta * math.sqrt(math.pi * chi)) * decay
+    denominator = zeta * math.sqrt(math.pi * chi)
+    return 16.0 * V4 / denominator * decay if denominator else math.inf
 
 
 def _sample_streams(config: EnsembleConfig, start: int,
@@ -308,20 +306,23 @@ def lanczos_start(config: EnsembleConfig, sample_index: int) -> np.ndarray:
 
 
 def lanczos_lambda_max(h: np.ndarray, start: np.ndarray,
-                       tol: float) -> tuple[Optional[float], int]:
+                       edge: float) -> tuple[Optional[float], int]:
     """max |lambda| of the symmetric matrix h, and the Lanczos steps taken.
 
     Lanczos from start with full reorthogonalization: two classical
     Gram-Schmidt passes against the whole basis each step (Parlett, The
-    Symmetric Eigenvalue Problem, 1980).  Every LANCZOS_CHECK steps the
-    extreme Ritz values are compared with the last check's; once both
-    moved less than tol, or the Krylov space is invariant to within tol,
-    the larger magnitude is returned.  Ritz values lie inside the spectrum,
-    so the value errs low; a random start makes a stall short of the edge
-    unlikely (Kuczynski and Wozniakowski, 1992).  The value is None when
-    min(LANCZOS_STEPS, n) steps pass without settling.
+    Symmetric Eigenvalue Problem, 1980), in units of edge (2v), so that the
+    vectors, whose norms square them, are O(1) at any scale of h.  Every
+    LANCZOS_CHECK steps the extreme Ritz values are compared with the last
+    check's; once both moved less than tol = LANCZOS_TOL n^{-2/3} edges, or
+    the Krylov space is invariant to within tol, the larger magnitude is
+    returned.  Ritz values lie inside the spectrum, so the value errs low;
+    a random start makes a stall short of the edge unlikely (Kuczynski and
+    Wozniakowski, 1992).  None when min(LANCZOS_STEPS, n) steps pass
+    without settling.
     """
     n = h.shape[0]
+    tol = LANCZOS_TOL * n ** (-2.0 / 3.0)
     ceiling = min(LANCZOS_STEPS, n)
     basis = np.empty((ceiling + 1, n))
     alpha = np.empty(ceiling)
@@ -330,6 +331,7 @@ def lanczos_lambda_max(h: np.ndarray, start: np.ndarray,
     ends = None
     for j in range(ceiling):
         w = h @ basis[j]
+        w /= edge
         alpha[j] = basis[j] @ w
         for _ in range(2):
             w -= (basis[:j + 1] @ w) @ basis[:j + 1]
@@ -342,7 +344,7 @@ def lanczos_lambda_max(h: np.ndarray, start: np.ndarray,
             if beta[j] <= tol or (
                     ends is not None and abs(ritz[0] - ends[0]) < tol
                     and abs(ritz[-1] - ends[1]) < tol):
-                return float(max(-ritz[0], ritz[-1])), k
+                return float(max(-ritz[0], ritz[-1])) * edge, k
             ends = ritz[0], ritz[-1]
         basis[k] = w / beta[j]
     return None, ceiling
@@ -422,7 +424,7 @@ def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
         lmax = None
         if lanczos:  # the block holds sample `start` alone
             value, taken = lanczos_lambda_max(
-                block[0], lanczos_start(config, start), LANCZOS_TOL * scale)
+                block[0], lanczos_start(config, start), 2.0 * config.v)
             steps += taken
             if value is not None and all(abs(value - thr)
                                          > LANCZOS_GUARD * scale
@@ -473,10 +475,12 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
                 % (n, chi))
         bounds.append(theorem_7_1_rhs(
             chi, zeta, v4_of(EnsembleConfig(n=n, rho=rho))))
-        if bounds[-1] == 0.0:
+        if not 0.0 < bounds[-1] < math.inf:
             raise SimConfigError(
-                "the Theorem 7.1 lower bound at chi=%r underflows to 0.0 "
-                "(e chi^3 > ~745); need a smaller chi" % chi)
+                "the Theorem 7.1 lower bound at chi=%r, zeta=%r is %r: it "
+                "underflows to 0.0 once e chi^3 > ~745 (need a smaller chi) "
+                "and overflows as zeta sqrt(pi chi) nears 0.0 (need a larger "
+                "zeta)" % (chi, zeta, bounds[-1]))
     # two laws at every grid point
     refuse_over_sample_budget(
         2 * n_samples * sum(n * n for n, _, _, _ in grid))

@@ -353,7 +353,6 @@ def sim_suite(fast: bool = False) -> VerifyReport:
             "tail=%s" % (curve.tail_prob,))
 
     cfg = sim.EnsembleConfig(n=50, rho=10.0, dist="student", df=14.0,
-                             truncate=True,
                              delta=sim.default_delta(0.5, 1.0), seed=9)
     h = sim.sample_matrix(cfg, 0)
     rep.add("sim.student_truncation_path",
@@ -366,7 +365,7 @@ def sim_suite(fast: bool = False) -> VerifyReport:
     for k, block in enumerate(sim.sample_blocks(cfg, 4)):
         eig.append(float(np.max(np.abs(np.linalg.eigvalsh(block)))))
         value, _ = sim.lanczos_lambda_max(block[0], sim.lanczos_start(cfg, k),
-                                          sim.LANCZOS_TOL * scale)
+                                          2.0 * cfg.v)
         worst = max(worst, math.inf if value is None
                     else abs(value - eig[k]) / scale)
     curve = sim.edge_tail(cfg, [-2.0, -1.0, 0.0, 1.0, 2.0], len(eig))

@@ -33,8 +33,7 @@ class ClassificationError(ValueError):
     """Raised when a census is requested for a non-even walk."""
 
 
-DEFAULT_ENUM_CAP = 6
-SHAPE_TABLE_CAP = 7
+ENUM_CAP = 7  # the largest s the even-walk search takes
 EVEN_WALK_COUNTS = (1, 1, 3, 16, 122, 1209, 14829, 216955)  # s = 0..7
 
 
@@ -696,9 +695,10 @@ def estimate_even_walk_count(s: int) -> int:
 
 
 def refuse_over_cap(s: int, cap: int) -> None:
-    """Refused when s > cap, with the estimated even-walk count."""
+    """Refused when s > cap, with the estimated even-walk count.  The
+    message leaves s out: str() of an int past 4300 digits raises."""
     if s > cap:
-        raise Refused("walk enumeration at s=%d exceeds cap %d" % (s, cap),
+        raise Refused("walk enumeration past the cap s = %d" % cap,
                       estimate_even_walk_count(s))
 
 
@@ -796,7 +796,7 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
     return rec(0, 1)
 
 
-def enumerate_even_walks(s: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Walk]:
+def enumerate_even_walks(s: int, cap: int = ENUM_CAP) -> Iterator[Walk]:
     """All canonical even closed walks of 2s steps, lexicographic order;
     refuses s > cap.  Each walk carries its analysis from the search, so no
     step of it is swept again."""
@@ -819,9 +819,9 @@ def shape_table(s: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """(k, sorted pair multiplicities, walk count) per shape of the even
     walks of 2s steps, sorted.  Class size and weight depend only on the
     shape, so this is all the walk oracle needs; it builds no Walk and no
-    analysis, is computed once per s and refuses s > SHAPE_TABLE_CAP."""
+    analysis, is computed once per s and refuses s > ENUM_CAP."""
     counts: Counter = Counter()
-    for _, _, mult, _, _, _, k in _even_walk_leaves(s, SHAPE_TABLE_CAP):
+    for _, _, mult, _, _, _, k in _even_walk_leaves(s, ENUM_CAP):
         counts[k, tuple(sorted(mult.values()))] += 1
     return tuple((k, mults, c) for (k, mults), c in sorted(counts.items()))
 

@@ -64,10 +64,10 @@ class TestWalk:
         code, out, err = run_cli(["walk", "enumerate", "--s", "9"], capsys)
         assert code == 3
         assert "refused" in err and out == ""
-        # the estimate is the walk count itself where it is known
-        code, out, err = run_cli(["walk", "enumerate", "--s", "7"], capsys)
+        # s = 7 is the cap, and no flag overrides it
+        code, out, err = run_cli(["walk", "enumerate", "--s", "8"], capsys)
         assert code == 3 and out == ""
-        assert "estimated work: 216955)" in err
+        assert "estimated work: %d)" % wk.estimate_even_walk_count(8) in err
         # a refused stream leaves no file behind, not even a manifest
         out_file = tmp_path / "walks.csv"
         code, out, err = run_cli(
@@ -346,7 +346,7 @@ class TestSim:
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"v": 0.5, "truncate": False}))
+        cfg.write_text(json.dumps({"v": 0.5, "delta": 0.3}))
         code, out, _ = run_cli(
             ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
              "--samples", "4", "--config", str(cfg)], capsys)
@@ -355,8 +355,7 @@ class TestSim:
     def test_manifest_records_ensemble(self, tmp_path):
         # two runs whose bodies differ never have equal manifests
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"v": 0.25, "truncate": True,
-                                   "delta": 0.3, "df": 9}))
+        cfg.write_text(json.dumps({"v": 0.25, "delta": 0.3, "df": 9}))
         argvs = [
             ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
              "--samples", "4", "--config", str(cfg), "--threads", "1"],
@@ -370,10 +369,10 @@ class TestSim:
             header = proc.stdout.splitlines()[0]
             config = json.loads(header[len("# manifest: "):])["config"]
             assert {k: config[k] for k in
-                    ("n", "rho", "dist", "v", "truncate", "delta", "df",
-                     "threads")} == {
+                    ("n", "rho", "dist", "v", "delta", "df", "threads")} == {
                 "n": 8, "rho": 2.0, "dist": "rademacher", "v": 0.25,
-                "truncate": True, "delta": 0.3, "df": 9, "threads": 1}
+                "delta": 0.3, "df": 9, "threads": 1}
+            assert "truncate" not in config
 
     @pytest.mark.parametrize("flag, env, expect", [
         (["--threads", "2"], {"LAB_THREADS": "1"}, 2),
@@ -551,6 +550,10 @@ FLAG_VALUES = {"--out": "x.csv", "--format": "json", "--seed": "1",
 # seconds to sample
 CROSSOVER_S_ZERO = ["sim", "crossover", "--n", "1000", "--n", "8", "--eps",
                     "0", "--chi", "0.1", "--samples", "40"]
+CROSSOVER_ZETA_INF = ["sim", "crossover", "--n", "8", "--eps", "0",
+                      "--samples", "2", "--zeta", "1e-310"]
+CROSSOVER_ZETA_ZERO = ["sim", "crossover", "--n", "1100", "--eps", "0",
+                       "--chi", "0.01", "--zeta", "5e-324", "--samples", "2"]
 
 
 # standard modules that a command which never runs them must not load
@@ -651,7 +654,8 @@ class TestUsage:
         ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2", "--se",
          "3"],
         ["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2", "--conf",
-         "c.json"]])
+         "c.json"],
+        ["walk", "enumerate", "--s", "3", "--force"]])
     def test_flag_not_read(self, argv, tmp_path):
         # a flag that the command does not read, a flag before the
         # subcommand or the action, an abbreviated flag, and argparse's own
@@ -728,17 +732,21 @@ class TestUsage:
         ["sim", "edge", "--n", "8", "--eps", "inf", "--samples", "2"],
         ["sim", "crossover", "--n", "8", "--eps", "inf", "--samples", "2"],
         # an --n past the float range
-        ["sim", "edge", "--n", "1" * 400, "--eps", "0", "--samples", "2"]])
+        ["sim", "edge", "--n", "1" * 400, "--eps", "0", "--samples", "2"],
+        # a Theorem 7.1 bound that was written as inf, and one whose
+        # zeta sqrt(pi chi) underflowed to 0.0 (it exited 5)
+        CROSSOVER_ZETA_INF, CROSSOVER_ZETA_ZERO])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  Leading NAME=value
         # items set environment variables, as in a shell; {bad_config} is a
         # config file whose delta is not a number, {config_KEY} one that
         # sets KEY alone
-        configs = {"bad_config": {"truncate": True, "delta": "x"},
+        configs = {"bad_config": {"delta": "x"},
                    "config_n": {"n": 7}, "config_rho": {"rho": 1.0},
                    "config_dist": {"dist": "gaussian"},
                    "config_seed": {"seed": 9}, "config_v": {"v": 0.25},
-                   "config_truncate": {"truncate": "no", "delta": 0.01},
+                   # delta alone sets the truncation: no truncate key
+                   "config_truncate": {"truncate": True, "delta": 0.01},
                    "config_huge_v": {"v": 1e308}}
         paths = {name: tmp_path / (name + ".json") for name in configs}
         for name, config in configs.items():
@@ -991,11 +999,8 @@ def walk_count_argvs(draw):
             argv.append("--check-closed-form")
         return argv
     if action == "enumerate":
-        s = draw(_sizes((1, 5), wk.DEFAULT_ENUM_CAP))
-        argv = ["walk", action, "--s", s]
-        n = _as_int(s)
-        if (n is None or n <= 5) and draw(st.booleans()):
-            argv.append("--force")      # never past s = 5
+        # never s = 6 or 7, which run for 0.4 s and 5 s
+        argv = ["walk", action, "--s", draw(_sizes((1, 5), wk.ENUM_CAP))]
     else:
         argv = ["walk", action, draw(TRAJECTORIES)]
     if draw(sometimes):
@@ -1022,8 +1027,8 @@ class TestWalkCountFuzz:
     @example(argv=["count", "multi-edge", "--l", "10000", "--s-max", "3"])
     @example(argv=["count", "catalan", "--s-max", "0"])
     @example(argv=["count", "lemma61", "--s-max", "0"])
-    @example(argv=["walk", "enumerate", "--s", "0", "--force"])
-    @example(argv=["walk", "enumerate", "--s", "7"])
+    @example(argv=["walk", "enumerate", "--s", "0"])
+    @example(argv=["walk", "enumerate", "--s", "8"])
     @example(argv=["walk", "enumerate", "--s", "1" * 5000])
     @example(argv=["walk", "from-trajectory", W16_TRAJ, "--k0", "1"])
     @example(argv=["walk", "from-trajectory", "1,1"])
@@ -1069,7 +1074,7 @@ def assert_csv_or_one_line(argv, code, out, err, summary=""):
 # sim --config files, named by placeholder: {config_KEY} in an argv is the
 # path of the file that holds SIM_CONFIGS[KEY]
 SIM_CONFIGS = {"huge_v": {"v": 1e308}, "v": {"v": 0.25},
-               "truncate": {"truncate": True, "delta": 0.1},
+               "tiny_v": {"v": 1e-170}, "delta": {"delta": 0.1},
                "student": {"df": 3.5}, "text_v": {"v": "x"},
                "dist": {"dist": "gaussian"}, "unknown": {"w": 1},
                "list": [1], "not_json": "{"}
@@ -1092,7 +1097,7 @@ X_GRID = (st.lists(st.floats(-6, 6), min_size=1, max_size=5).map(
                    max_size=5).map(",".join))
 DIST = (st.sampled_from(["rademacher", "gaussian", "student"]),
         st.sampled_from(["cauchy", "", "Gaussian"]))
-CONFIG = (st.sampled_from(["{config_v}", "{config_truncate}",
+CONFIG = (st.sampled_from(["{config_v}", "{config_delta}",
                            "{config_student}"]),
           st.sampled_from(["{config_%s}" % key for key in SIM_CONFIGS]
                           + ["missing.json"]))
@@ -1178,6 +1183,13 @@ class TestSimVerifyFuzz:
                    "1e5", "--samples", "2"])
     @example(argv=["sim", "crossover", "--n", "8", "--eps", "0", "--chi",
                    "7", "--samples", "4"])
+    # a bound written as inf, and one whose zeta sqrt(pi chi) underflowed
+    # to 0.0 (exit 5)
+    @example(argv=CROSSOVER_ZETA_INF)
+    @example(argv=CROSSOVER_ZETA_ZERO)
+    # Lanczos vectors whose norm underflowed: wrong counts
+    @example(argv=["sim", "edge", "--n", "300", "--rho", "30", "--samples",
+                   "4", "--x-grid=-4,0,4", "--config", "{config_tiny_v}"])
     @example(argv=["verify", "cli"])
     def test_exit_codes(self, argv, config_paths):
         for key, path in config_paths.items():

@@ -33,9 +33,8 @@ def ref_sample_matrix(config, sample_index):
     else:
         scale = config.v / math.sqrt(config.df / (config.df - 2.0))
         a = rng.standard_t(config.df, size=m) * scale
-    level = config.truncation_level()
-    if level is not None:
-        a = np.where(np.abs(a) > level, 0.0, a)
+    if config.delta is not None:
+        a = np.where(np.abs(a) > float(n) ** config.delta, 0.0, a)
     mask = rng.random(m) < config.rho / n
     vals = a * mask / math.sqrt(config.rho)
     h = np.zeros((n, n))
@@ -69,10 +68,9 @@ def stats_bytes(stats):
     return np.array(dataclasses.astuple(stats), dtype=float).tobytes()
 
 
-LAWS = [dict(dist=dist, truncate=truncate,
-             delta=0.05 if truncate else None)
+LAWS = [dict(dist=dist, delta=delta)
         for dist in ("rademacher", "gaussian", "student")
-        for truncate in (False, True)]
+        for delta in (None, 0.05)]
 
 
 def block_size(n):
@@ -86,13 +84,11 @@ class TestConfig:
         with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=4, rho=1.0, dist="cauchy")
         with pytest.raises(sim.SimConfigError):
-            sim.EnsembleConfig(n=4, rho=1.0, truncate=True)
-        with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=4, rho=1.0, dist="student", df=2.0)
         # numeric fields that are not finite real numbers (a --config file
         # can set v, df and delta)
         with pytest.raises(sim.SimConfigError):
-            sim.EnsembleConfig(n=4, rho=1.0, truncate=True, delta="x")
+            sim.EnsembleConfig(n=4, rho=1.0, delta="x")
         with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=4, rho=1.0, v=float("nan"))
         with pytest.raises(sim.SimConfigError):
@@ -100,15 +96,20 @@ class TestConfig:
         # an int past the float range is no finite real number either
         with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=10 ** 400, rho=1.0)
-        # truncate must be a bool: a --config string "no" is truthy
-        for flag in ("no", 1, None):
-            with pytest.raises(sim.SimConfigError):
-                sim.EnsembleConfig(n=4, rho=1.0, truncate=flag, delta=0.01)
+        # truncation is set by delta alone: there is no truncate field
+        with pytest.raises(TypeError):
+            sim.EnsembleConfig(n=4, rho=1.0, truncate=True, delta=0.01)
 
     def test_truncation_level(self):
-        cfg = sim.EnsembleConfig(n=100, rho=10.0, truncate=True, delta=0.5)
+        cfg = sim.EnsembleConfig(n=100, rho=10.0, delta=0.5)
         assert cfg.truncation_level() == pytest.approx(10.0)
         assert sim.EnsembleConfig(n=100, rho=10.0).truncation_level() is None
+        # a level past the float range truncates nothing (it raised
+        # OverflowError, an exit 5)
+        cfg = sim.EnsembleConfig(n=8, rho=2.0, seed=3, delta=1e300)
+        assert cfg.truncation_level() == math.inf
+        assert sim.sample_matrix(cfg, 0).tobytes() == sim.sample_matrix(
+            dataclasses.replace(cfg, delta=None), 0).tobytes()
 
     def test_default_delta(self):
         assert sim.default_delta(0.0, 0.0) == pytest.approx(1.0 / 12.0)
@@ -171,7 +172,7 @@ class TestBlockSampler:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 30, 200])
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: "%s%s" % (
-        law["dist"], "-trunc" if law["truncate"] else ""))
+        law["dist"], "-trunc" if law["delta"] else ""))
     def test_matrix_matches_reference(self, n, law):
         # at rho = n the sampler draws no mask; the reference still draws
         # it, as the last draw of each stream
@@ -190,7 +191,7 @@ class TestBlockSampler:
             assert block[row].tobytes() == ref_sample_matrix(cfg, k).tobytes()
 
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: "%s%s" % (
-        law["dist"], "-trunc" if law["truncate"] else ""))
+        law["dist"], "-trunc" if law["delta"] else ""))
     def test_chunk_boundaries(self, law):
         # m = 80,601 entries, odd, read as one full chunk and an uneven
         # tail, and the mask after them: the chunked reads of each stream
@@ -217,7 +218,7 @@ class TestBlockSampler:
     @pytest.mark.parametrize("n, config, bound", [
         (600, dict(rho=60.0), 1.3),
         (600, dict(rho=600.0, dist="gaussian"), 1.3),
-        (600, dict(rho=60.0, dist="student", truncate=True, delta=0.05), 1.3),
+        (600, dict(rho=60.0, dist="student", delta=0.05), 1.3),
         (2000, dict(rho=2000.0), 1.1)],
         ids=["rademacher", "gaussian-full", "student-trunc", "n2000-full"])
     def test_peak_one_matrix(self, n, config, bound):
@@ -239,8 +240,8 @@ class TestBlockSampler:
     def test_truncation_bites(self):
         # the truncated laws above do zero some entries
         cfg = sim.EnsembleConfig(n=200, rho=200.0, dist="gaussian", seed=23,
-                                 truncate=True, delta=0.05)
-        full = dataclasses.replace(cfg, truncate=False, delta=None)
+                                 delta=0.05)
+        full = dataclasses.replace(cfg, delta=None)
         assert (np.count_nonzero(sim.sample_matrix(cfg, 0))
                 < np.count_nonzero(sim.sample_matrix(full, 0)))
 
@@ -303,7 +304,7 @@ class TestLanczos:
     @pytest.mark.parametrize("n", [256, 300, 600])
     @pytest.mark.parametrize("dense", [False, True], ids=["dilute", "dense"])
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: "%s%s" % (
-        law["dist"], "-trunc" if law["truncate"] else ""))
+        law["dist"], "-trunc" if law["delta"] else ""))
     def test_counts_match_reference(self, n, dense, law):
         rho = float(n) if dense else n ** (2.0 / 3.0)
         cfg = sim.EnsembleConfig(n=n, rho=rho, seed=37, **law)
@@ -329,7 +330,7 @@ class TestLanczos:
         for k in range(3):
             h = sim.sample_matrix(cfg, k)
             value, steps = sim.lanczos_lambda_max(
-                h, sim.lanczos_start(cfg, k), sim.LANCZOS_TOL * scale)
+                h, sim.lanczos_start(cfg, k), 2.0 * cfg.v)
             want = float(np.max(np.abs(np.linalg.eigvalsh(h))))
             assert abs(value - want) <= 1e-9 * scale
             assert steps % sim.LANCZOS_CHECK == 0
@@ -337,13 +338,26 @@ class TestLanczos:
     def test_invariant_start_space(self):
         # the zero matrix: the Krylov space is invariant after one step
         value, steps = sim.lanczos_lambda_max(np.zeros((5, 5)), np.ones(5),
-                                              1e-12)
+                                              1.0)
         assert (value, steps) == (0.0, 1)
         # an eigenvector start: its eigenvalue, even if negative
         h = np.diag([1.0, -3.0, 2.0])
         value, steps = sim.lanczos_lambda_max(h, np.array([0.0, 1.0, 0.0]),
-                                              1e-12)
+                                              1.0)
         assert (value, steps) == (3.0, 1)
+
+    @pytest.mark.parametrize("v", [1e-170, 1e200])
+    def test_edge_far_from_one(self, v):
+        # the iteration runs in units of the edge 2v: a norm of the raw
+        # vectors underflowed at v = 1e-170 (counts [0, 0, 0] after
+        # one-step "invariant" exits) and overflowed at v = 1e200 (every
+        # sample fell back, with a RuntimeWarning, an error under tier-1)
+        cfg = sim.EnsembleConfig(n=300, rho=30.0, v=v, seed=0)
+        curve = sim.edge_tail(cfg, [-4.0, 0.0, 4.0], 4)
+        assert list(curve.counts) == ref_edge_counts(ref_spectra(cfg, 4),
+                                                     curve.thresholds)
+        assert curve.lanczos_fallbacks == 0
+        assert curve.lanczos_steps >= 4 * sim.LANCZOS_CHECK
 
     def test_planted_threshold_falls_back(self):
         cfg = sim.EnsembleConfig(n=256, rho=40.0, seed=5)
@@ -546,3 +560,6 @@ class TestClosedForms:
         # underflow, also where chi^3 exceeds the float range
         assert sim.theorem_7_1_rhs(7.0, 1.0, 1.0) == 0.0
         assert sim.theorem_7_1_rhs(1e200, 1.0, 1.0) == 0.0
+        # overflow, also where zeta sqrt(pi chi) underflows to 0.0
+        assert sim.theorem_7_1_rhs(1.0, 1e-310, 1.0) == math.inf
+        assert sim.theorem_7_1_rhs(0.01, 5e-324, 1.0) == math.inf

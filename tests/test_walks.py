@@ -597,6 +597,17 @@ class TestEnumeration:
             list(wk.enumerate_even_walks(9))
         assert exc.value.estimate == 71_213_283
 
+    def test_refused_before_any_step(self, first_nested_call):
+        # one cap, s = 7, with no override; a 5,000-digit s (past str()'s
+        # digit limit) refuses too, with its estimate
+        for s in (8, 10 ** 4999):
+            step, exc = first_nested_call(wk, list,
+                                          wk.enumerate_even_walks(s))
+            assert step is None and isinstance(exc, Refused)
+            assert exc.estimate == wk.estimate_even_walk_count(s)
+        assert first_nested_call(
+            wk, cli.main, ["walk", "enumerate", "--s", "8"]) == (None, 3)
+
     def test_estimate_is_the_count(self):
         for s in range(1, 7):
             assert wk.estimate_even_walk_count(s) == \
@@ -609,7 +620,7 @@ class TestEnumeration:
 
     @pytest.mark.slow
     def test_estimate_is_the_count_at_7(self):
-        count = sum(1 for _ in wk.enumerate_even_walks(7, cap=7))
+        count = sum(1 for _ in wk.enumerate_even_walks(7))
         assert count == wk.estimate_even_walk_count(7) == 216955
 
     def test_partition_small(self):
@@ -654,7 +665,7 @@ class TestShapeTable:
                    for row in table)
 
     def test_counts_at_7(self):
-        # above the enumeration cap: the table alone goes to s = 7
+        # the cap of the walk search, which the table shares
         table = wk.shape_table(7)
         assert list(table) == sorted(table)
         assert sum(c for _, _, c in table) == wk.EVEN_WALK_COUNTS[7]
