@@ -31,26 +31,17 @@ COUNT_CAPS = {"catalan": 3000, "multi-edge": 600, "subcluster": 600,
 
 
 def _set_threads(value):
-    """The requested BLAS thread count: --threads, else LAB_THREADS, else
-    None.  0 or None leaves the BLAS defaults alone.  A count outside
-    0..os.cpu_count() is refused before any BLAS variable is written."""
-    if value is None:
-        env = os.environ.get("LAB_THREADS")
-        if not env:
-            return None
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError("LAB_THREADS must be an integer, got %r" % env)
+    """Writes the BLAS thread count --threads asks for; 0 or None leaves the
+    BLAS defaults alone.  A count outside 0..os.cpu_count() is refused
+    before any BLAS variable is written."""
     cpus = os.cpu_count() or 1
-    if not 0 <= value <= cpus:
+    if value is not None and not 0 <= value <= cpus:
         raise ValueError("thread count must be in 0..%d (the CPU count), "
                          "got %d" % (cpus, value))
     if value:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(value)
-    return value
 
 
 def _parse_fraction(text: str):
@@ -100,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampled = argparse.ArgumentParser(add_help=False, parents=[report])
     sampled.add_argument("--seed", type=int, default=0)
     sampled.add_argument("--threads", type=int,
-                         help="BLAS thread count (fallback: LAB_THREADS)")
+                         help="BLAS thread count")
     configured = argparse.ArgumentParser(add_help=False, parents=[sampled])
     configured.add_argument("--config",
                             help="JSON config file with flat ensemble "
@@ -350,7 +341,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    args.threads = _set_threads(args.threads)   # before numpy loads
+    _set_threads(args.threads)   # before numpy loads
     import dataclasses
 
     from . import sim

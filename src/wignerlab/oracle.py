@@ -126,13 +126,19 @@ def pair_weight(m: int, spec: MomentSpec) -> Fraction:
     return spec.v_moment(m) * spec.rho ** (1 - m // 2) / spec.n
 
 
-def shape_weight(k: int, mults, spec: MomentSpec) -> Fraction:
-    """(n)_k prod_m pair_weight(m): the total weight of the trajectories
-    whose canonical walk has k letters and pair multiplicities mults."""
-    out = Fraction(math.perm(spec.n, k))
+def _weighed(count: int, mults, spec: MomentSpec) -> Fraction:
+    """count prod_m pair_weight(m): count trajectories of pair
+    multiplicities mults, weighed."""
+    out = Fraction(count)
     for m in mults:
         out *= pair_weight(m, spec)
     return out
+
+
+def shape_weight(k: int, mults, spec: MomentSpec) -> Fraction:
+    """(n)_k prod_m pair_weight(m): the total weight of the trajectories
+    whose canonical walk has k letters and pair multiplicities mults."""
+    return _weighed(math.perm(spec.n, k), mults, spec)
 
 
 def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
@@ -179,13 +185,8 @@ def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
 
     for first in range(1, n + 1):
         extend(first, first, 0)
-    total = Fraction(0)
-    for mults, count in shapes.items():
-        w = Fraction(count)
-        for m in mults:
-            w *= pair_weight(m, spec)
-        total += w
-    return total
+    return sum((_weighed(count, mults, spec)
+                for mults, count in shapes.items()), Fraction(0))
 
 
 def exact_moment_walk(spec: MomentSpec) -> Fraction:

@@ -170,9 +170,11 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     m = n(n-1)/2 entries are drawn, at most CHUNK per generator call, into
     the matrix's last m slots, then transformed CHUNK at a time and
     expanded in place.  Philox is counter-based, so reading a stream in
-    chunks gives the bytes of one read.  Beside the block's matrices the
-    sampler holds a 1-byte mask per entry and O(CHUNK) scratch; a caller's
-    eigvalsh adds one copy of its matrix, Lanczos its basis.
+    chunks gives the bytes of one read.  A dropped entry is stored as
+    +0.0; a kept entry that leaves the float range is a SimConfigError.
+    Beside the block's matrices the sampler holds a 1-byte mask per entry
+    and O(CHUNK) scratch; a caller's eigvalsh adds one copy of its matrix,
+    Lanczos its basis.
     """
     n = config.n
     if n > DENSE_CAP:
@@ -184,9 +186,9 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     base = n * n - m
     a = flat[:, base:]  # the upper triangle, row by row
     p = config.rho / n
-    # at p = 1 the mask keeps every entry; it is each stream's last draw,
+    # at p = 1 the mask drops no entry; it is each stream's last draw,
     # so leaving it undrawn changes no other number
-    keep = np.empty((b, m), dtype=bool) if p < 1.0 else None
+    drop = np.empty((b, m), dtype=bool) if p < 1.0 else None
     spans = [(slice(lo, min(lo + CHUNK, m)), min(CHUNK, m - lo))
              for lo in range(0, m, CHUNK)]
     if config.dist == "rademacher":
@@ -201,24 +203,30 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     for row, rng in enumerate(_sample_streams(config, start, stop)):
         for span, size in spans:
             a[row, span] = draw(rng, size)
-        if keep is not None:
+        if drop is not None:
             for span, size in spans:
-                np.less(rng.random(size), p, keep[row, span])
+                np.greater_equal(rng.random(size), p, drop[row, span])
     level = config.truncation_level()
     width = max(1, CHUNK // max(b, 1))  # columns per chunk: CHUNK values
     for lo in range(0, m, width):
         x = a[:, lo:lo + width]
-        if config.dist == "rademacher":
-            x *= 2.0
-            x -= 1.0
-            x *= config.v
-        elif config.dist == "student":
-            x *= config.v / math.sqrt(config.df / (config.df - 2.0))
-        if level is not None:
-            x[np.abs(x) > level] = 0.0
-        if keep is not None:
-            x *= keep[:, lo:lo + width]
-        x /= math.sqrt(config.rho)
+        with np.errstate(over="ignore"):  # an inf is refused below
+            if config.dist == "rademacher":
+                x *= 2.0
+                x -= 1.0
+                x *= config.v
+            elif config.dist == "student":
+                x *= config.v / math.sqrt(config.df / (config.df - 2.0))
+            if level is not None:
+                x[np.abs(x) > level] = 0.0
+            if drop is not None:
+                np.putmask(x, drop[:, lo:lo + width], 0.0)
+            x /= math.sqrt(config.rho)
+        # min and max allocate nothing (isfinite would); initial admits b = 0
+        if not np.isfinite([x.min(initial=0.0), x.max(initial=0.0)]).all():
+            raise SimConfigError(
+                "an entry a_ij rho^(-1/2) at dist=%s, v=%r leaves the float "
+                "range; need a smaller v" % (config.dist, config.v))
     # row i's entries move to [i (n + 1) + 1, (i + 1) n).  That ends at or
     # before base + off, where row i + 1's entries start, as (i + 1) n <=
     # n (n + 1) / 2 + off for i < n - 1: rows in increasing order overwrite
@@ -231,7 +239,6 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     flat[:, ::n + 1] = 0.0
     for i in range(n - 1):
         h[:, i + 1:, i] = h[:, i, i + 1:]
-    h += 0.0  # a masked-out negative entry is -0.0; store +0.0
     return h
 
 

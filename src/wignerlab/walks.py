@@ -174,14 +174,12 @@ class DyckPath:
         return max(itertools.accumulate(self.ups_downs, initial=0))
 
 
-# condition sets of an arrival, indexed by o + 2*Delta + 4*Lambda, where just
-# before the arriving marked step
+# an arrival's condition code is o + 2*Delta + 4*Lambda, where just before
+# the arriving marked step
 #   o      -- some pair at the vertex has odd multiplicity (the vertex is open),
 #   Delta  -- a marked edge with the same tail and head already exists,
 #   Lambda -- the reversed marked edge already exists.
-_CONDITION_SETS = tuple(map(frozenset, (
-    (), ("o",), ("Delta",), ("o", "Delta"), ("Lambda",), ("o", "Lambda"),
-    ("Delta", "Lambda"), ("o", "Delta", "Lambda"))))
+DELTA, LAMBDA = 2, 4
 
 
 @dataclass
@@ -193,12 +191,13 @@ class WalkAnalysis:
     so it is never negative, and the walk is even when it ends at 0: the
     marks then form a Dyck path.  marked_edges holds the marked
     (tail, head, time) steps.  At each marked arrival the pass records
-    which of the conditions o (the vertex is open: some pair at it has odd
-    multiplicity), Delta (the same marked edge, tail and head, already
-    exists) and Lambda (the reversed marked edge already exists) hold just
-    before the step.  arrival_conds[v] follows the marked steps arriving at
-    v in time order, so arrival i (from 1; creating a non-root letter is
-    arrival 1) is arrival_conds[v][i-1]; exits[v] counts those leaving v.
+    the code o + 2*Delta + 4*Lambda of the conditions o (the vertex is
+    open: some pair at it has odd multiplicity), Delta (the same marked
+    edge, tail and head, already exists) and Lambda (the reversed marked
+    edge already exists) just before the step.  arrival_conds[v] follows
+    the marked steps arriving at v in time order, so arrival i (from 1;
+    creating a non-root letter is arrival 1) is arrival_conds[v][i-1];
+    exits[v] counts those leaving v.
     With a zero instant for the root's creation, letter v has
     kappa(v) = len(arrival_conds[v]) + (v == 1) arrival instants, so
     sum(kappa) - 1 = s and |V_g| = s - sigma + 1, sigma = sum(kappa - 1).
@@ -212,7 +211,7 @@ class WalkAnalysis:
     marked: tuple[bool, ...]
     pair_multiplicity: dict[tuple[int, int], int]
     marked_edges: tuple[tuple[int, int, int], ...]
-    arrival_conds: dict[int, tuple[frozenset, ...]]
+    arrival_conds: dict[int, tuple[int, ...]]
     exits: dict[int, int]
     reductions: dict[Optional[int], "ReducedWalk"] = field(
         default_factory=dict, compare=False, repr=False)
@@ -237,7 +236,7 @@ def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
     odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
     marked_directed: set[tuple[int, int]] = set()
     heights, marked, marked_edges = [0], [], []
-    conds: dict[int, list[frozenset]] = {}
+    conds: dict[int, list[int]] = {}
     exits: dict[int, int] = {}
     tail = w[0]
     for t in range(1, len(w)):
@@ -247,10 +246,10 @@ def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
         mult[pair] = m
         marked.append(m & 1 == 1)
         if m & 1:
-            conds.setdefault(head, []).append(_CONDITION_SETS[
+            conds.setdefault(head, []).append(
                 (odd_at[head] > 0)
                 + 2 * ((tail, head) in marked_directed)
-                + 4 * ((head, tail) in marked_directed)])
+                + 4 * ((head, tail) in marked_directed))
             marked_directed.add((tail, head))
             marked_edges.append((tail, head, t))
             exits[tail] = exits.get(tail, 0) + 1
@@ -441,9 +440,9 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
     s = walk.s
     mu1 = r = p = q = mu2_pp = u2 = mu3_p = mu3_pp = u3 = 0
     nu: Counter = Counter()
-    # the condition sets of each vertex's marked arrivals, in time order (the
-    # root has none when no marked step returns to it); a set is labelled by
-    # its maximal condition, Lambda > Delta > o
+    # the condition codes of each vertex's marked arrivals, in time order
+    # (the root has none when no marked step returns to it); a code is
+    # labelled by its maximal condition, Lambda > Delta > o
     for conds in a.arrival_conds.values():
         k = len(conds)
         if k == 1:
@@ -451,9 +450,9 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
         elif k > k0:
             nu[k] += 1
         elif conds[1]:
-            if "Lambda" in conds[1]:
+            if conds[1] & LAMBDA:
                 q += 1
-            elif "Delta" in conds[1]:
+            elif conds[1] & DELTA:
                 p += 1
             else:
                 r += 1
@@ -461,7 +460,7 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
         elif k == 2:
             mu2_pp += 1
         else:
-            if "Lambda" in conds[2] or "Delta" in conds[2]:
+            if conds[2] & (LAMBDA | DELTA):
                 mu3_p += 1
             else:
                 mu3_pp += 1
@@ -717,7 +716,7 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
     piece on backtrack and deleting a key whose count returns to 0, so every
     dict has the insertion order of a fresh sweep.  Yields the live
     (letters, heights, pair multiplicities keyed (min, max), marked
-    (tail, head, time) steps, arrival condition sets, exits, letter count)
+    (tail, head, time) steps, arrival condition codes, exits, letter count)
     of each even walk; the caller copies what it keeps.
     """
     if s < 1:
@@ -727,7 +726,7 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
     width = total + 2               # letters stay below it
     seq, heights, edges = [1], [0], []
     mult: dict[tuple[int, int], int] = {}
-    conds: dict[int, tuple[frozenset, ...]] = {}
+    conds: dict[int, tuple[int, ...]] = {}
     exits: dict[int, int] = {}
     odd_at = [0] * width            # odd pairs touching each letter
     directed = [0] * (width * width)    # marked steps tail -> head
@@ -761,9 +760,9 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
                 if closing:
                     continue
                 arrived = conds.get(nxt, ())
-                conds[nxt] = arrived + (_CONDITION_SETS[
+                conds[nxt] = arrived + (
                     (odd_at[nxt] > 0) + 2 * (directed[row + nxt] > 0)
-                    + 4 * (directed[nxt * width + cur] > 0)],)
+                    + 4 * (directed[nxt * width + cur] > 0),)
                 directed[row + nxt] += 1
                 edges.append((cur, nxt, t + 1))
                 exits[cur] = exits.get(cur, 0) + 1

@@ -376,9 +376,10 @@ class TestSim:
 
     @pytest.mark.parametrize("flag, env, expect", [
         (["--threads", "2"], {"LAB_THREADS": "1"}, 2),
-        ([], {"LAB_THREADS": "1"}, 1),
-        ([], {}, None)])
+        (["--threads", "1"], {}, 1),
+        ([], {"LAB_THREADS": "1"}, None)])
     def test_manifest_records_threads(self, flag, env, expect):
+        # --threads alone sets the count: LAB_THREADS is not read
         full_env = {k: v for k, v in os.environ.items()
                     if k != "LAB_THREADS"}
         for argv in (["sim", "moments", "--n", "8", "--rho", "2", "--s",
@@ -393,6 +394,20 @@ class TestSim:
             header = proc.stdout.splitlines()[0]
             manifest = json.loads(header[len("# manifest: "):])
             assert manifest["config"]["threads"] == expect
+
+    def test_lab_threads_is_not_read(self, monkeypatch, capsys):
+        # in process, so that the environment sim leaves is visible
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+        for var in blas:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("LAB_THREADS", "1")
+        code, out, err = run_cli(["sim", "moments", "--n", "8", "--rho", "2",
+                                  "--s", "1", "--samples", "2"], capsys)
+        assert code == 0 and err == ""
+        manifest = json.loads(out.splitlines()[0][len("# manifest: "):])
+        assert manifest["config"]["threads"] is None
+        assert not [var for var in blas if var in os.environ]
 
     def test_edge_manifest_counters(self, capsys):
         # the Lanczos work counters sit in the manifest, outside the body
@@ -554,6 +569,15 @@ CROSSOVER_ZETA_INF = ["sim", "crossover", "--n", "8", "--eps", "0",
                       "--samples", "2", "--zeta", "1e-310"]
 CROSSOVER_ZETA_ZERO = ["sim", "crossover", "--n", "1100", "--eps", "0",
                        "--chi", "0.01", "--zeta", "5e-324", "--samples", "2"]
+# a kept entry past the float range: {config_huge_v} sets v = 1e308,
+# {config_big_v} v = 5e307.  Each printed RuntimeWarnings before its error:
+# line, and exited 5 under a RuntimeWarning filter
+SIM_ENTRY_OVERFLOW = [
+    ["sim", "moments", "--n", "2", "--rho", "1", "--dist", dist, "--config",
+     "{config_huge_v}", "--s", "1", "--samples", "100", "--seed", "0"]
+    for dist in ("gaussian", "student")] + [
+    ["sim", "edge", "--n", "300", "--rho", "300", "--dist", "gaussian",
+     "--config", "{config_big_v}", "--samples", "20", "--x-grid=-4,0,4"]]
 
 
 # standard modules that a command which never runs them must not load
@@ -692,10 +716,6 @@ class TestUsage:
          "--config", "{bad_config}"],
         ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
          "--threads", "-1"],
-        ["LAB_THREADS=abc", "sim", "moments", "--n", "8", "--rho", "2",
-         "--s", "1"],
-        ["LAB_THREADS=-1", "sim", "moments", "--n", "8", "--rho", "2",
-         "--s", "1"],
         ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "inf",
          "--samples", "2"],
         ["sim", "moments", "--n", "8", "--rho", "2", "--s", "1",
@@ -735,10 +755,12 @@ class TestUsage:
         ["sim", "edge", "--n", "1" * 400, "--eps", "0", "--samples", "2"],
         # a Theorem 7.1 bound that was written as inf, and one whose
         # zeta sqrt(pi chi) underflowed to 0.0 (it exited 5)
-        CROSSOVER_ZETA_INF, CROSSOVER_ZETA_ZERO])
+        CROSSOVER_ZETA_INF, CROSSOVER_ZETA_ZERO,
+        # entries past the float range, which printed RuntimeWarnings
+        # before their error: line
+        *SIM_ENTRY_OVERFLOW])
     def test_bad_inputs(self, argv, tmp_path):
-        # input errors the library raises as ValueError.  Leading NAME=value
-        # items set environment variables, as in a shell; {bad_config} is a
+        # input errors the library raises as ValueError.  {bad_config} is a
         # config file whose delta is not a number, {config_KEY} one that
         # sets KEY alone
         configs = {"bad_config": {"delta": "x"},
@@ -747,19 +769,16 @@ class TestUsage:
                    "config_seed": {"seed": 9}, "config_v": {"v": 0.25},
                    # delta alone sets the truncation: no truncate key
                    "config_truncate": {"truncate": True, "delta": 0.01},
-                   "config_huge_v": {"v": 1e308}}
+                   "config_huge_v": {"v": 1e308},
+                   "config_big_v": {"v": 5e307}}
         paths = {name: tmp_path / (name + ".json") for name in configs}
         for name, config in configs.items():
             paths[name].write_text(json.dumps(config))
         argv = [arg.format(**paths) for arg in argv]
-        env = dict(os.environ)
-        while "=" in argv[0]:
-            name, value = argv.pop(0).split("=", 1)
-            env[name] = value
         started = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "wignerlab.cli"] + argv,
-            capture_output=True, text=True, timeout=10, env=env)
+            capture_output=True, text=True, timeout=10)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
@@ -769,9 +788,7 @@ class TestUsage:
             assert time.monotonic() - started < 1
             assert "n=8, chi=0.1" in proc.stderr
 
-    @pytest.mark.parametrize("source", ["--threads", "LAB_THREADS"])
-    def test_threads_above_cpu_count(self, source, monkeypatch, capsys,
-                                     tmp_path):
+    def test_threads_above_cpu_count(self, monkeypatch, capsys, tmp_path):
         # refused in process before any BLAS variable is written, so no
         # process or thread ever starts with such a count.  monkeypatch
         # restores the variables, so that a regression cannot leak such a
@@ -790,12 +807,8 @@ class TestUsage:
                           "1"],
                          ["sim", "edge", "--n", "8", "--rho", "2"],
                          ["sim", "crossover", "--n", "8", "--eps", "0"]):
-                argv = argv + ["--out", str(out_file)]
-                if source == "--threads":
-                    monkeypatch.delenv("LAB_THREADS", raising=False)
-                    argv += ["--threads", str(count)]
-                else:
-                    monkeypatch.setenv("LAB_THREADS", str(count))
+                argv = argv + ["--out", str(out_file), "--threads",
+                               str(count)]
                 code, out, err = run_cli(argv, capsys)
                 assert code == 2 and out == ""
                 assert err == ("error: thread count must be in 0..%d (the "
@@ -1073,7 +1086,8 @@ def assert_csv_or_one_line(argv, code, out, err, summary=""):
 
 # sim --config files, named by placeholder: {config_KEY} in an argv is the
 # path of the file that holds SIM_CONFIGS[KEY]
-SIM_CONFIGS = {"huge_v": {"v": 1e308}, "v": {"v": 0.25},
+SIM_CONFIGS = {"huge_v": {"v": 1e308}, "big_v": {"v": 5e307},
+               "v": {"v": 0.25},
                "tiny_v": {"v": 1e-170}, "delta": {"delta": 0.1},
                "student": {"df": 3.5}, "text_v": {"v": "x"},
                "dist": {"dist": "gaussian"}, "unknown": {"w": 1},
@@ -1190,6 +1204,10 @@ class TestSimVerifyFuzz:
     # Lanczos vectors whose norm underflowed: wrong counts
     @example(argv=["sim", "edge", "--n", "300", "--rho", "30", "--samples",
                    "4", "--x-grid=-4,0,4", "--config", "{config_tiny_v}"])
+    # a kept entry past the float range
+    @example(argv=SIM_ENTRY_OVERFLOW[0])
+    @example(argv=SIM_ENTRY_OVERFLOW[1])
+    @example(argv=SIM_ENTRY_OVERFLOW[2])
     @example(argv=["verify", "cli"])
     def test_exit_codes(self, argv, config_paths):
         for key, path in config_paths.items():

@@ -1,21 +1,28 @@
 """The fast invariant suites must be green and well-formed."""
 
+import pytest
+
 from wignerlab import verify
 
 
-def test_fast_suites_pass():
-    for name, fn in verify.SUITES.items():
-        rep = fn(fast=True)
+@pytest.fixture(scope="module")
+def fast_reports():
+    """Each suite's fast report, built once for the module's tests."""
+    return {name: fn(fast=True) for name, fn in verify.SUITES.items()}
+
+
+def test_fast_suites_pass(fast_reports):
+    for name, rep in fast_reports.items():
         assert rep.suite == name
         assert rep.checks, name
         failed = [c.id for c in rep.checks if c.status == "fail"]
         assert not failed, failed
 
 
-def test_check_ids_are_unique_and_addressable():
+def test_check_ids_are_unique_and_addressable(fast_reports):
     seen = set()
-    for name, fn in verify.SUITES.items():
-        for check in fn(fast=True).checks:
+    for name, rep in fast_reports.items():
+        for check in rep.checks:
             assert check.id.startswith(name + "."), check.id
             assert check.id not in seen
             seen.add(check.id)

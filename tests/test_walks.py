@@ -321,12 +321,11 @@ def ref_analysis(walk):
         arrivals[head] = arrivals.get(head, 0) + 1
         exits[tail] = exits.get(tail, 0) + 1
     assert all(arrivals.get(v, 0) == k - (v == 1) for v, k in kappa.items())
-    # one object per condition set, as in the library: a pickle writes a
-    # shared object once and then refers back to it
-    shared = {}
-    conds = {v: tuple(shared.setdefault(c, c) for c in (
-        frozenset(ref_arrival_conditions(walk, v, i))
-        for i in range(1, k + 1))) for v, k in arrivals.items()}
+    # each replayed condition set, encoded as the library's bits
+    bits = {"o": 1, "Delta": 2, "Lambda": 4}
+    conds = {v: tuple(sum(bits[c] for c in ref_arrival_conditions(walk, v, i))
+                      for i in range(1, k + 1))
+             for v, k in arrivals.items()}
     return {"heights": heights, "marked": marked, "pair_multiplicity": mult,
             "marked_edges": marked_edges, "arrival_conds": conds,
             "exits": exits}
@@ -452,8 +451,8 @@ class TestSweepAgainstReference:
         conds = wk._sweep(walk.letters).arrival_conds
         assert time.perf_counter() - start < 5.0
         assert len(conds[2]) == 100_000
-        assert conds[2][0] == frozenset()
-        assert set(conds[2][1:]) == {frozenset(("Delta",))}
+        assert conds[2][0] == 0
+        assert set(conds[2][1:]) == {wk.DELTA}
 
     def test_analysis_outside_equality(self):
         a, b = W16(), W16()
