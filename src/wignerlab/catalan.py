@@ -8,6 +8,7 @@ the final bound evaluators, which are plain closed-form expressions.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from . import Refused
 
@@ -67,50 +68,53 @@ class SeriesExact:
 # Root sub-cluster counts t~_s(d)
 # ---------------------------------------------------------------------------
 
-def root_subcluster_table(s_max: int) -> list[list[int]]:
-    """table[s][d] = plane trees of s edges whose root has exactly d children,
-    via the recurrence row: t~_s(1) = t~_s(2) = t_{s-1} and
-    t~_s(d) = t~_s(d-1) - t~_{s-1}(d-2) for 3 <= d <= s."""
-    t = catalan_table_recurrence(max(s_max, 1))
-    table: list[list[int]] = [[0] * (s_max + 1) for _ in range(s_max + 1)]
+def root_subcluster_table(s_max: int, t: list[int] | None = None
+                          ) -> Iterator[list[int]]:
+    """Rows s = 0..s_max, row[d] = plane trees of s edges whose root has
+    exactly d children (row[0] = 0), each built from the row before by the
+    recurrence t~_s(1) = t~_s(2) = t_{s-1} and
+    t~_s(d) = t~_s(d-1) - t~_{s-1}(d-2) for 3 <= d <= s.  t holds the
+    Catalan numbers t_0..t_{s_max-1} at least; built when not given."""
+    if t is None:
+        t = catalan_table_recurrence(max(s_max, 1))
+    row = [0]
+    yield row
     for s in range(1, s_max + 1):
-        table[s][1] = t[s - 1]
+        prev, row = row, [0, t[s - 1]]
         if s >= 2:
-            table[s][2] = t[s - 1]
+            row.append(t[s - 1])
         for d in range(3, s + 1):
-            table[s][d] = table[s][d - 1] - table[s - 1][d - 2]
-    return table
+            row.append(row[d - 1] - prev[d - 2])
+        yield row
 
 
-def root_subcluster_ballot_table(s_max: int) -> list[list[int]]:
-    """The same table by the ballot formula t~_s(d) = [x^{s-d}] f(x)^d
+def root_subcluster_ballot_table(s_max: int) -> Iterator[list[int]]:
+    """The same rows by the ballot formula t~_s(d) = [x^{s-d}] f(x)^d
     = d/(2k+d) C(2k+d, k) with k = s - d, from Lagrange inversion of
     f = 1 + x f^2 (Flajolet and Sedgewick, Analytic Combinatorics, 2009).
     It shares no step with the recurrence."""
-    table: list[list[int]] = [[0] * (s_max + 1) for _ in range(s_max + 1)]
+    yield [0]
     for s in range(1, s_max + 1):
-        for d in range(1, s + 1):
-            table[s][d] = d * math.comb(2 * s - d, s - d) // (2 * s - d)
-    return table
+        yield [0] + [d * math.comb(2 * s - d, s - d) // (2 * s - d)
+                     for d in range(1, s + 1)]
 
 
 def check_lemma_6_1(s_max: int) -> dict:
-    """Exact sweep of t~_s(d) <= (3/4)^d t_s via 4^d t~ <= 3^d t_s.
+    """Exact sweep of t~_s(d) <= (3/4)^d t_s via 4^d t~ <= 3^d t_s, one
+    recurrence row at a time.
 
     The inequality chain behind it is derived for d >= 3 and extended by the
     d = 1, 2 identities, so small (s, d) boundary failures are reported
     separately instead of counting as violations.
     """
-    table = root_subcluster_table(s_max)
     t = catalan_table_recurrence(s_max)
     violations = []
     boundary = []
     pow3 = [3 ** d for d in range(s_max + 1)]
     pow4 = [4 ** d for d in range(s_max + 1)]
-    for s in range(1, s_max + 1):
+    for s, row in enumerate(root_subcluster_table(s_max, t)):
         for d in range(1, s + 1):
-            holds = pow4[d] * table[s][d] <= pow3[d] * t[s]
-            if not holds:
+            if pow4[d] * row[d] > pow3[d] * t[s]:
                 (boundary if d < 3 else violations).append((s, d))
     return {
         "s_max": s_max,
@@ -120,12 +124,17 @@ def check_lemma_6_1(s_max: int) -> dict:
     }
 
 
-def check_6_6(s_max: int) -> bool:
-    """t~_s(d) <= t_{s-1} for 1 <= d <= s <= s_max."""
-    table = root_subcluster_table(s_max)
-    t = catalan_table_recurrence(s_max)
-    return all(table[s][d] <= t[s - 1]
-               for s in range(1, s_max + 1) for d in range(1, s + 1))
+def check_6_6(s_max: int) -> dict:
+    """One pass over the recurrence and ballot rows s <= s_max: "dual" when
+    every pair of rows agrees, "holds" when t~_s(d) <= t_{s-1} for
+    1 <= d <= s."""
+    t = catalan_table_recurrence(max(s_max, 1))
+    dual = holds = True
+    for s, (row, ballot) in enumerate(zip(root_subcluster_table(s_max, t),
+                                          root_subcluster_ballot_table(s_max))):
+        dual = dual and row == ballot
+        holds = holds and all(x <= t[s - 1] for x in row[1:])
+    return {"dual": dual, "holds": holds}
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +219,23 @@ def multi_edge_closed_form(l: int, s: int) -> int:
     return math.comb(2 * s, s - l)
 
 
-def conjecture_6_25_report(l_max: int, s_max: int) -> list[dict]:
+def conjecture_6_25_report(l_max: int, s_max: int) -> Iterator[dict]:
     """Compare gf counts with the closed form, which equals the gf row for
-    every l, and with the 2^l s t_s bound.  The gf itself is checked against
-    tree enumeration for l <= 5 and s <= 12 only."""
-    rows = []
+    every l, and with the 2^l s t_s bound, one row per (l, s).  The gf
+    itself is checked against tree enumeration for l <= 5 and s <= 12
+    only."""
     t = catalan_table_recurrence(s_max)
     for l in range(1, l_max + 1):
         gf_row = multi_edge_gf_row(l, s_max)
         for s in range(l, s_max + 1):
             value = gf_row[s]
             closed = multi_edge_closed_form(l, s)
-            rows.append({
+            yield {
                 "l": l, "s": s, "value": value, "closed_form": closed,
                 "match": value == closed,
                 "bound_2l_s_ts_holds": value <= (2 ** l) * s * t[s],
                 "bound_s_ts_holds": value <= s * t[s],
-            })
-    return rows
+            }
 
 
 def check_n2_lower(s_max: int) -> dict:

@@ -244,7 +244,8 @@ def cmd_walk(args) -> int:
 
 def _refuse_large_count(args) -> None:
     """Refused when a size argument exceeds the action's cap; the estimate
-    counts the table entries the request would build."""
+    counts the table entries the request would compute, not the entries
+    held: the rows stream, and a run holds O(s_max) numbers at a time."""
     m = max(args.s_max, getattr(args, "l", 0), getattr(args, "l_max", 0))
     cap = COUNT_CAPS[args.action]
     if m <= cap:
@@ -256,7 +257,7 @@ def _refuse_large_count(args) -> None:
     elif args.action == "heights":
         entries = (m + 1) * (m + 2) // 2     # row s holds s + 1 counts
     elif args.action == "subcluster":
-        entries = 2 * (m + 1) ** 2           # two square tables
+        entries = 2 * (m + 1) ** 2           # recurrence and ballot
     else:
         entries = (m + 1) ** 2
     raise Refused("count %s at size %d exceeds cap %d"
@@ -282,47 +283,50 @@ def cmd_count(args) -> int:
     _refuse_large_count(args)
     manifest = _manifest(args, {key: getattr(args, key) for key in (
         "l", "l_max", "s_max", "check_closed_form") if hasattr(args, key)})
-    records = []
+    # the one-row tables are O(s_max) numbers, built before the stamp
     if args.action == "catalan":
-        table = ct.catalan_table_recurrence(args.s_max)
-        for s in range(args.s_max + 1):
-            closed = ct.catalan(s)
-            records.append({"s": s, "value": table[s],
-                            "closed_form": closed,
-                            "match": table[s] == closed})
+        row = ct.catalan_table_recurrence(args.s_max)
     elif args.action == "multi-edge":
         row = ct.multi_edge_gf_row(args.l, args.s_max)
-        for s in range(args.l, args.s_max + 1):
-            rec = {"s": s, "l": args.l, "value": row[s]}
-            if args.check_closed_form:
-                closed = ct.multi_edge_closed_form(args.l, s)
-                rec["closed_form"] = closed
-                rec["match"] = row[s] == closed
-            records.append(rec)
-    elif args.action == "subcluster":
-        rec_tab = ct.root_subcluster_table(args.s_max)
-        ballot = ct.root_subcluster_ballot_table(args.s_max)
-        for s in range(1, args.s_max + 1):
-            for d in range(1, s + 1):
-                records.append({"s": s, "d": d, "value": rec_tab[s][d],
-                                "closed_form": ballot[s][d],
-                                "match": rec_tab[s][d] == ballot[s][d]})
-    elif args.action == "lemma61":
-        rep = ct.check_lemma_6_1(args.s_max)
-        records.append({"s_max": args.s_max,
-                        "holds_for_d_ge_3": rep["holds_for_d_ge_3"],
-                        "violations": len(rep["violations"]),
-                        "boundary_failures": str(rep["boundary_failures"])})
-    elif args.action == "conjecture":
-        records = ct.conjecture_6_25_report(args.l_max, args.s_max)
-    else:  # heights
-        for s in range(1, args.s_max + 1):
-            for u, cnt in enumerate(ct.height_row(s)):
-                if cnt:
-                    records.append({"s": s, "u": u, "value": cnt,
-                                    "closed_form": "",
-                                    "match": ""})
-    _emit(args, records, manifest)
+
+    def records():
+        # one record at a time: no action holds a whole table
+        if args.action == "catalan":
+            for s, value in enumerate(row):
+                closed = ct.catalan(s)
+                yield {"s": s, "value": value, "closed_form": closed,
+                       "match": value == closed}
+        elif args.action == "multi-edge":
+            for s in range(args.l, args.s_max + 1):
+                rec = {"s": s, "l": args.l, "value": row[s]}
+                if args.check_closed_form:
+                    closed = ct.multi_edge_closed_form(args.l, s)
+                    rec["closed_form"] = closed
+                    rec["match"] = row[s] == closed
+                yield rec
+        elif args.action == "subcluster":
+            rows = zip(ct.root_subcluster_table(args.s_max),
+                       ct.root_subcluster_ballot_table(args.s_max))
+            for s, (value, closed) in enumerate(rows):
+                for d in range(1, s + 1):
+                    yield {"s": s, "d": d, "value": value[d],
+                           "closed_form": closed[d],
+                           "match": value[d] == closed[d]}
+        elif args.action == "lemma61":
+            rep = ct.check_lemma_6_1(args.s_max)
+            yield {"s_max": args.s_max,
+                   "holds_for_d_ge_3": rep["holds_for_d_ge_3"],
+                   "violations": len(rep["violations"]),
+                   "boundary_failures": str(rep["boundary_failures"])}
+        elif args.action == "conjecture":
+            yield from ct.conjecture_6_25_report(args.l_max, args.s_max)
+        else:  # heights
+            for s in range(1, args.s_max + 1):
+                for u, cnt in enumerate(ct.height_row(s)):
+                    if cnt:
+                        yield {"s": s, "u": u, "value": cnt,
+                               "closed_form": "", "match": ""}
+    _emit(args, records(), manifest)
     return 0
 
 

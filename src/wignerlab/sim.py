@@ -371,21 +371,29 @@ def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
         for s in s_list:
             with np.errstate(over="ignore", invalid="ignore"):
                 trace = np.sum(eig ** (2 * s), axis=1)
-            # inf, nan, or 0.0 from a sample with a nonzero eigenvalue
-            if not np.all(np.isfinite(trace) & ((trace > 0) | ~nonzero)):
-                raise SimConfigError(
-                    "Tr H^(2s) at s=%d leaves the float range (inf, nan or an "
-                    "underflow to 0.0); need a smaller s" % s)
+            if not np.all(np.isfinite(trace)):
+                raise _out_of_range(s, "Tr H^(2s) at s=%d leaves the float "
+                                    "range (inf or nan)", "a smaller v")
+            # 0.0 from a sample with a nonzero eigenvalue
+            if not np.all((trace > 0) | ~nonzero):
+                raise _out_of_range(s, "Tr H^(2s) at s=%d underflows to 0.0",
+                                    "a larger v")
             traces[s].append(trace)
     with np.errstate(over="ignore", invalid="ignore"):
         stats = {s: SampleStats.from_values(np.concatenate(traces[s]))
                  for s in s_list}
     for s, st in stats.items():
         if not (math.isfinite(st.mean) and math.isfinite(st.stderr)):
-            raise SimConfigError(
-                "the mean or stderr of Tr H^(2s) at s=%d exceeds the float "
-                "range; need a smaller s" % s)
+            raise _out_of_range(s, "the mean or stderr of Tr H^(2s) at s=%d "
+                                "exceeds the float range", "a smaller v")
     return stats
+
+
+def _out_of_range(s: int, what: str, at_s1: str) -> SimConfigError:
+    """A float-range error at s, with the change that can mend it: a smaller
+    s, or at s = 1, where no smaller s exists, the at_s1 change of v."""
+    return SimConfigError("%s; need %s" % (what % s,
+                                           "a smaller s" if s > 1 else at_s1))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def test_criterion_2_multi_edge_identities():
 
 
 def test_criterion_3_conjecture_grid(tmp_path):
-    rows = ct.conjecture_6_25_report(10, 10)
+    rows = list(ct.conjecture_6_25_report(10, 10))
     manifest = reports.RunManifest("count", {"l_max": 10, "s_max": 10}).start()
     out = tmp_path / "conjecture.csv"
     reports.emit_report(rows, "csv", str(out), manifest)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -13,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,6 +93,87 @@ class TestWalk:
         assert "error" in err
 
 
+# SHA-256 of each count body (manifest line stripped), generated before
+# the count tables streamed row by row: every README count example, and
+# the benchmark's exact_tables sizes, full and smoke
+COUNT_BODY_SHA256 = {
+    ("catalan --s-max 30", "csv"):
+        "f50c8c24671c10912eb54f26fd5564ed88a88d6e4560054ae2468696c8e0aefd",
+    ("catalan --s-max 30", "json"):
+        "e5655d7382ebc149e6ab90734a0a6014323e487ed10f58f40f78fd3d9848da7d",
+    ("multi-edge --l 2 --s-max 12 --check-closed-form", "csv"):
+        "a07490d24e924d1f80ac0129f152f885713e0e670215efe37e7d64481268df9a",
+    ("multi-edge --l 2 --s-max 12 --check-closed-form", "json"):
+        "2434a707386f3a59f736ad4f5f11afc15ca8107085f491ae16fefe11c8ea60a3",
+    ("subcluster --s-max 30", "csv"):
+        "5912d9dea6aacc10a62b191baf887bd869ee74eac59ec1d0607b4b43141e7940",
+    ("subcluster --s-max 30", "json"):
+        "6e87e6902f61a3d3ab860d7fade5db5b9da156e60cf0b3a4bc0ab4d356a948f7",
+    ("lemma61 --s-max 300", "csv"):
+        "5e6f0faa71aa97ed068666326bd5f5e2377cf15d76ad3c4b38a7ec4ea9b7e0a5",
+    ("lemma61 --s-max 300", "json"):
+        "17ce2a37237967c0136788c76ed0879f7935e71a0c1b7d63d3bc8e90bba70d27",
+    ("conjecture --l-max 10 --s-max 10", "csv"):
+        "4b35337ffa21d7152f5167f6534ce56a4cb82233f06b62feea58e71e4e27253b",
+    ("conjecture --l-max 10 --s-max 10", "json"):
+        "a9b8f9ccd58638daf7bb56196bbc4644f26324eb3c60173ae2c585820a44e55d",
+    ("heights --s-max 30", "csv"):
+        "9c2079a97a23a37dd5f2a5684a211e30190ee75b76ffbb970904a0bdf13a7fb9",
+    ("heights --s-max 30", "json"):
+        "977ab1c722424abb03cd244fe36b47ab390fe2d6b6d4f9ed23fe039e2bc8c52d",
+    ("catalan --s-max 1000", "csv"):
+        "f9b33c8ad72bc7ce2ee155b8afb0ba3bfc68747e0e34186f9295f924be9c7a39",
+    ("catalan --s-max 1000", "json"):
+        "00f9d0b68ae84d723d3d0e1a68d6943568595f1488a80d9a8670f6741c0ef777",
+    ("subcluster --s-max 200", "csv"):
+        "45d196ce7a23c018f3562cc1db37a66e032f045c845e0fe909fff39a0ead453e",
+    ("subcluster --s-max 200", "json"):
+        "d97c06d8a0265ec43b2f1c611859287e2b41b0b599a75f30658273c6e738594c",
+    ("heights --s-max 200", "csv"):
+        "d334ad5870b611e0601d6e502efc0452f696d9e5d922f887af141161e588f795",
+    ("heights --s-max 200", "json"):
+        "c277c9804a3db3b67c13a430d077f4aa55569a67fdb23f2da75e52a3da1719bf",
+    ("multi-edge --l 2 --s-max 300 --check-closed-form", "csv"):
+        "e7bf9c713df963b719743c356f5098df092953fa10e5d67bf72dfcc00fe45af1",
+    ("multi-edge --l 2 --s-max 300 --check-closed-form", "json"):
+        "f214b8b1ee192fc9ec742b6db0e47b1eab068f8fa554070fb92f044256ed02aa",
+    ("subcluster --s-max 20", "csv"):
+        "cba7b255add4fb610088b5f47412b3dfe2f5d6abdee0fe88dbb3f23ae5298225",
+    ("subcluster --s-max 20", "json"):
+        "e54910a833c9b5a2a3708502f9fb9e9cfe7ad24908633e78289ec22546e8bdde",
+    ("heights --s-max 20", "csv"):
+        "9fb3e2ad71210c1e62b8d245081383f2d8d91b72e26e8f100080d6363d5d1815",
+    ("heights --s-max 20", "json"):
+        "044ffa9fc1f870a30b985d62835869899e5d0b2cd87d8d91c23f5b9b14b11f16",
+    ("multi-edge --l 2 --s-max 30 --check-closed-form", "csv"):
+        "363972e2ca5c10bfb5d1a50057df58cac94303f90fe2adc75fa24ec39d9002b7",
+    ("multi-edge --l 2 --s-max 30 --check-closed-form", "json"):
+        "ed07e98fd7ef53f6164383e92d9b3b8ddab2ee027f7b6a9465eaf2902e43162e",
+    ("lemma61 --s-max 30", "csv"):
+        "8b8ac726df42ba05e86a11f25856640872e57bd9d73d61737961c00dd4ec4bec",
+    ("lemma61 --s-max 30", "json"):
+        "b1fcd6b2694264f4a1bc1f0486869b279bf987aac6c2a0d9c7d17a867c6d91a2",
+    ("conjecture --l-max 3 --s-max 6", "csv"):
+        "81f8fd3d31d0a9f94d9ecb2c2bac6f605887acb0e614454a601bfcbfcc0323df",
+    ("conjecture --l-max 3 --s-max 6", "json"):
+        "3e846917fd5c39d1a1a30fb248cf7297316b6c378579ade5e6fb61b5b0dc8d20",
+}
+
+
+def count_peak_kb(argv):
+    """VmHWM in KB of a fresh process that runs count argv, read from its
+    own /proc/self/status after the run."""
+    code = ("import os\n"
+            "from wignerlab import cli\n"
+            "assert cli.main(%r + ['--out', os.devnull]) == 0\n"
+            "print([l.split()[1] for l in open('/proc/self/status')"
+            " if l.startswith('VmHWM:')][0])" % (["count"] + argv))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
 class TestCount:
     def test_multi_edge_closed_form(self, capsys):
         code, out, _ = run_cli(
@@ -155,6 +238,63 @@ class TestCount:
         assert len(lines) == 1 and lines[0].startswith("refused:")
         assert "exceeds cap %d" % cli.COUNT_CAPS[argv[0]] in lines[0]
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, fmt", list(COUNT_BODY_SHA256))
+    def test_bodies_byte_identical(self, argv, fmt, tmp_path):
+        out_file = tmp_path / "t.out"
+        assert cli.main(["count"] + argv.split() + ["--format", fmt,
+                                                    "--out", str(out_file)]) == 0
+        head, body = out_file.read_bytes().split(b"\n", 1)
+        assert head.startswith(b"# manifest: ")
+        assert hashlib.sha256(body).hexdigest() == \
+            COUNT_BODY_SHA256[argv, fmt]
+
+    @pytest.mark.parametrize("action", ["subcluster", "lemma61", "heights"])
+    def test_rows_stream(self, action, tmp_path):
+        # The traced peak of a count run is what does not grow with s_max
+        # (the parser, the manifest, the file and csv buffers: the peak of
+        # the same command at --s-max 1) plus O(s_max) numbers.  Every
+        # number a row, a Catalan list or a power list holds is below
+        # 4^s_max (t_s < 4^s, C(2s, k) < 4^s, 3^d < 4^d), so it takes at
+        # most sys.getsizeof(4 ** s_max) bytes and an 8-byte list slot.
+        # The largest action holds about five lists of s_max + 1 numbers
+        # (lemma61: the Catalan list, two power lists and two rows;
+        # heights: a binomial row of 2s + 1, the strip counts and the
+        # row), so 8 per s leaves room for the cells in flight.  A square
+        # table holds (s_max + 1)^2 numbers, 37 times the 8 (s_max + 1)
+        # allowed here at s_max = 300.
+        s_max = 300
+        per_number = sys.getsizeof(4 ** s_max) + 8
+
+        def traced_peak(size):
+            tracemalloc.start()
+            try:
+                assert cli.main(["count", action, "--s-max", str(size),
+                                 "--out", str(tmp_path / "t.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        traced_peak(1)  # imports and first-call caches
+        floor = traced_peak(1)
+        assert traced_peak(s_max) <= floor + 8 * (s_max + 1) * per_number
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_cap_size_peak_rss(self):
+        # At the caps the whole tables peaked at 91 MB (subcluster
+        # --s-max 600) and 92 MB (lemma61 --s-max 1000) of VmHWM; streamed
+        # rows add well under 8 MB to the interpreter's own floor.  The
+        # two runs go side by side (about 5 s on a 2-vCPU VM)
+        floor = count_peak_kb(["catalan", "--s-max", "1"])
+        runs = [count_peak_kb(argv) for argv in (
+            ["subcluster", "--s-max", "600"], ["lemma61", "--s-max", "1000"])]
+        peaks = []
+        for proc in [floor] + runs:
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            peaks.append(int(out))
+        assert max(peaks[1:]) < peaks[0] + 8 * 1024, peaks
 
     def test_caps_cover_verify_and_benchmark_sizes(self):
         # verify's catalan_check(2000), subcluster and heights at 500,
@@ -572,6 +712,20 @@ CROSSOVER_ZETA_ZERO = ["sim", "crossover", "--n", "1100", "--eps", "0",
 # a kept entry past the float range: {config_huge_v} sets v = 1e308,
 # {config_big_v} v = 5e307.  Each printed RuntimeWarnings before its error:
 # line, and exited 5 under a RuntimeWarning filter
+# Tr H^(2s) past the float range at s = 1, where no smaller s exists, and
+# the advice on v the error line ends with.  {config_huge_v} sets
+# v = 1e308, {config_v_1e200} v = 1e200 and {config_tiny_v} v = 1e-170,
+# whose Tr H^2 underflows to 0.0.  Each advised a smaller s
+SIM_TRACE_RANGE_AT_S1 = {
+    ("sim", "moments", "--n", "2", "--rho", "1", "--dist", "gaussian",
+     "--config", "{config_v_1e200}", "--s", "1", "--samples", "10"):
+        "need a smaller v",
+    ("sim", "moments", "--n", "2", "--rho", "1", "--dist", "rademacher",
+     "--config", "{config_huge_v}", "--s", "1", "--samples", "10"):
+        "need a smaller v",
+    ("sim", "moments", "--n", "4", "--rho", "4", "--config",
+     "{config_tiny_v}", "--s", "1", "--samples", "10"):
+        "need a larger v"}
 SIM_ENTRY_OVERFLOW = [
     ["sim", "moments", "--n", "2", "--rho", "1", "--dist", dist, "--config",
      "{config_huge_v}", "--s", "1", "--samples", "100", "--seed", "0"]
@@ -758,7 +912,7 @@ class TestUsage:
         CROSSOVER_ZETA_INF, CROSSOVER_ZETA_ZERO,
         # entries past the float range, which printed RuntimeWarnings
         # before their error: line
-        *SIM_ENTRY_OVERFLOW])
+        *SIM_ENTRY_OVERFLOW, *map(list, SIM_TRACE_RANGE_AT_S1)])
     def test_bad_inputs(self, argv, tmp_path):
         # input errors the library raises as ValueError.  {bad_config} is a
         # config file whose delta is not a number, {config_KEY} one that
@@ -770,10 +924,13 @@ class TestUsage:
                    # delta alone sets the truncation: no truncate key
                    "config_truncate": {"truncate": True, "delta": 0.01},
                    "config_huge_v": {"v": 1e308},
-                   "config_big_v": {"v": 5e307}}
+                   "config_big_v": {"v": 5e307},
+                   "config_v_1e200": {"v": 1e200},
+                   "config_tiny_v": {"v": 1e-170}}
         paths = {name: tmp_path / (name + ".json") for name in configs}
         for name, config in configs.items():
             paths[name].write_text(json.dumps(config))
+        advice = SIM_TRACE_RANGE_AT_S1.get(tuple(argv))
         argv = [arg.format(**paths) for arg in argv]
         started = time.monotonic()
         proc = subprocess.run(
@@ -783,6 +940,8 @@ class TestUsage:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+        if advice is not None:
+            assert proc.stderr.rstrip().endswith(advice)
         if argv == CROSSOVER_S_ZERO:
             # s is checked at every n before n = 1000 is sampled
             assert time.monotonic() - started < 1
