@@ -226,7 +226,7 @@ def cmd_walk(args) -> int:
     if a.is_even and not walk.has_loops:
         dp = wk.diagram_params(walk, args.k0)
         letter, degree = wk.max_exit_degree(walk)
-        rec.update(json.loads(dp.to_json()))
+        rec.update(dp.as_dict())
         rec.update({"theta_star": a.theta_star,
                     "max_exit_letter": letter, "max_exit_degree": degree})
         if args.action == "from-trajectory":
@@ -237,7 +237,7 @@ def cmd_walk(args) -> int:
                         "strong_removed": len(strong.removed_pairs),
                         "weak_reduced": weak.to_string(),
                         "weak_removed": len(weak.removed_pairs)})
-            rec.update(json.loads(cells.to_json()))
+            rec.update(cells.as_dict())
     _emit(args, [rec], manifest)
     return 0
 

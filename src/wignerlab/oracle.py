@@ -239,6 +239,42 @@ def insertion_lower_bound_ok(s: int, mu2: int, M: int) -> bool:
 # Per-class audit against the closed-form weight bound
 # ---------------------------------------------------------------------------
 
+def bound_3_7(S: wk.DiagramParams, u: int, D: float, s: int, n: int,
+              rho: float, U_hat_sq: float, V2_hat: float, k0: int) -> float:
+    """Closed-form upper bound on the start-vertex-normalized weight of the
+    trajectories whose walks fall in the census class with Dyck height u.
+
+    Uses the census sigma mu2 + 2*mu3 + u2 + u3 + |nu|_1
+    (DiagramParams.sigma_census_b).  It is the structural sigma
+    s - |V_g| + 1 less one when a marked step returns to the root, and equal
+    to it otherwise.
+    """
+    theta_u = ct.height_row(s)[u] if 1 <= u <= s else 0
+    sigma = S.sigma_census_b
+    mu2p = S.mu2_p
+    mu3 = S.mu3
+    out = (V2_hat ** s) * theta_u * math.exp(-((s - sigma) ** 2) / (2.0 * n))
+    out *= _pow_fact(s * s / (2.0 * n), S.mu2_pp)
+    # H-factors at h = 1
+    out *= (_pow_fact(6.0 * s * u / n, S.r)
+            * _pow_fact(3.0 * s * D * U_hat_sq / rho, S.p)
+            * _pow_fact(3.0 * s * k0 * U_hat_sq / rho, S.q)
+            * _pow_fact(8.0 * (k0 ** 4) * s * mu2p * U_hat_sq / rho, S.u2))
+    out *= (_pow_fact(9.0 * (D + k0) * s * s * U_hat_sq / (n * rho), S.mu3_p)
+            * _pow_fact(3.0 * (s ** 3) / (2.0 * n * n), S.mu3_pp)
+            * _pow_fact(16.0 * (k0 ** 5) * s * mu3 * U_hat_sq / rho, S.u3))
+    for k, nu_k in S.nu_bar:
+        term = n * ((2.0 * k * s) ** k) * (U_hat_sq ** k) \
+            / (math.factorial(k) * (rho ** k))
+        out *= _pow_fact(term, nu_k)
+    return out
+
+
+def _pow_fact(base: float, count: int) -> float:
+    """base^count / count!."""
+    return (base ** count) / math.factorial(count)
+
+
 @dataclass
 class ClassRecord:
     """One (Dyck height, census) class in the audit."""
@@ -305,7 +341,7 @@ def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
         eq_5_15 = float(prod) <= \
             math.exp(-((s - sigma) ** 2) / (2.0 * n)) * (1 + 1e-12)
         normalized = weight / n
-        bound = ct.bound_3_7(dp, u, max_d, s, n, rho_f, u_hat_sq, v2_hat, k0)
+        bound = bound_3_7(dp, u, max_d, s, n, rho_f, u_hat_sq, v2_hat, k0)
         ok = float(normalized) <= bound * (1 + 1e-9)
         records.append(ClassRecord(
             u=u, census=dp, n_walks=n_walks, max_D=max_d,

@@ -475,7 +475,6 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
     # every grid point is checked before the budget and the first sample
     grid = [(n, eps, zeta * rho_of_eps(n, eps), chi * n ** (2.0 / 3.0))
             for n in n_list for eps in eps_grid]
-    bounds = []
     for n, eps, rho, chi_n in grid:
         if rho > n:
             raise SimConfigError(
@@ -488,19 +487,19 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
             raise SimConfigError(
                 "chi n^(2/3) at n=%d, chi=%r exceeds the float range"
                 % (n, chi))
-        bounds.append(theorem_7_1_rhs(
-            chi, zeta, v4_of(EnsembleConfig(n=n, rho=rho))))
-        if not 0.0 < bounds[-1] < math.inf:
-            raise SimConfigError(
-                "the Theorem 7.1 lower bound at chi=%r, zeta=%r is %r: it "
-                "underflows to 0.0 once e chi^3 > ~745 (need a smaller chi) "
-                "and overflows as zeta sqrt(pi chi) nears 0.0 (need a larger "
-                "zeta)" % (chi, zeta, bounds[-1]))
+    # the bound does not depend on (n, eps); V4 is the Rademacher v^4
+    bound = theorem_7_1_rhs(chi, zeta, EnsembleConfig.v ** 4)
+    if not 0.0 < bound < math.inf:
+        raise SimConfigError(
+            "the Theorem 7.1 lower bound at chi=%r, zeta=%r is %r: it "
+            "underflows to 0.0 once e chi^3 > ~745 (need a smaller chi) "
+            "and overflows as zeta sqrt(pi chi) nears 0.0 (need a larger "
+            "zeta)" % (chi, zeta, bound))
     # two laws at every grid point
     refuse_over_sample_budget(
         2 * n_samples * sum(n * n for n, _, _, _ in grid))
     rows = []
-    for (n, eps, rho, chi_n), bound in zip(grid, bounds):
+    for n, eps, rho, chi_n in grid:
         s = int(chi_n)
         configs = {dist: EnsembleConfig(n=n, rho=rho, dist=dist, seed=seed)
                    for dist in ("rademacher", "gaussian")}

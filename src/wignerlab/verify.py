@@ -110,15 +110,15 @@ def walks_suite(fast: bool = False) -> VerifyReport:
                 and wk.DyckPath(tuple([1 if m else -1 for m in a.marked])
                                 ).height == a.theta_star
             # sigma = sum(kappa - 1), kappa counting the root's zero instant
-            sigma = sum(map(len, a.arrival_conds.values())) + 1 - w.n_letters
+            sigma = len(a.marked_steps) + 1 - w.n_letters
             ok_vertex = ok_vertex and sigma == s - w.n_letters + 1 \
                 and sum(a.pair_multiplicity.values()) == 2 * s
+            root_return = any(head == 1 for _, head, _, _ in a.marked_steps)
             for k0 in (2, 4, 12):
                 dp = wk.diagram_params(w, k0)
                 ok_census = ok_census and dp.census_sum == s \
                     and dp.sigma == s - w.n_letters + 1 \
-                    and dp.sigma_census_b + (1 in a.arrival_conds) \
-                    == dp.sigma
+                    and dp.sigma_census_b + root_return == dp.sigma
             red = wk.strong_reduce(w)
             ok_reduce = ok_reduce and \
                 len(red.kept_steps) == 2 * s - 2 * len(red.removed_pairs)

@@ -5,9 +5,10 @@ first-appearance order produces a canonical walk; the walks with every vertex
 pair traversed an even number of times are the only ones with nonzero weight
 in the trace expansion of a symmetric random matrix.  This module provides the
 canonicalizer, the Dyck path / plane tree bijection, one record per walk
-(WalkAnalysis: marked steps, pair multiplicities, marked arrivals and exits),
-the self-intersection census, the strong and weak reductions, the maximal
-exit degree, and the cell report around the vertex of maximal exit degree.
+(WalkAnalysis: the marks, the pair multiplicities and one (tail, head, time,
+arrival conditions) tuple per marked step), the self-intersection census,
+the strong and weak reductions, the maximal exit degree, and the cell report
+around the vertex of maximal exit degree.
 A vertex pair is keyed (min, max) throughout.
 """
 
@@ -189,18 +190,18 @@ class WalkAnalysis:
     A step is marked (marked[t-1] for step t) when its vertex pair has odd
     multiplicity after it.  heights[t] counts the odd pairs after step t,
     so it is never negative, and the walk is even when it ends at 0: the
-    marks then form a Dyck path.  marked_edges holds the marked
-    (tail, head, time) steps.  At each marked arrival the pass records
-    the code o + 2*Delta + 4*Lambda of the conditions o (the vertex is
-    open: some pair at it has odd multiplicity), Delta (the same marked
-    edge, tail and head, already exists) and Lambda (the reversed marked
-    edge already exists) just before the step.  arrival_conds[v] follows
-    the marked steps arriving at v in time order, so arrival i (from 1;
-    creating a non-root letter is arrival 1) is arrival_conds[v][i-1];
-    exits[v] counts those leaving v.
-    With a zero instant for the root's creation, letter v has
-    kappa(v) = len(arrival_conds[v]) + (v == 1) arrival instants, so
-    sum(kappa) - 1 = s and |V_g| = s - sigma + 1, sigma = sum(kappa - 1).
+    marks then form a Dyck path.  marked_steps holds one
+    (tail, head, time, code) tuple per marked step, in time order; code is
+    o + 2*Delta + 4*Lambda for the conditions o (the head is open: some
+    pair at it has odd multiplicity), Delta (the same marked edge, tail
+    and head, already exists) and Lambda (the reversed marked edge already
+    exists) just before the step.  The tuples with head v are v's marked
+    arrivals in time order (creating a non-root letter is arrival 1); those
+    with tail v are its marked exits.
+    With a zero instant for the root's creation, letter v has kappa(v) =
+    (marked steps with head v) + (v == 1) arrival instants, so
+    sum(kappa) - 1 = len(marked_steps) = s for an even walk, and
+    |V_g| = s - sigma + 1 with sigma = sum(kappa - 1).
     reductions memoises `_reduce` per spare vertex (None for the strong
     reduction) and max_exit `max_exit_degree`; comparison ignores both.
     The walk search builds the record from its own state; `_sweep` builds
@@ -210,9 +211,7 @@ class WalkAnalysis:
     heights: tuple[int, ...]
     marked: tuple[bool, ...]
     pair_multiplicity: dict[tuple[int, int], int]
-    marked_edges: tuple[tuple[int, int, int], ...]
-    arrival_conds: dict[int, tuple[int, ...]]
-    exits: dict[int, int]
+    marked_steps: tuple[tuple[int, int, int, int], ...]
     reductions: dict[Optional[int], "ReducedWalk"] = field(
         default_factory=dict, compare=False, repr=False)
     max_exit: Optional[tuple[int, int]] = field(
@@ -235,9 +234,7 @@ def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
     mult: dict[tuple[int, int], int] = {}
     odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
     marked_directed: set[tuple[int, int]] = set()
-    heights, marked, marked_edges = [0], [], []
-    conds: dict[int, list[int]] = {}
-    exits: dict[int, int] = {}
+    heights, marked, steps = [0], [], []
     tail = w[0]
     for t in range(1, len(w)):
         head = w[t]
@@ -246,13 +243,10 @@ def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
         mult[pair] = m
         marked.append(m & 1 == 1)
         if m & 1:
-            conds.setdefault(head, []).append(
-                (odd_at[head] > 0)
-                + 2 * ((tail, head) in marked_directed)
-                + 4 * ((head, tail) in marked_directed))
+            steps.append((tail, head, t, (odd_at[head] > 0)
+                          + 2 * ((tail, head) in marked_directed)
+                          + 4 * ((head, tail) in marked_directed)))
             marked_directed.add((tail, head))
-            marked_edges.append((tail, head, t))
-            exits[tail] = exits.get(tail, 0) + 1
             odd_at[tail] += 1   # a loop counts twice; only > 0 is read
             odd_at[head] += 1
             heights.append(heights[-1] + 1)
@@ -261,9 +255,7 @@ def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
             odd_at[head] -= 1
             heights.append(heights[-1] - 1)
         tail = head
-    return WalkAnalysis(tuple(heights), tuple(marked), mult,
-                        tuple(marked_edges),
-                        {v: tuple(c) for v, c in conds.items()}, exits)
+    return WalkAnalysis(tuple(heights), tuple(marked), mult, tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -413,15 +405,16 @@ class DiagramParams:
         return (self.r, self.p, self.q, self.mu2_pp, self.u2,
                 self.mu3_p, self.mu3_pp, self.u3, self.nu_bar)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        """The census as report cells, nu_bar keyed by str(k)."""
+        return {
             "s": self.s, "k0": self.k0, "mu1": self.mu1,
             "r": self.r, "p": self.p, "q": self.q,
             "mu2_pp": self.mu2_pp, "u2": self.u2,
             "mu3_p": self.mu3_p, "mu3_pp": self.mu3_pp, "u3": self.u3,
             "nu_bar": {str(k): c for k, c in self.nu_bar},
             "sigma": self.sigma, "n_vertices": self.n_vertices,
-        })
+        }
 
 
 def diagram_params(walk: Walk, k0: int) -> DiagramParams:
@@ -438,12 +431,15 @@ def diagram_params(walk: Walk, k0: int) -> DiagramParams:
     if not a.is_even:
         raise ClassificationError("census requires an even walk")
     s = walk.s
-    mu1 = r = p = q = mu2_pp = u2 = mu3_p = mu3_pp = u3 = 0
-    nu: Counter = Counter()
     # the condition codes of each vertex's marked arrivals, in time order
     # (the root has none when no marked step returns to it); a code is
     # labelled by its maximal condition, Lambda > Delta > o
-    for conds in a.arrival_conds.values():
+    arrivals: dict[int, list[int]] = {}
+    for _, head, _, code in a.marked_steps:
+        arrivals.setdefault(head, []).append(code)
+    mu1 = r = p = q = mu2_pp = u2 = mu3_p = mu3_pp = u3 = 0
+    nu: Counter = Counter()
+    for conds in arrivals.values():
         k = len(conds)
         if k == 1:
             mu1 += 1
@@ -481,8 +477,11 @@ def max_exit_degree(walk: Walk) -> tuple[int, int]:
     """(vertex, D): D marked edges leave the vertex; ties go to the first letter."""
     a = walk.analysis
     if a.max_exit is None:
-        d_max = max(a.exits.values())   # never empty: step 1 is marked
-        a.max_exit = min(v for v, d in a.exits.items() if d == d_max), d_max
+        exits: dict[int, int] = {}
+        for tail, _, _, _ in a.marked_steps:
+            exits[tail] = exits.get(tail, 0) + 1
+        d_max = max(exits.values())     # never empty: step 1 is marked
+        a.max_exit = min(v for v, d in exits.items() if d == d_max), d_max
     return a.max_exit
 
 
@@ -575,8 +574,9 @@ class CellReport:
     def R(self) -> int:
         return self.I + self.M + self.K + 2 * self.J + self.F_p + self.F_pp
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        """The report as cells of plain lists, the form to_json writes."""
+        return {
             "breve_beta": self.breve_beta, "D": self.D,
             "proper": [list(x) for x in self.proper],
             "local_bts": [[z, list(phis), fp] for z, phis, fp in self.local_bts],
@@ -585,7 +585,10 @@ class CellReport:
             "I": self.I, "M": self.M, "K": self.K, "J": self.J,
             "F_p": self.F_p, "F_pp": self.F_pp, "R": self.R,
             "verified": self.verified,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict())
 
 
 def bts_and_cells(walk: Walk) -> CellReport:
@@ -602,7 +605,8 @@ def bts_and_cells(walk: Walk) -> CellReport:
     brv_set = set(_reduce(walk, spare_vertex=breve).kept_steps)
     marked = a.marked
     # marked instant = rank of a marked step among marked steps, 1-based
-    instant_of = {t: i for i, (_, _, t) in enumerate(a.marked_edges, 1)}
+    times = [t for _, _, t, _ in a.marked_steps]
+    instant_of = {t: i for i, t in enumerate(times, 1)}
 
     proper: list[list[int]] = []   # [x_i, m_i] per I proper cell
     local = []      # (z_k, phis) per K cell
@@ -611,11 +615,15 @@ def bts_and_cells(walk: Walk) -> CellReport:
     offsets = None  # gen's phis or psis, once it has a local or remote entry
     last = 0        # time of gen's latest cell, where the next offset starts
     unassigned_mirrors = 0
+    arrivals = 0    # marked arrivals at breve_beta
 
     for t in range(1, len(w)):
         if marked[t - 1] and t in hat_set:
             gen, offsets = t, None
-        if w[t] != breve or t not in brv_set:
+        if w[t] != breve:
+            continue
+        arrivals += marked[t - 1]
+        if t not in brv_set:
             continue
         if marked[t - 1]:
             if t in hat_set:  # a K cell: the generator of local imports
@@ -647,7 +655,6 @@ def bts_and_cells(walk: Walk) -> CellReport:
 
     # replay verification of offsets and the proper-cell count
     ok = unassigned_mirrors == 0
-    times = [t for _, _, t in a.marked_edges]
     chains = [(times[z - 1], phis) for z, phis, _ in local_bts]
     chains += [(times[y - 1] + ell, (0,) + psis)
                for y, ell, psis, _ in remote_bts]
@@ -656,7 +663,7 @@ def bts_and_cells(walk: Walk) -> CellReport:
             pos += step
             ok = ok and w[pos] == breve
     # every marked arrival at breve_beta must survive as an I or K cell
-    ok = ok and len(a.arrival_conds.get(breve, ())) == I + K
+    ok = ok and arrivals == I + K
 
     return CellReport(breve, d_max, tuple(map(tuple, proper)), local_bts,
                       remote_bts, I, M, K, J, F_p, F_pp, ok)
@@ -713,21 +720,19 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
     step.
 
     Next to the letters the search keeps the state of `_sweep`, undoing each
-    piece on backtrack and deleting a key whose count returns to 0, so every
-    dict has the insertion order of a fresh sweep.  Yields the live
-    (letters, heights, pair multiplicities keyed (min, max), marked
-    (tail, head, time) steps, arrival condition codes, exits, letter count)
-    of each even walk; the caller copies what it keeps.
+    piece on backtrack and deleting a pair whose count returns to 0, so the
+    multiplicities have the insertion order of a fresh sweep.  Yields the
+    live (letters, heights, pair multiplicities keyed (min, max), marked
+    (tail, head, time, code) steps, letter count) of each even walk; the
+    caller copies what it keeps.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     refuse_over_cap(s, cap)
     total = 2 * s
     width = total + 2               # letters stay below it
-    seq, heights, edges = [1], [0], []
+    seq, heights, steps = [1], [0], []
     mult: dict[tuple[int, int], int] = {}
-    conds: dict[int, tuple[int, ...]] = {}
-    exits: dict[int, int] = {}
     odd_at = [0] * width            # odd pairs touching each letter
     directed = [0] * (width * width)    # marked steps tail -> head
 
@@ -743,7 +748,7 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
             mult[pair] = m + 1
             seq.append(1)
             heights.append(0)
-            yield seq, heights, mult, edges, conds, exits, max_letter
+            yield seq, heights, mult, steps, max_letter
             seq.pop()
             heights.pop()
             mult[pair] = m
@@ -759,13 +764,10 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
             if step > 0:
                 if closing:
                     continue
-                arrived = conds.get(nxt, ())
-                conds[nxt] = arrived + (
-                    (odd_at[nxt] > 0) + 2 * (directed[row + nxt] > 0)
-                    + 4 * (directed[nxt * width + cur] > 0),)
+                steps.append((cur, nxt, t + 1, (odd_at[nxt] > 0)
+                              + 2 * (directed[row + nxt] > 0)
+                              + 4 * (directed[nxt * width + cur] > 0)))
                 directed[row + nxt] += 1
-                edges.append((cur, nxt, t + 1))
-                exits[cur] = exits.get(cur, 0) + 1
             mult[pair] = m + 1
             odd_at[cur] += step
             odd_at[nxt] += step
@@ -780,17 +782,9 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
                 mult[pair] = m
             else:
                 del mult[pair]
-            if step < 0:
-                continue
-            if arrived:
-                conds[nxt] = arrived
-            else:
-                del conds[nxt]
-            directed[row + nxt] -= 1
-            edges.pop()
-            exits[cur] -= 1
-            if not exits[cur]:
-                del exits[cur]
+            if step > 0:
+                directed[row + nxt] -= 1
+                steps.pop()
 
     return rec(0, 1)
 
@@ -800,8 +794,7 @@ def enumerate_even_walks(s: int, cap: int = ENUM_CAP) -> Iterator[Walk]:
     refuses s > cap.  Each walk carries its analysis from the search, so no
     step of it is swept again."""
     shared: dict[tuple, tuple] = {}     # (heights, marks) per Dyck path
-    for letters, heights, mult, edges, conds, exits, _ in \
-            _even_walk_leaves(s, cap):
+    for letters, heights, mult, steps, _ in _even_walk_leaves(s, cap):
         key = tuple(heights)
         marks = shared.get(key)
         if marks is None:
@@ -809,7 +802,7 @@ def enumerate_even_walks(s: int, cap: int = ENUM_CAP) -> Iterator[Walk]:
                 [a < b for a, b in zip(key, key[1:])])
         walk = object.__new__(Walk)     # valid by construction: no check
         walk.__dict__.update(letters=tuple(letters), analysis=WalkAnalysis(
-            *marks, dict(mult), tuple(edges), dict(conds), dict(exits)))
+            *marks, dict(mult), tuple(steps)))
         yield walk
 
 
@@ -820,7 +813,7 @@ def shape_table(s: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     shape, so this is all the walk oracle needs; it builds no Walk and no
     analysis, is computed once per s and refuses s > ENUM_CAP."""
     counts: Counter = Counter()
-    for _, _, mult, _, _, _, k in _even_walk_leaves(s, ENUM_CAP):
+    for _, _, mult, _, k in _even_walk_leaves(s, ENUM_CAP):
         counts[k, tuple(sorted(mult.values()))] += 1
     return tuple((k, mults, c) for (k, mults), c in sorted(counts.items()))
 

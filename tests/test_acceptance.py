@@ -176,7 +176,10 @@ def test_criterion_9_structural_invariants():
             ok = ok and wk.DyckPath(tuple(
                 1 if m else -1 for m in a.marked)).height == a.theta_star
             # sigma = sum(kappa - 1), kappa counting the root's zero instant
-            sigma = sum(map(len, a.arrival_conds.values())) + 1 - w.n_letters
+            arrival_conds = {}
+            for _, head, _, code in a.marked_steps:
+                arrival_conds.setdefault(head, []).append(code)
+            sigma = sum(map(len, arrival_conds.values())) + 1 - w.n_letters
             ok = ok and w.n_letters == s - sigma + 1
             for k0 in (2, 4, 12):
                 ok = ok and wk.diagram_params(w, k0).census_sum == s

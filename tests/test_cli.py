@@ -43,6 +43,71 @@ def body_of(text):
                      if not l.startswith("# manifest:"))
 
 
+# SHA-256 of each walk body (manifest line stripped), generated before
+# the walk record kept one tuple per marked step: walk enumerate at
+# s = 1..6, and from-trajectory and census on W16, on one pair walked six
+# times, on a walk whose third marked step returns to the root and on a
+# loop
+WALK_BODY_SHA256 = {
+    ("enumerate --s 1", "csv"):
+        "7e59d9df95e1f442610b3ad7e89c9b43d5bf7b118d041ded17f3e12f0231fc12",
+    ("enumerate --s 2", "csv"):
+        "d796f67fff6c846996b9742cdc62f08885e8f9c62bb64f2bc9465f48409b1972",
+    ("enumerate --s 3", "csv"):
+        "1d8ca0e84657afcedf95ee7392555374dfb464aecafc572743f19e92b9c8531a",
+    ("enumerate --s 4", "csv"):
+        "a273e92f71dac60f21c0cd20c5bec6abeb8f931dfe080fb82553dec80d36b591",
+    ("enumerate --s 5", "csv"):
+        "2431199157409b77348a7d4fc8a37678699c755fd09e37128554eb8647d5acde",
+    ("enumerate --s 6", "csv"):
+        "e80f7b1630b0fa65e4e655dcbfdfe18a91fb8ff872c82a85978e3c92c3db12fc",
+    ("from-trajectory W16", "csv"):
+        "5fa9bc7bc93c8931a98e88eba6f6c2cf4277723cecace75198bd67ae56e09cd2",
+    ("from-trajectory 1,2,1,2,1,2", "csv"):
+        "a1587b48457d1cdf90f0190e6960ad29b1a348c788c518b779ddb8cf03e86583",
+    ("from-trajectory 1,2,3,1,2,3", "csv"):
+        "77c3ce291e2573cab3756f7cd4e1c982970ce45dd5d4e206b649336cee7bdb13",
+    ("from-trajectory 1,1", "csv"):
+        "998c6fb7b1f0c0161cd2de7ec0a26ecab058c5ac1f31fc4f1f0a4f2101928bdd",
+    ("census W16", "csv"):
+        "c21b9c56540e6aaa36edb6d2f5b5f84e90bc5ee9e101125ada9dfbc6a01144e0",
+    ("census 1,2,1,2,1,2", "csv"):
+        "895e375227d0acb1e4f096490869316fb53610c24e5f616157662ae5a7e98fc5",
+    ("census 1,2,3,1,2,3", "csv"):
+        "d138354e40a65e2322b71d689f00b3ab3380a79bb15a9772d8327ecf08f12319",
+    ("census 1,1", "csv"):
+        "998c6fb7b1f0c0161cd2de7ec0a26ecab058c5ac1f31fc4f1f0a4f2101928bdd",
+    ("enumerate --s 1", "json"):
+        "e307e1463bf02ef47a18d2882ca2d7126356fcc13e1eff1038469158673fc8b2",
+    ("enumerate --s 2", "json"):
+        "a7b71736127e7f507110e540237e240d85c3c20164a2da6395cb51190d5e4975",
+    ("enumerate --s 3", "json"):
+        "66e19019034de7fac21f9cd42a73979eb34822eb93f02dd6f104875eda2302ca",
+    ("enumerate --s 4", "json"):
+        "18c3be6bca2c748f47a5b7ca865107e2f192547b94f37ae428be70a579b87523",
+    ("enumerate --s 5", "json"):
+        "c51aec16afd72a7e2f82b9a0b21a825dfd029ea3912adc2c0cb4039b63b217c9",
+    ("enumerate --s 6", "json"):
+        "5dc3bbe7a91675f8076ddf3496af28c37ac4719bc1c8d3043b91aa8085dee5e1",
+    ("from-trajectory W16", "json"):
+        "ca743b7975b38da780a615dea2aa5e838d908d0a58dbdd04cdf3ca1d2986f7f8",
+    ("from-trajectory 1,2,1,2,1,2", "json"):
+        "e9df70e55d48e64c0e74d1091408b534e5d22dabfe293b36cd60d23a586ab483",
+    ("from-trajectory 1,2,3,1,2,3", "json"):
+        "ce5ae94e657960b3761049ff29ee35156b5456aa1e36f0e68f3ae737c20b47d6",
+    ("from-trajectory 1,1", "json"):
+        "baa0e61a0a8d2b99f968c0812cb73bde65b0f93373b4a7f3107e9fbb79316017",
+    ("census W16", "json"):
+        "95993f3d005782a26407c71196d9b9d050bdda1eab66619b03a17018ef19cc89",
+    ("census 1,2,1,2,1,2", "json"):
+        "49724205039a9184dd0361ae54c79fb384e7ef75a80cfbbc3d20ce874aaa8e8b",
+    ("census 1,2,3,1,2,3", "json"):
+        "d29983899f2958e40e8511b787168d0472ac8bed5de470171423be5d5e307bb8",
+    ("census 1,1", "json"):
+        "baa0e61a0a8d2b99f968c0812cb73bde65b0f93373b4a7f3107e9fbb79316017",
+}
+
+
 class TestWalk:
     def test_from_trajectory(self, capsys):
         code, out, _ = run_cli(
@@ -61,6 +126,16 @@ class TestWalk:
         assert code == 0
         lines = body_of(out).strip().splitlines()
         assert len(lines) == 1 + 16  # header + walks
+
+    @pytest.mark.parametrize("argv, fmt", list(WALK_BODY_SHA256))
+    def test_bodies_byte_identical(self, argv, fmt, tmp_path):
+        out_file = tmp_path / "t.out"
+        assert cli.main(["walk"] + argv.replace("W16", W16_TRAJ).split()
+                        + ["--format", fmt, "--out", str(out_file)]) == 0
+        head, body = out_file.read_bytes().split(b"\n", 1)
+        assert head.startswith(b"# manifest: ")
+        assert hashlib.sha256(body).hexdigest() == \
+            WALK_BODY_SHA256[argv, fmt]
 
     def test_enumerate_guardrail(self, capsys, tmp_path):
         code, out, err = run_cli(["walk", "enumerate", "--s", "9"], capsys)

@@ -1,12 +1,14 @@
 """Unit tests for the exact rational moment oracle and the class audit."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wignerlab import Refused
+from wignerlab import catalan as ct
 from wignerlab import oracle as orc
 from wignerlab import walks as wk
 from wignerlab.catalan import catalan
@@ -269,3 +271,25 @@ class TestAudit:
         recs = orc.class_weight_audit(s, n, rho, 4)
         total = sum(r.weight for r in recs)
         assert total == orc.exact_moment_walk(orc.make_spec(n, rho, s))
+
+
+class TestBounds:
+    def test_pow_fact(self):
+        assert orc._pow_fact(2.0, 3) == pytest.approx(8.0 / 6.0)
+        assert orc._pow_fact(123.0, 0) == 1.0
+
+    def test_trivial_class_bound(self):
+        # the all-zero census at height u reduces to V2^s * theta_u(s) * exp
+        s, n = 4, 10
+        dp = wk.diagram_params(wk.Walk((1, 2, 3, 4, 5, 4, 3, 2, 1)), 4)
+        got = orc.bound_3_7(dp, 4, 1, s, n, 2.0, 1.0, 0.25, 4)
+        expect = 0.25 ** s * ct.height_row(s)[4] \
+            * math.exp(-(s - 0) ** 2 / (2.0 * n))
+        assert got == pytest.approx(expect)
+
+    def test_class_bound_outside_heights(self):
+        # no tree of s edges has height 0 or above s
+        s, n = 4, 10
+        dp = wk.diagram_params(wk.Walk((1, 2, 3, 4, 5, 4, 3, 2, 1)), 4)
+        for u in (-1, 0, s + 1):
+            assert orc.bound_3_7(dp, u, 1, s, n, 2.0, 1.0, 0.25, 4) == 0.0

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import io
 import itertools
-import json
 import pickle
 import time
 from collections import Counter
@@ -313,22 +312,31 @@ def ref_shapes(s):
 
 
 def ref_analysis(walk):
-    """Each compared field of WalkAnalysis, by name, from the replays."""
+    """Each compared field of WalkAnalysis, by name, from the replays: one
+    (tail, head, time, code) per marked step, code encoding the replayed
+    conditions of the step's arrival as o + 2*Delta + 4*Lambda."""
     marked, _, heights = ref_label_steps(walk)
     mult, marked_edges, kappa = ref_walk_graph(walk)
-    arrivals, exits = {}, {}    # in order of the first marked step
-    for tail, head, _ in marked_edges:
-        arrivals[head] = arrivals.get(head, 0) + 1
-        exits[tail] = exits.get(tail, 0) + 1
-    assert all(arrivals.get(v, 0) == k - (v == 1) for v, k in kappa.items())
-    # each replayed condition set, encoded as the library's bits
     bits = {"o": 1, "Delta": 2, "Lambda": 4}
-    conds = {v: tuple(sum(bits[c] for c in ref_arrival_conditions(walk, v, i))
-                      for i in range(1, k + 1))
-             for v, k in arrivals.items()}
+    arrivals = Counter()    # the marked arrivals at each head so far
+    steps = []
+    for tail, head, t in marked_edges:
+        arrivals[head] += 1
+        steps.append((tail, head, t, sum(
+            bits[c] for c in ref_arrival_conditions(walk, head,
+                                                    arrivals[head]))))
+    assert all(arrivals[v] == k - (v == 1) for v, k in kappa.items())
     return {"heights": heights, "marked": marked, "pair_multiplicity": mult,
-            "marked_edges": marked_edges, "arrival_conds": conds,
-            "exits": exits}
+            "marked_steps": tuple(steps)}
+
+
+def arrival_conds(analysis):
+    """The codes of each letter's marked arrivals in time order, keyed by
+    letter in the order of its first marked arrival."""
+    conds = {}
+    for _, head, _, code in analysis.marked_steps:
+        conds.setdefault(head, []).append(code)
+    return {v: tuple(c) for v, c in conds.items()}
 
 
 def assert_views_match_reference(walk):
@@ -448,8 +456,9 @@ class TestSweepAgainstReference:
         # 200,000 steps 1,2,1,2,...: every step 1 -> 2 is a marked arrival
         walk = wk.Walk(tuple([1, 2] * 100_000 + [1]))
         start = time.perf_counter()
-        conds = wk._sweep(walk.letters).arrival_conds
+        a = wk._sweep(walk.letters)
         assert time.perf_counter() - start < 5.0
+        conds = arrival_conds(a)
         assert len(conds[2]) == 100_000
         assert conds[2][0] == 0
         assert set(conds[2][1:]) == {wk.DELTA}
@@ -465,6 +474,9 @@ class TestSearchAnalysis:
     def test_search_state_is_a_fresh_sweep(self):
         # the analysis each enumerated walk carries from the search, against
         # the sweep of the same letters; pickles pin dict insertion order
+        assert [f.name for f in dataclasses.fields(wk.WalkAnalysis)] == \
+            ["heights", "marked", "pair_multiplicity", "marked_steps",
+             "reductions", "max_exit"]
         for s in range(1, 7):
             for w in wk.enumerate_even_walks(s):
                 assert "analysis" in vars(w)   # attached, not computed
@@ -505,7 +517,7 @@ class TestDyckTree:
 
 class TestCensus:
     def test_w16_graph(self):
-        conds = W16().analysis.arrival_conds
+        conds = arrival_conds(W16().analysis)
         # marked arrivals per letter, root counting its artificial start
         kappa = {v: len(conds.get(v, ())) + (v == 1) for v in range(1, 6)}
         assert kappa == {1: 1, 2: 4, 3: 1, 4: 2, 5: 1}
@@ -527,7 +539,7 @@ class TestCensus:
                     assert dp.census_sum == s
                     assert dp.n_vertices == s - dp.sigma + 1
                     # the census leaves out the root's artificial start
-                    root_return = bool(w.analysis.arrival_conds.get(1))
+                    root_return = bool(arrival_conds(w.analysis).get(1))
                     assert dp.sigma_census_b + root_return == dp.sigma
 
     def test_k0_too_small(self):
@@ -723,14 +735,14 @@ class TestGoldenBodies:
         strong, weak = ref_reduce(walk, None), ref_reduce(walk, letter)
         rec = {"walk": ",".join(map(str, walk.letters)), "s": 8,
                "n_letters": 5, "even": is_even}
-        rec.update(json.loads(ref_diagram_params(walk, 4).to_json()))
+        rec.update(ref_diagram_params(walk, 4).as_dict())
         rec.update({"theta_star": max(heights),
                     "max_exit_letter": letter, "max_exit_degree": degree,
                     "strong_reduced": ",".join(map(str, strong.letters)),
                     "strong_removed": len(strong.removed_pairs),
                     "weak_reduced": ",".join(map(str, weak.letters)),
                     "weak_removed": len(weak.removed_pairs)})
-        rec.update(json.loads(ref_bts_and_cells(walk).to_json()))
+        rec.update(ref_bts_and_cells(walk).as_dict())
         argv = ["walk", "from-trajectory",
                 "5,2,7,9,7,1,2,7,9,7,2,7,2,1,7,2,5", "--k0", "4"]
         self.assert_body(self.body(argv, capsys),
