@@ -3,10 +3,9 @@
 M_2s = E Tr H^{2s} is a weighted sum over closed trajectories of 2s steps.
 The weight of a trajectory factorizes over its distinct vertex pairs: a pair
 traversed m times contributes V_m rho^{-m/2} (rho/n) for even m and zero for
-odd m; diagonal steps contribute zero.  The oracle evaluates the sum two
-independent ways, by a search over the trajectories and by a sum over the
-shapes of the canonical even walks (walks.shape_table), and the two must
-agree exactly.
+odd m; diagonal steps contribute zero.  It depends only on the sorted pair
+multiplicities.  Two independent routes, a trajectory search and the even
+walks' shape table, count the trajectories per tuple; weigh applies the law.
 """
 
 from __future__ import annotations
@@ -126,30 +125,20 @@ def pair_weight(m: int, spec: MomentSpec) -> Fraction:
     return spec.v_moment(m) * spec.rho ** (1 - m // 2) / spec.n
 
 
-def _weighed(count: int, mults, spec: MomentSpec) -> Fraction:
-    """count prod_m pair_weight(m): count trajectories of pair
-    multiplicities mults, weighed."""
-    out = Fraction(count)
-    for m in mults:
-        out *= pair_weight(m, spec)
-    return out
+def weigh(shapes: Counter, spec: MomentSpec) -> Fraction:
+    """sum count prod_m pair_weight(m) over trajectory counts keyed by
+    sorted pair multiplicities: the one step that reads the entry law."""
+    return sum((count * math.prod(pair_weight(m, spec) for m in mults)
+                for mults, count in shapes.items()), Fraction(0))
 
 
-def shape_weight(k: int, mults, spec: MomentSpec) -> Fraction:
-    """(n)_k prod_m pair_weight(m): the total weight of the trajectories
-    whose canonical walk has k letters and pair multiplicities mults."""
-    return _weighed(math.perm(spec.n, k), mults, spec)
-
-
-def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
-    """M_2s by a depth-first search over the closed trajectories of 2s
-    steps, from each first vertex.  A diagonal step weighs 0, so the search
-    never takes one; it prunes nothing else, and reaches every other
-    trajectory once, as a leaf.  It carries the pair multiplicities, keyed
-    (min, max), and the number of odd ones, undone on backtrack; a leaf
-    whose multiplicities are all even counts 1 under their sorted tuple,
-    and each tuple is weighed once."""
-    n, s = spec.n, spec.s
+def trajectory_shapes(n: int, s: int) -> Counter:
+    """The closed trajectories of 2s steps on n vertices with all pair
+    multiplicities even, per sorted multiplicity tuple: a depth-first search
+    from each first vertex that never takes a diagonal step (weight 0),
+    prunes nothing else and reaches every other trajectory once, as a leaf.
+    It carries the pair multiplicities, keyed (min, max), and the number of
+    odd ones, undone on backtrack."""
     refuse_over_budget(n, s, "trajectory")
     last = 2 * s - 1
     mult: dict[tuple[int, int], int] = {}
@@ -185,32 +174,44 @@ def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
 
     for first in range(1, n + 1):
         extend(first, first, 0)
-    return sum((_weighed(count, mults, spec)
-                for mults, count in shapes.items()), Fraction(0))
+    return shapes
+
+
+def walk_shapes(n: int, rows) -> Counter:
+    """The same Counter from (k, sorted pair multiplicities, walk count)
+    rows of canonical even walks: a walk on k letters stands for the (n)_k
+    trajectories that relabel it, and for none when k > n."""
+    shapes: Counter = Counter()
+    for k, mults, count in rows:
+        if k <= n:
+            shapes[mults] += count * math.perm(n, k)
+    return shapes
+
+
+def exact_moment_trajectory(spec: MomentSpec) -> Fraction:
+    """M_2s from the trajectory search's counts."""
+    return weigh(trajectory_shapes(spec.n, spec.s), spec)
 
 
 def exact_moment_walk(spec: MomentSpec) -> Fraction:
-    """M_2s as a sum over the shapes of the canonical even walks: class
-    size and weight depend only on a walk's shape, so each shape is weighed
-    once, times the number of walks of that shape."""
-    return sum(count * shape_weight(k, mults, spec)
-               for k, mults, count in wk.shape_table(spec.s))
+    """M_2s from the even walks' shape table, which builds no walk."""
+    return weigh(walk_shapes(spec.n, wk.shape_table(spec.s)), spec)
 
 
 def exact_moment(spec: MomentSpec, method: str = "both") -> Fraction:
-    """M_2s; with method="both" the two enumerations must agree exactly."""
+    """M_2s; "both" weighs once the two routes' counts are equal."""
     if method == "trajectory":
         return exact_moment_trajectory(spec)
     if method == "walk":
         return exact_moment_walk(spec)
-    if method == "both":
-        a = exact_moment_trajectory(spec)
-        b = exact_moment_walk(spec)
-        if a != b:
-            raise AssertionError(
-                "method disagreement: trajectory %s vs walk %s" % (a, b))
-        return a
-    raise ValueError("unknown method %r" % method)
+    if method != "both":
+        raise ValueError("unknown method %r" % method)
+    a = trajectory_shapes(spec.n, spec.s)
+    b = walk_shapes(spec.n, wk.shape_table(spec.s))
+    if a != b:
+        raise AssertionError("method disagreement at multiplicity tuples %s"
+                             % sorted((a - b).keys() | (b - a).keys()))
+    return weigh(a, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ class ClassRecord:
 def _audit_classes(s: int, k0: int) -> tuple[tuple, ...]:
     """The even walks of 2s steps grouped by (height, census), in key order:
     per class (height, census, walk count, largest max exit degree,
-    ((k, sorted pair multiplicities), walk count) per shape).  n enters the
+    (k, sorted pair multiplicities, walk count) per shape).  n enters the
     audit only through the shape weights, so this is computed once per
     (s, k0)."""
     classes: dict[tuple, list] = {}
@@ -311,7 +312,8 @@ def _audit_classes(s: int, k0: int) -> tuple[tuple, ...]:
         entry[2] = max(entry[2], wk.max_exit_degree(walk)[1])
         entry[3][walk.n_letters, tuple(sorted(
             walk.analysis.pair_multiplicity.values()))] += 1
-    return tuple((key[0], dp, n_walks, max_d, tuple(sorted(shapes.items())))
+    return tuple((key[0], dp, n_walks, max_d,
+                  tuple(shape + (c,) for shape, c in sorted(shapes.items())))
                  for key, (dp, n_walks, max_d, shapes)
                  in sorted(classes.items()))
 
@@ -328,10 +330,8 @@ def class_weight_audit(s: int, n: int, rho, k0: int) -> list[ClassRecord]:
     u_hat_sq = 1.0
     records = []
     rho_f = float(Fraction(rho))
-    for u, dp, n_walks, max_d, shapes in _audit_classes(s, k0):
-        weight = Fraction(0)
-        for (k, mults), count in shapes:
-            weight += count * shape_weight(k, mults, spec)
+    for u, dp, n_walks, max_d, rows in _audit_classes(s, k0):
+        weight = weigh(walk_shapes(n, rows), spec)
         # sigma is part of the class key, so the class-size factor is the
         # same for every walk in the class
         sigma = dp.sigma

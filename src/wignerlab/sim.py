@@ -116,21 +116,6 @@ def default_delta(eps: float, phi: float) -> float:
     return (eps0 + eps) / 6.0
 
 
-def v4_of(config: EnsembleConfig) -> float:
-    """Fourth moment of the entry law a_ij."""
-    v4 = config.v ** 4
-    if config.dist == "rademacher":
-        return v4
-    if config.dist == "gaussian":
-        return 3.0 * v4
-    # student t with df nu, rescaled to variance v^2:
-    # kurtosis 3 + 6/(nu - 4) for nu > 4
-    nu = config.df
-    if nu <= 4:
-        return math.inf
-    return (3.0 + 6.0 / (nu - 4.0)) * v4
-
-
 def theorem_7_1_rhs(chi: float, zeta: float, V4: float) -> float:
     """16 V4 / (zeta sqrt(pi chi)) e^{-e chi^3}: 0.0 past e chi^3 ~ 745 (chi^3
     past the float range too), inf once zeta sqrt(pi chi) nears 0.0."""

@@ -233,14 +233,11 @@ def oracle_suite(fast: bool = False) -> VerifyReport:
             ok = ok and got == Fraction(1, 4) ** s * rho ** (1 - s)
     rep.add("oracle.n2_closed_form", ok, "s <= 4, rho in {1/2,1,2}")
 
-    ok = True
+    # trajectory counts per multiplicity tuple, before any law
     grid = [(n, s) for n in range(2, 5 if fast else 7) for s in range(1, 4)]
-    if not fast:
-        grid += [(4, 4), (4, 5), (3, 6)]
-    for n, s in grid:
-        spec = orc.make_spec(n, Fraction(3, 2), s)
-        ok = ok and orc.exact_moment_trajectory(spec) == \
-            orc.exact_moment_walk(spec)
+    grid += [(4, 4)] if fast else [(4, 4), (4, 5), (3, 6)]
+    ok = all(orc.trajectory_shapes(n, s) ==
+             orc.walk_shapes(n, wk.shape_table(s)) for n, s in grid)
     rep.add("oracle.dual_method", ok, "grid %s" % (grid,))
 
     c = Fraction(3)
@@ -255,9 +252,8 @@ def oracle_suite(fast: bool = False) -> VerifyReport:
     for s in range(1, 4):
         n = 6
         spec = orc.make_spec(n, n, s)
-        tree_total = sum(count * orc.shape_weight(k, mults, spec)
-                         for k, mults, count in wk.shape_table(s)
-                         if k == s + 1)
+        trees = [row for row in wk.shape_table(s) if row[0] == s + 1]
+        tree_total = orc.weigh(orc.walk_shapes(n, trees), spec)
         expect = math.perm(n, s + 1) * Fraction(ct.catalan(s), 4 ** s)
         ok = ok and tree_total == expect / n ** s
     rep.add("oracle.wigner_tree_classes", ok, "n=6, s <= 3")

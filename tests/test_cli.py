@@ -478,6 +478,17 @@ class TestOracle:
         assert code == 3 and out == ""
         assert "(estimated work: 3683994)" in err
 
+    def test_both_gaussian(self, capsys):
+        # a law under which shapes of the same k and pair count weigh
+        # differently: both routes count alike and are weighed once
+        args = ["oracle", "--dist", "gaussian", "--n", "4", "--rho", "3/2",
+                "--s", "4", "--method"]
+        code, both, _ = run_cli(args + ["both"], capsys)
+        assert code == 0 and json.loads(both)["method_agreement"] is True
+        code, walk, _ = run_cli(args + ["walk"], capsys)
+        assert code == 0 and json.loads(walk)["method_agreement"] is None
+        assert both.replace("true", "null") == walk
+
     def test_out_file(self, capsys, tmp_path):
         # the same bytes as stdout, with no manifest line
         args = ["oracle", "--n", "4", "--rho", "2", "--s", "2"]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from wignerlab import Refused
 from wignerlab import catalan as ct
 from wignerlab import oracle as orc
+from wignerlab import verify
 from wignerlab import walks as wk
 from wignerlab.catalan import catalan
 
@@ -117,12 +119,14 @@ class TestPairWeight:
 
     def test_shape_weight(self):
         spec = orc.make_spec(5, Fraction(3, 2), 3)
+
+        def weight(k, mults):
+            return orc.weigh(orc.walk_shapes(5, [(k, mults, 1)]), spec)
         # (5)_3 = 60 trajectories; pair weights V_2/n = 1/20 and
         # V_4 rho^{-1}/n = (1/16)(2/3)/5
-        assert orc.shape_weight(3, (2, 4), spec) == \
-            60 * Fraction(1, 20) * Fraction(1, 120)
-        assert orc.shape_weight(6, (2, 2, 2), spec) == 0   # k > n
-        assert orc.shape_weight(2, (3,), spec) == 0        # odd pair
+        assert weight(3, (2, 4)) == 60 * Fraction(1, 20) * Fraction(1, 120)
+        assert weight(6, (2, 2, 2)) == 0   # k > n
+        assert weight(2, (3,)) == 0        # odd pair
 
 
 class TestExactMoment:
@@ -240,6 +244,49 @@ class TestExactMoment:
                     for n in (3, 5, 8, 12)]
         assert per_site == sorted(per_site)
         assert all(v < Fraction(catalan(2), 16) for v in per_site)
+
+
+def moved_walk(shape_table):
+    """shape_table with one s = 4 walk moved from shape (3, (4, 4)) to
+    (3, (2, 6)): the Rademacher law weighs both v^8 rho^-2 n^-2."""
+    def table(s):
+        rows = Counter({row[:2]: row[2] for row in shape_table(s)})
+        if s == 4:
+            rows[3, (4, 4)] -= 1
+            rows[3, (2, 6)] += 1
+        return tuple(shape + (c,) for shape, c in sorted(rows.items()))
+    return table
+
+
+class TestDualCheck:
+    def test_planted_shape_fault(self, monkeypatch):
+        table = wk.shape_table(4)
+        assert (3, (4, 4), 6) in table and (3, (2, 6), 8) in table
+        monkeypatch.setattr(wk, "shape_table", moved_walk(wk.shape_table))
+        spec = orc.make_spec(4, 2, 4)
+        # the weighed sums cannot see it
+        assert orc.exact_moment_walk(spec) == orc.exact_moment_trajectory(spec)
+        for fast in (True, False):
+            failed = [c.id for c in verify.oracle_suite(fast).checks
+                      if c.status == "fail"]
+            assert failed == ["oracle.dual_method"]
+        with pytest.raises(AssertionError,
+                           match=re.escape("tuples [(2, 6), (4, 4)]")):
+            orc.exact_moment(spec, "both")
+
+    @pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+    def test_routes_share_no_enumeration(self, monkeypatch, dist):
+        spec = orc.make_spec(4, Fraction(3, 2), 4, dist)
+
+        def no_call(*args):
+            raise AssertionError("the other route ran")
+        with monkeypatch.context() as patch:
+            patch.setattr(wk, "shape_table", no_call)
+            patch.setattr(wk, "_even_walk_leaves", no_call)
+            by_trajectory = orc.exact_moment_trajectory(spec)
+        monkeypatch.setattr(orc, "trajectory_shapes", no_call)
+        assert orc.exact_moment_walk(spec) == by_trajectory == \
+            ref_exact_moment_walk(spec)
 
 
 class TestClosedForms:

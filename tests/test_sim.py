@@ -114,14 +114,6 @@ class TestConfig:
     def test_default_delta(self):
         assert sim.default_delta(0.0, 0.0) == pytest.approx(1.0 / 12.0)
 
-    def test_v4(self):
-        assert sim.v4_of(sim.EnsembleConfig(n=4, rho=2.0)) == \
-            pytest.approx(1.0 / 16.0)
-        assert sim.v4_of(sim.EnsembleConfig(n=4, rho=2.0, dist="gaussian")) \
-            == pytest.approx(3.0 / 16.0)
-        assert sim.v4_of(sim.EnsembleConfig(n=4, rho=2.0, dist="student")) \
-            > 3.0 / 16.0
-
 
 class TestSampling:
     def test_deterministic_per_index(self):
