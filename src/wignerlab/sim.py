@@ -71,7 +71,9 @@ class EnsembleConfig:
             value = getattr(self, name)
             if name == "delta" and value is None:
                 continue
+            # a bool is a numbers.Real, but a config's false is no delta of 0
             if not (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool)
                     and abs(value) <= sys.float_info.max):
                 raise SimConfigError("%s must be a finite real number, got %r"
                                      % (name, value))

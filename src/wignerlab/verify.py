@@ -248,15 +248,18 @@ def oracle_suite(fast: bool = False) -> VerifyReport:
         c ** 6 * orc.exact_moment_walk(spec)
     rep.add("oracle.scaling_law", ok, "H -> 3H at n=4, s=3")
 
+    # walks with s - l pairs of multiplicity 2 and one of 2l against N^(l)_s
+    # by Miller's route; l = 1 are the trees, C_s = N^(1)_s / s
+    s_me = 6 if fast else 7
     ok = True
-    for s in range(1, 4):
-        n = 6
-        spec = orc.make_spec(n, n, s)
-        trees = [row for row in wk.shape_table(s) if row[0] == s + 1]
-        tree_total = orc.weigh(orc.walk_shapes(n, trees), spec)
-        expect = math.perm(n, s + 1) * Fraction(ct.catalan(s), 4 ** s)
-        ok = ok and tree_total == expect / n ** s
-    rep.add("oracle.wigner_tree_classes", ok, "n=6, s <= 3")
+    for s in range(1, s_me + 1):
+        table = {row[:2]: row[2] for row in wk.shape_table(s)}
+        ok = ok and all(
+            table.get((s + 2 - l, (2,) * (s - l) + (2 * l,)), 0)
+            * (s if l == 1 else 1) == ct.multi_edge_gf_row(l, s)[s]
+            for l in range(1, s + 1))
+    rep.add("oracle.multi_edge_classes", ok,
+            "1 <= l <= s <= %d, %d cases" % (s_me, s_me * (s_me + 1) // 2))
 
     base = orc.MomentSpec(4, Fraction(2), 2,
                           (Fraction(1, 4), Fraction(1, 16)))

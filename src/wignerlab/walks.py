@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
@@ -407,14 +407,7 @@ class DiagramParams:
 
     def as_dict(self) -> dict:
         """The census as report cells, nu_bar keyed by str(k)."""
-        return {
-            "s": self.s, "k0": self.k0, "mu1": self.mu1,
-            "r": self.r, "p": self.p, "q": self.q,
-            "mu2_pp": self.mu2_pp, "u2": self.u2,
-            "mu3_p": self.mu3_p, "mu3_pp": self.mu3_pp, "u3": self.u3,
-            "nu_bar": {str(k): c for k, c in self.nu_bar},
-            "sigma": self.sigma, "n_vertices": self.n_vertices,
-        }
+        return dict(asdict(self), nu_bar={str(k): c for k, c in self.nu_bar})
 
 
 def diagram_params(walk: Walk, k0: int) -> DiagramParams:

@@ -1062,6 +1062,16 @@ class TestUsage:
                 assert not out_file.exists()
                 assert {var: os.environ.get(var) for var in blas} == before
 
+    @pytest.mark.parametrize("config", [{"delta": False}, {"v": True}],
+                             ids=["delta-false", "v-true"])
+    def test_config_bool(self, config, tmp_path):
+        # a bool is no number: {"delta": false} ran truncated at n^0 = 1
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert_usage_error(["sim", "moments", "--n", "8", "--rho", "2",
+                            "--s", "1", "--samples", "4", "--config",
+                            str(path)], tmp_path / "o.csv")
+
     @pytest.mark.parametrize("argv", [
         ["sim", "crossover", "--n", "8", "--eps", "0", "--chi", "1e5",
          "--samples", "2"],

@@ -246,30 +246,57 @@ class TestExactMoment:
         assert all(v < Fraction(catalan(2), 16) for v in per_site)
 
 
-def moved_walk(shape_table):
-    """shape_table with one s = 4 walk moved from shape (3, (4, 4)) to
-    (3, (2, 6)): the Rademacher law weighs both v^8 rho^-2 n^-2."""
+def moved_walk(shape_table, s_moved, source, target):
+    """shape_table with one walk of 2 s_moved steps moved from shape source
+    to shape target."""
     def table(s):
         rows = Counter({row[:2]: row[2] for row in shape_table(s)})
-        if s == 4:
-            rows[3, (4, 4)] -= 1
-            rows[3, (2, 6)] += 1
+        if s == s_moved:
+            assert rows[source] > 0
+            rows[source] -= 1
+            rows[target] += 1
         return tuple(shape + (c,) for shape, c in sorted(rows.items()))
     return table
 
 
+def distinct_weigh(shapes, spec):
+    """weigh with the product taken over the distinct multiplicities only."""
+    return sum((count * math.prod(orc.pair_weight(m, spec) for m in set(mults))
+                for mults, count in shapes.items()), Fraction(0))
+
+
+# the s = 4 move: the Rademacher law weighs both shapes v^8 rho^-2 n^-2, and
+# (3, (2, 6)) is the multi-edge class l = 3
+MOVED_S4 = moved_walk(wk.shape_table, 4, (3, (4, 4)), (3, (2, 6)))
+# (module, name, fault) and the verify oracle ids it fails at both ranges
+PLANTED = {
+    "s4-move": ((wk, "shape_table", MOVED_S4),
+                ["oracle.dual_method", "oracle.multi_edge_classes"]),
+    # k = 6 exceeds every n of the dual check's grid at s = 6; the target is
+    # the multi-edge class l = 2
+    "s6-move": ((wk, "shape_table", moved_walk(
+        wk.shape_table, 6, (6, (2,) * 6), (6, (2, 2, 2, 2, 4)))),
+        ["oracle.multi_edge_classes"]),
+    "weigh-distinct": ((orc, "weigh", distinct_weigh),
+                       ["oracle.scaling_law", "oracle.class_weight_audit"]),
+}
+
+
 class TestDualCheck:
-    def test_planted_shape_fault(self, monkeypatch):
-        table = wk.shape_table(4)
-        assert (3, (4, 4), 6) in table and (3, (2, 6), 8) in table
-        monkeypatch.setattr(wk, "shape_table", moved_walk(wk.shape_table))
-        spec = orc.make_spec(4, 2, 4)
-        # the weighed sums cannot see it
-        assert orc.exact_moment_walk(spec) == orc.exact_moment_trajectory(spec)
+    @pytest.mark.parametrize("fault, failing", PLANTED.values(),
+                             ids=PLANTED.keys())
+    def test_planted_shape_fault(self, monkeypatch, fault, failing):
+        monkeypatch.setattr(*fault)
         for fast in (True, False):
             failed = [c.id for c in verify.oracle_suite(fast).checks
                       if c.status == "fail"]
-            assert failed == ["oracle.dual_method"]
+            assert failed == failing
+
+    def test_moved_walk_raises_in_both(self, monkeypatch):
+        monkeypatch.setattr(wk, "shape_table", MOVED_S4)
+        spec = orc.make_spec(4, 2, 4)
+        # the weighed sums cannot see it
+        assert orc.exact_moment_walk(spec) == orc.exact_moment_trajectory(spec)
         with pytest.raises(AssertionError,
                            match=re.escape("tuples [(2, 6), (4, 4)]")):
             orc.exact_moment(spec, "both")

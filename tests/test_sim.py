@@ -96,6 +96,11 @@ class TestConfig:
         # an int past the float range is no finite real number either
         with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=10 ** 400, rho=1.0)
+        # nor is a bool, though it is a numbers.Real (delta=False truncated
+        # at n^0 = 1, and v=True ran at v = 1)
+        for bad in ({"v": True}, {"delta": False}, {"df": True}):
+            with pytest.raises(sim.SimConfigError):
+                sim.EnsembleConfig(n=4, rho=1.0, **bad)
         # truncation is set by delta alone: there is no truncate field
         with pytest.raises(TypeError):
             sim.EnsembleConfig(n=4, rho=1.0, truncate=True, delta=0.01)
