@@ -191,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _emit(args, records, manifest):
-    manifest.finish()
+    manifest["finished"] = reports.utc_now()
     reports.emit_report(records, args.format, args.out, manifest)
 
 
 def _manifest(args, config: dict):
-    return reports.RunManifest(subcommand=args.subcommand, config=config,
-                               seed=getattr(args, "seed", None)).start()
+    return reports.run_manifest(args.subcommand, config,
+                                getattr(args, "seed", None))
 
 
 def cmd_walk(args) -> int:
@@ -407,8 +407,8 @@ def cmd_sim(args) -> int:
                for x, thr, p, e, c in
                zip(curve.x_grid, curve.thresholds, curve.tail_prob,
                    curve.stderr, curve.counts)]
-    manifest.counters = {"lanczos_steps": curve.lanczos_steps,
-                         "lanczos_fallbacks": curve.lanczos_fallbacks}
+    manifest["counters"] = {"lanczos_steps": curve.lanczos_steps,
+                            "lanczos_fallbacks": curve.lanczos_fallbacks}
     _emit(args, records, manifest)
     return 0
 
@@ -420,12 +420,10 @@ def cmd_verify(args) -> int:
         reports_ = verify.run_all(args.fast)
     else:
         reports_ = [verify.SUITES[args.suite](args.fast)]
-    records = []
-    for rep in reports_:
-        for rec in rep.records():
-            records.append(dict(rec, suite=rep.suite))
-    manifest.timings = {check_id: round(seconds, 6) for rep in reports_
-                        for check_id, seconds in rep.timings.items()}
+    records = [dict(rec, suite=rep.suite)
+               for rep in reports_ for rec in rep.checks]
+    manifest["timings"] = {check_id: round(seconds, 6) for rep in reports_
+                           for check_id, seconds in rep.timings.items()}
     _emit(args, records, manifest)
     n_fail = sum(rep.n_fail for rep in reports_)
     n_pass = sum(1 for r in records if r["status"] == "pass")

@@ -1,10 +1,11 @@
 """Deterministic CSV / JSON Lines report emission with run manifests.
 
-Every output file starts with a single manifest comment line; the body that
-follows is a pure function of the manifest's resolved configuration, so
-reruns with equal manifests produce byte-identical bodies.  Exact rationals
-serialize as "num/den" in CSV and as {"num": ..., "den": ...} objects in
-JSON.
+Every output file starts with a single manifest comment line: "# manifest: "
+and the manifest, a plain dict (run_manifest), as JSON with sorted keys.
+The body that follows is a pure function of the manifest's resolved
+configuration, so reruns with equal manifests produce byte-identical
+bodies.  Exact rationals serialize as "num/den" in CSV and as
+{"num": ..., "den": ...} objects in JSON.
 """
 
 from __future__ import annotations
@@ -22,43 +23,17 @@ from collections.abc import Iterable
 from . import __version__
 
 
-class RunManifest:
-    """The manifest line of one run.  counters (work counters) and timings
-    (seconds per verify check) are written only when set."""
+def run_manifest(subcommand: str, config: dict,
+                 seed: int | None = None) -> dict:
+    """The manifest of a run started now, with finished still empty; the
+    caller stamps finished (utc_now) and adds counters (work counters) or
+    timings (seconds per verify check) when it has them."""
+    return {"subcommand": subcommand, "config": config, "seed": seed,
+            "version": __version__, "started": utc_now(), "finished": ""}
 
-    def __init__(self, subcommand: str, config: dict,
-                 seed: int | None = None):
-        self.subcommand = subcommand
-        self.config = config
-        self.seed = seed
-        self.version = __version__
-        self.started = ""
-        self.finished = ""
-        self.counters: dict | None = None
-        self.timings: dict | None = None
 
-    def start(self) -> "RunManifest":
-        self.started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        return self
-
-    def finish(self) -> "RunManifest":
-        self.finished = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        return self
-
-    def header_line(self) -> str:
-        payload = {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "started": self.started,
-            "finished": self.finished,
-        }
-        if self.counters is not None:
-            payload["counters"] = self.counters
-        if self.timings is not None:
-            payload["timings"] = self.timings
-        return "# manifest: " + json.dumps(payload, sort_keys=True)
+def utc_now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def _fraction_types() -> tuple:
@@ -69,9 +44,7 @@ def _fraction_types() -> tuple:
     return (module.Fraction,) if module is not None else ()
 
 
-def _csv_cell(value, fraction: tuple | None = None) -> str:
-    if fraction is None:
-        fraction = _fraction_types()
+def _csv_cell(value, fraction: tuple) -> str:
     kind = type(value)
     if kind is int or kind is str:  # most cells; bool is not int here
         return str(value)
@@ -138,7 +111,7 @@ def open_output(path: str | None):
 
 
 def emit_report(records: Iterable[dict], fmt: str, path: str | None,
-                manifest: RunManifest) -> None:
+                manifest: dict) -> None:
     """Stream records to path (or stdout) as CSV or JSON Lines.
 
     The first record is drawn before anything is opened or written, so a
@@ -152,7 +125,8 @@ def emit_report(records: Iterable[dict], fmt: str, path: str | None,
     first = list(itertools.islice(records, 1))
     records = itertools.chain(first, records)
     with open_output(path) as stream:
-        stream.write(manifest.header_line() + "\n")
+        stream.write("# manifest: " + json.dumps(manifest, sort_keys=True)
+                     + "\n")
         if fmt == "csv":
             _write_csv(stream, records)
         else:

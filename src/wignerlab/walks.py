@@ -82,10 +82,6 @@ class Trajectory:
             raise MalformedInputError("non-integer label in %r" % text) from exc
         return cls.from_sequence(labels)
 
-    @property
-    def s(self) -> int:
-        return len(self.steps) // 2
-
 
 @dataclass(frozen=True)
 class Walk:
@@ -164,10 +160,6 @@ class DyckPath:
                 raise MalformedInputError("Dyck prefix sum went negative")
         if h != 0:
             raise MalformedInputError("Dyck path must end at height 0")
-
-    @property
-    def s(self) -> int:
-        return len(self.ups_downs) // 2
 
     @property
     def height(self) -> int:

@@ -73,7 +73,7 @@ def test_criterion_2_multi_edge_identities():
 
 def test_criterion_3_conjecture_grid(tmp_path):
     rows = list(ct.conjecture_6_25_report(10, 10))
-    manifest = reports.RunManifest("count", {"l_max": 10, "s_max": 10}).start()
+    manifest = reports.run_manifest("count", {"l_max": 10, "s_max": 10})
     out = tmp_path / "conjecture.csv"
     reports.emit_report(rows, "csv", str(out), manifest)
     ok = out.exists() and len(rows) > 0
@@ -208,8 +208,8 @@ def test_criterion_10_class_weight_audit(tmp_path):
                     "weight": rec.weight_normalized,
                     "bound": rec.bound, "bound_ok": rec.bound_ok,
                 })
-    manifest = reports.RunManifest(
-        "audit", {"s_max": 4, "n_max": 6, "rho": 1, "k0": 4}).start()
+    manifest = reports.run_manifest(
+        "audit", {"s_max": 4, "n_max": 6, "rho": 1, "k0": 4})
     out = tmp_path / "audit.csv"
     reports.emit_report(rows, "csv", str(out), manifest)
     ok = ok and out.exists()

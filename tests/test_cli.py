@@ -1485,7 +1485,7 @@ class TestReports:
              "empty-str"])
     def test_csv_cell(self, value, cell):
         # bool is tested before int: True is "true", never "1"
-        assert reports._csv_cell(value) == cell
+        assert reports._csv_cell(value, (Fraction,)) == cell
 
     def test_fraction_serialization(self):
         from fractions import Fraction
@@ -1494,7 +1494,7 @@ class TestReports:
 
     def test_json_fraction(self, capsys):
         from fractions import Fraction
-        manifest = reports.RunManifest("test", {}).start()
+        manifest = reports.run_manifest("test", {})
         reports.emit_report([{"v": Fraction(1, 4)}], "json", None, manifest)
         out = capsys.readouterr().out
         assert '{"v": {"den": "4", "num": "1"}}' in out
@@ -1503,7 +1503,7 @@ class TestReports:
         def records():
             yield {"a": 1}
             raise ValueError("bad record")
-        manifest = reports.RunManifest("test", {}).start()
+        manifest = reports.run_manifest("test", {})
         out_file = tmp_path / "r.csv"
         with pytest.raises(ValueError):
             reports.emit_report(records(), "csv", str(out_file), manifest)
@@ -1521,8 +1521,28 @@ class TestReports:
         assert capsys.readouterr().out == ""
         assert not os.path.isfile(os.devnull)
 
+    @pytest.mark.parametrize("argv, extra", [
+        (["walk", "enumerate", "--s", "2"], set()),
+        (["count", "catalan", "--s-max", "3"], set()),
+        (["sim", "edge", "--n", "8", "--rho", "2", "--samples", "2"],
+         {"counters"}),
+        (["verify", "cli", "--fast"], {"timings"})],
+        ids=["walk", "count", "edge", "verify"])
+    def test_manifest_line(self, argv, extra, capsys):
+        # the README's keys, sorted; counters and timings only where the
+        # run has them
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        header = out.splitlines()[0]
+        assert header.startswith("# manifest: ")
+        manifest = json.loads(header[len("# manifest: "):])
+        assert header == "# manifest: " + json.dumps(manifest, sort_keys=True)
+        assert set(manifest) == {"subcommand", "config", "seed", "version",
+                                 "started", "finished"} | extra
+        assert manifest["subcommand"] == argv[0]
+
     def test_empty_csv(self, capsys):
-        manifest = reports.RunManifest("test", {}).start()
+        manifest = reports.run_manifest("test", {})
         reports.emit_report([], "csv", None, manifest)
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1 and out[0].startswith("# manifest:")

@@ -288,8 +288,8 @@ class TestDualCheck:
     def test_planted_shape_fault(self, monkeypatch, fault, failing):
         monkeypatch.setattr(*fault)
         for fast in (True, False):
-            failed = [c.id for c in verify.oracle_suite(fast).checks
-                      if c.status == "fail"]
+            failed = [c["check"] for c in verify.oracle_suite(fast).checks
+                      if c["status"] == "fail"]
             assert failed == failing
 
     def test_moved_walk_raises_in_both(self, monkeypatch):
@@ -332,12 +332,21 @@ class TestClosedForms:
 
 class TestAudit:
     def test_small_sweep(self):
-        for s in range(1, 4):
-            for n in range(2, 6):
-                for rec in orc.class_weight_audit(s, n, 1, 4):
-                    assert rec.bound_ok
-                    assert rec.eq_5_15_ok
-                    assert rec.n_walks > 0
+        # at rho = 1/2 the nu_bar class's weight exceeds its bound without
+        # the nu_bar factor
+        for rho in (1, Fraction(1, 2)):
+            for s in range(1, 6):
+                for n in range(2, 7):
+                    recs = orc.class_weight_audit(s, n, rho, 4)
+                    for rec in recs:
+                        assert rec.bound_ok
+                        assert rec.eq_5_15_ok
+                        assert rec.n_walks > 0
+        # s = 5 is the first s with a class in nu_bar at k0 = 4: the walk
+        # 1,2,1,2,...,1 arrives at letter 2 five times
+        assert len(recs) == 68
+        assert [r.census.nu_bar for r in recs if r.census.nu_bar] \
+            == [((5, 1),)]
 
     def test_weights_total(self):
         # per-class weights add back to the full moment
@@ -360,6 +369,21 @@ class TestBounds:
         expect = 0.25 ** s * ct.height_row(s)[4] \
             * math.exp(-(s - 0) ** 2 / (2.0 * n))
         assert got == pytest.approx(expect)
+
+    def test_nu_bar_class_bound(self):
+        # 1,2,1,2,...,1 arrives at letter 2 five times, so kappa(2) = 5 >
+        # k0 = 4 puts it in nu_bar; every other census count is zero, and
+        # the bound is the trivial-class product times the nu_bar factor
+        s, n, rho, k = 5, 6, 1.0, 5
+        dp = wk.diagram_params(wk.Walk((1, 2) * s + (1,)), 4)
+        assert dp.nu_bar == ((k, 1),)
+        got = orc.bound_3_7(dp, 1, 5, s, n, rho, 1.0, 0.25, 4)
+        trivial = 0.25 ** s * ct.height_row(s)[1] \
+            * math.exp(-(s - dp.sigma_census_b) ** 2 / (2.0 * n))
+        expect = trivial * n * (2.0 * k * s) ** k \
+            / (math.factorial(k) * rho ** k)
+        assert got == pytest.approx(expect)
+        assert got == pytest.approx(14038.76365, rel=1e-9)
 
     def test_class_bound_outside_heights(self):
         # no tree of s edges has height 0 or above s

@@ -15,7 +15,7 @@ def test_fast_suites_pass(fast_reports):
     for name, rep in fast_reports.items():
         assert rep.suite == name
         assert rep.checks, name
-        failed = [c.id for c in rep.checks if c.status == "fail"]
+        failed = [c["check"] for c in rep.checks if c["status"] == "fail"]
         assert not failed, failed
 
 
@@ -23,6 +23,6 @@ def test_check_ids_are_unique_and_addressable(fast_reports):
     seen = set()
     for name, rep in fast_reports.items():
         for check in rep.checks:
-            assert check.id.startswith(name + "."), check.id
-            assert check.id not in seen
-            seen.add(check.id)
+            assert check["check"].startswith(name + "."), check["check"]
+            assert check["check"] not in seen
+            seen.add(check["check"])
