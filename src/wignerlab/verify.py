@@ -265,13 +265,17 @@ def oracle_suite(fast: bool = False) -> VerifyReport:
              for M in range(mu2, s // 2 + 1))
     rep.add("oracle.insertion_bound", ok, "s <= 12")
 
+    # at rho = 1/2 a class past k0 weighs more than its bound without the
+    # nu_bar factor; at rho = 1 it does not
     s_aud = 3 if fast else 5
     ok = True
     for s in range(1, s_aud + 1):
         for n in range(2, 7):
-            recs = orc.class_weight_audit(s, n, 1, 4)
-            ok = ok and all(r.bound_ok and r.eq_5_15_ok for r in recs)
-    rep.add("oracle.class_weight_audit", ok, "s <= %d, n <= 6, k0=4" % s_aud)
+            for rho in (Fraction(1, 2), 1):
+                recs = orc.class_weight_audit(s, n, rho, 4)
+                ok = ok and all(r.bound_ok and r.eq_5_15_ok for r in recs)
+    rep.add("oracle.class_weight_audit", ok,
+            "s <= %d, n <= 6, rho in {1/2,1}, k0=4" % s_aud)
     return rep
 
 

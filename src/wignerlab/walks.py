@@ -5,10 +5,10 @@ first-appearance order produces a canonical walk; the walks with every vertex
 pair traversed an even number of times are the only ones with nonzero weight
 in the trace expansion of a symmetric random matrix.  This module provides the
 canonicalizer, the Dyck path / plane tree bijection, one record per walk
-(WalkAnalysis: the marks, the pair multiplicities and one (tail, head, time,
-arrival conditions) tuple per marked step), the self-intersection census,
-the strong and weak reductions, the maximal exit degree, and the cell report
-around the vertex of maximal exit degree.
+(WalkAnalysis: the marks and their peak height, the pair multiplicities and
+one (tail, head, time, arrival conditions) tuple per marked step), the
+self-intersection census, the strong and weak reductions, the maximal exit
+degree, and the cell report around the vertex of maximal exit degree.
 A vertex pair is keyed (min, max) throughout.
 """
 
@@ -180,9 +180,10 @@ class WalkAnalysis:
     """Everything one left-to-right pass over a walk's 2s steps determines.
 
     A step is marked (marked[t-1] for step t) when its vertex pair has odd
-    multiplicity after it.  heights[t] counts the odd pairs after step t,
-    so it is never negative, and the walk is even when it ends at 0: the
-    marks then form a Dyck path.  marked_steps holds one
+    multiplicity after it, so the odd pairs (the height) rise by one at a
+    marked step and fall by one at any other; theta_star is their maximum.
+    The walk is even when half its steps are marked: the marks then form a
+    Dyck path of height theta_star.  marked_steps holds one
     (tail, head, time, code) tuple per marked step, in time order; code is
     o + 2*Delta + 4*Lambda for the conditions o (the head is open: some
     pair at it has odd multiplicity), Delta (the same marked edge, tail
@@ -200,10 +201,10 @@ class WalkAnalysis:
     it for walks from elsewhere.
     """
 
-    heights: tuple[int, ...]
     marked: tuple[bool, ...]
     pair_multiplicity: dict[tuple[int, int], int]
     marked_steps: tuple[tuple[int, int, int, int], ...]
+    theta_star: int
     reductions: dict[Optional[int], "ReducedWalk"] = field(
         default_factory=dict, compare=False, repr=False)
     max_exit: Optional[tuple[int, int]] = field(
@@ -211,12 +212,7 @@ class WalkAnalysis:
 
     @property
     def is_even(self) -> bool:
-        return self.heights[-1] == 0
-
-    @property
-    def theta_star(self) -> int:
-        """The maximum height; for an even walk, that of its Dyck path."""
-        return max(self.heights)
+        return 2 * len(self.marked_steps) == len(self.marked)
 
 
 def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
@@ -226,7 +222,8 @@ def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
     mult: dict[tuple[int, int], int] = {}
     odd_at = [0] * (len(w) + 1)     # odd pairs touching each vertex
     marked_directed: set[tuple[int, int]] = set()
-    heights, marked, steps = [0], [], []
+    marked, steps = [], []
+    h = peak = 0
     tail = w[0]
     for t in range(1, len(w)):
         head = w[t]
@@ -241,13 +238,14 @@ def _sweep(w: tuple[int, ...]) -> WalkAnalysis:
             marked_directed.add((tail, head))
             odd_at[tail] += 1   # a loop counts twice; only > 0 is read
             odd_at[head] += 1
-            heights.append(heights[-1] + 1)
+            h += 1
+            peak = max(peak, h)
         else:
             odd_at[tail] -= 1
             odd_at[head] -= 1
-            heights.append(heights[-1] - 1)
+            h -= 1
         tail = head
-    return WalkAnalysis(tuple(heights), tuple(marked), mult, tuple(steps))
+    return WalkAnalysis(tuple(marked), mult, tuple(steps), peak)
 
 
 @dataclass(frozen=True)
@@ -587,7 +585,7 @@ def bts_and_cells(walk: Walk) -> CellReport:
     w = walk.letters
     breve, d_max = max_exit_degree(walk)
     hat_set = set(strong_reduce(walk).kept_steps)
-    brv_set = set(_reduce(walk, spare_vertex=breve).kept_steps)
+    brv_set = set(weak_reduce(walk).kept_steps)
     marked = a.marked
     # marked instant = rank of a marked step among marked steps, 1-based
     times = [t for _, _, t, _ in a.marked_steps]
@@ -660,7 +658,7 @@ def exit_arrival_balance(walk: Walk) -> tuple[int, int]:
     w = walk.letters
     marked = walk.analysis.marked
     breve, _ = max_exit_degree(walk)
-    kept = _reduce(walk, spare_vertex=breve).kept_steps
+    kept = weak_reduce(walk).kept_steps
     return (sum(1 for t in kept if marked[t - 1] and w[t - 1] == breve),
             sum(1 for t in kept if not marked[t - 1] and w[t] == breve))
 
@@ -706,23 +704,23 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
 
     Next to the letters the search keeps the state of `_sweep`, undoing each
     piece on backtrack and deleting a pair whose count returns to 0, so the
-    multiplicities have the insertion order of a fresh sweep.  Yields the
-    live (letters, heights, pair multiplicities keyed (min, max), marked
-    (tail, head, time, code) steps, letter count) of each even walk; the
-    caller copies what it keeps.
+    multiplicities have the insertion order of a fresh sweep; the height
+    and its running peak travel as arguments.  Yields the live (letters,
+    marks, pair multiplicities keyed (min, max), marked (tail, head, time,
+    code) steps, letter count, peak) of each even walk; the caller copies
+    what it keeps.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     refuse_over_cap(s, cap)
     total = 2 * s
     width = total + 2               # letters stay below it
-    seq, heights, steps = [1], [0], []
+    seq, marked, steps = [1], [], []
     mult: dict[tuple[int, int], int] = {}
     odd_at = [0] * width            # odd pairs touching each letter
     directed = [0] * (width * width)    # marked steps tail -> head
 
-    def rec(t: int, max_letter: int):
-        h = heights[-1]
+    def rec(t: int, max_letter: int, h: int, peak: int):
         remaining = total - t
         cur = seq[-1]
         if remaining == 1:
@@ -732,10 +730,10 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
             m = mult[pair]
             mult[pair] = m + 1
             seq.append(1)
-            heights.append(0)
-            yield seq, heights, mult, steps, max_letter
+            marked.append(False)
+            yield seq, marked, mult, steps, max_letter, peak
             seq.pop()
-            heights.pop()
+            marked.pop()
             mult[pair] = m
             return
         closing = h == remaining
@@ -756,11 +754,13 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
             mult[pair] = m + 1
             odd_at[cur] += step
             odd_at[nxt] += step
-            heights.append(h + step)
+            marked.append(step > 0)
             seq.append(nxt)
-            yield from rec(t + 1, max(max_letter, nxt))
+            after = h + step        # the height after the step
+            yield from rec(t + 1, max(max_letter, nxt), after,
+                           after if after > peak else peak)
             seq.pop()
-            heights.pop()
+            marked.pop()
             odd_at[cur] -= step
             odd_at[nxt] -= step
             if m:
@@ -771,23 +771,17 @@ def _even_walk_leaves(s: int, cap: int) -> Iterator[tuple]:
                 directed[row + nxt] -= 1
                 steps.pop()
 
-    return rec(0, 1)
+    return rec(0, 1, 0, 0)
 
 
 def enumerate_even_walks(s: int, cap: int = ENUM_CAP) -> Iterator[Walk]:
     """All canonical even closed walks of 2s steps, lexicographic order;
     refuses s > cap.  Each walk carries its analysis from the search, so no
     step of it is swept again."""
-    shared: dict[tuple, tuple] = {}     # (heights, marks) per Dyck path
-    for letters, heights, mult, steps, _ in _even_walk_leaves(s, cap):
-        key = tuple(heights)
-        marks = shared.get(key)
-        if marks is None:
-            marks = shared[key] = key, tuple(
-                [a < b for a, b in zip(key, key[1:])])
+    for letters, marked, mult, steps, _, peak in _even_walk_leaves(s, cap):
         walk = object.__new__(Walk)     # valid by construction: no check
         walk.__dict__.update(letters=tuple(letters), analysis=WalkAnalysis(
-            *marks, dict(mult), tuple(steps)))
+            tuple(marked), dict(mult), tuple(steps), peak))
         yield walk
 
 
@@ -798,7 +792,7 @@ def shape_table(s: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     shape, so this is all the walk oracle needs; it builds no Walk and no
     analysis, is computed once per s and refuses s > ENUM_CAP."""
     counts: Counter = Counter()
-    for _, _, mult, _, k in _even_walk_leaves(s, ENUM_CAP):
+    for _, _, mult, _, k, _ in _even_walk_leaves(s, ENUM_CAP):
         counts[k, tuple(sorted(mult.values()))] += 1
     return tuple((k, mults, c) for (k, mults), c in sorted(counts.items()))
 

@@ -265,32 +265,50 @@ def distinct_weigh(shapes, spec):
                 for mults, count in shapes.items()), Fraction(0))
 
 
+def bound_without_nu_bar(S, u, D, s, n, rho, U_hat_sq, V2_hat, k0,
+                         bound_3_7=orc.bound_3_7):
+    """bound_3_7 with its nu_bar factor divided back out."""
+    out = bound_3_7(S, u, D, s, n, rho, U_hat_sq, V2_hat, k0)
+    for k, nu_k in S.nu_bar:
+        out /= orc._pow_fact(n * (2.0 * k * s) ** k * U_hat_sq ** k
+                             / (math.factorial(k) * rho ** k), nu_k)
+    return out
+
+
 # the s = 4 move: the Rademacher law weighs both shapes v^8 rho^-2 n^-2, and
 # (3, (2, 6)) is the multi-edge class l = 3
 MOVED_S4 = moved_walk(wk.shape_table, 4, (3, (4, 4)), (3, (2, 6)))
-# (module, name, fault) and the verify oracle ids it fails at both ranges
+# (module, name, fault) and the verify oracle ids it fails with --fast and
+# at full range
 PLANTED = {
     "s4-move": ((wk, "shape_table", MOVED_S4),
+                ["oracle.dual_method", "oracle.multi_edge_classes"],
                 ["oracle.dual_method", "oracle.multi_edge_classes"]),
     # k = 6 exceeds every n of the dual check's grid at s = 6; the target is
     # the multi-edge class l = 2
     "s6-move": ((wk, "shape_table", moved_walk(
         wk.shape_table, 6, (6, (2,) * 6), (6, (2, 2, 2, 2, 4)))),
-        ["oracle.multi_edge_classes"]),
+        ["oracle.multi_edge_classes"], ["oracle.multi_edge_classes"]),
     "weigh-distinct": ((orc, "weigh", distinct_weigh),
+                       ["oracle.scaling_law", "oracle.class_weight_audit"],
                        ["oracle.scaling_law", "oracle.class_weight_audit"]),
+    # the first nu_bar class at k0 = 4 has s = 5, past the --fast audit;
+    # at rho = 1 its weight stays below the bound even without the factor
+    "nu-bar-dropped": ((orc, "bound_3_7", bound_without_nu_bar),
+                       [], ["oracle.class_weight_audit"]),
 }
 
 
 class TestDualCheck:
-    @pytest.mark.parametrize("fault, failing", PLANTED.values(),
+    @pytest.mark.parametrize("fault, fast_failing, failing", PLANTED.values(),
                              ids=PLANTED.keys())
-    def test_planted_shape_fault(self, monkeypatch, fault, failing):
+    def test_planted_shape_fault(self, monkeypatch, fault, fast_failing,
+                                 failing):
         monkeypatch.setattr(*fault)
-        for fast in (True, False):
+        for fast, want in ((True, fast_failing), (False, failing)):
             failed = [c["check"] for c in verify.oracle_suite(fast).checks
                       if c["status"] == "fail"]
-            assert failed == failing
+            assert failed == want
 
     def test_moved_walk_raises_in_both(self, monkeypatch):
         monkeypatch.setattr(wk, "shape_table", MOVED_S4)

@@ -326,8 +326,8 @@ def ref_analysis(walk):
             bits[c] for c in ref_arrival_conditions(walk, head,
                                                     arrivals[head]))))
     assert all(arrivals[v] == k - (v == 1) for v, k in kappa.items())
-    return {"heights": heights, "marked": marked, "pair_multiplicity": mult,
-            "marked_steps": tuple(steps)}
+    return {"marked": marked, "pair_multiplicity": mult,
+            "marked_steps": tuple(steps), "theta_star": max(heights)}
 
 
 def arrival_conds(analysis):
@@ -434,7 +434,8 @@ class TestLabeling:
     def test_odd_walk_flagged(self):
         w = wk.walk_from_trajectory(wk.Trajectory((1, 2, 2, 1), 2))
         assert not w.analysis.is_even
-        assert w.analysis.heights[-1] > 0
+        # the walk 1,2,2,1,1 ends with its two loops odd
+        assert sum(1 if m else -1 for m in w.analysis.marked) == 2
 
 
 class TestSweepAgainstReference:
@@ -475,7 +476,7 @@ class TestSearchAnalysis:
         # the analysis each enumerated walk carries from the search, against
         # the sweep of the same letters; pickles pin dict insertion order
         assert [f.name for f in dataclasses.fields(wk.WalkAnalysis)] == \
-            ["heights", "marked", "pair_multiplicity", "marked_steps",
+            ["marked", "pair_multiplicity", "marked_steps", "theta_star",
              "reductions", "max_exit"]
         for s in range(1, 7):
             for w in wk.enumerate_even_walks(s):
