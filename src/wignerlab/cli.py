@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import Refused, reports
 
@@ -416,21 +417,17 @@ def cmd_sim(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
     manifest = _manifest(args, {"suite": args.suite, "fast": args.fast})
-    if args.suite == "all":
-        reports_ = verify.run_all(args.fast)
-    else:
-        reports_ = [verify.SUITES[args.suite](args.fast)]
-    records = [dict(rec, suite=rep.suite)
-               for rep in reports_ for rec in rep.checks]
-    manifest["timings"] = {check_id: round(seconds, 6) for rep in reports_
-                           for check_id, seconds in rep.timings.items()}
+    names = verify.SUITES if args.suite == "all" else [args.suite]
+    timed = [pair for name in names for pair in verify.run(name, args.fast)]
+    records = [record for _, record in timed]
+    manifest["timings"] = {record["check"]: round(seconds, 6)
+                           for seconds, record in timed}
     _emit(args, records, manifest)
-    n_fail = sum(rep.n_fail for rep in reports_)
-    n_pass = sum(1 for r in records if r["status"] == "pass")
-    n_report = sum(1 for r in records if r["status"] == "report")
+    counts = Counter(record["status"] for record in records)
     print("verify %s: %d pass, %d fail, %d report"
-          % (args.suite, n_pass, n_fail, n_report), file=sys.stderr)
-    return 0 if n_fail == 0 else 1
+          % (args.suite, counts["pass"], counts["fail"], counts["report"]),
+          file=sys.stderr)
+    return 1 if counts["fail"] else 0
 
 
 def _approx_count(value) -> str:

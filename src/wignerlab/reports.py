@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import itertools
 import json
 import os
@@ -135,10 +134,3 @@ def emit_report(records: Iterable[dict], fmt: str, path: str | None,
                 stream.write(json.dumps({k: _json_value(v, fraction)
                                          for k, v in rec.items()},
                                         sort_keys=True) + "\n")
-
-
-def render_csv_body(records: Iterable[dict]) -> str:
-    """CSV body without the manifest line, for determinism checks."""
-    buf = io.StringIO()
-    _write_csv(buf, records)
-    return buf.getvalue()

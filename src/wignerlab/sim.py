@@ -29,14 +29,15 @@ DENSE_CAP = 4096
 # matrix entries, n^2 per sample, that one run may draw: above criterion 7
 # (n = 2000, 200 samples: 8e8), the largest run of the tests and verify
 SAMPLE_BUDGET = 10 ** 9
-# sample_spectra stacks samples up to this many matrix entries per block
+# sample_blocks stacks samples up to this many matrix entries per block
 BLOCK_ENTRIES = 1 << 16
 # sample_block reads at most this many values per generator call and
 # transforms the entries this many at a time
 CHUNK = 1 << 16
 # edge_tail's Lanczos route for lambda_max, taken from n = LANCZOS_MIN_N on
-# (where blocks hold one matrix): at n = 200 a full eigvalsh is still the
-# faster, from n = 256 Lanczos is.  Tolerances are in edge scales 2v n^{-2/3}
+# (where blocks hold one matrix, as BLOCK_ENTRIES <= LANCZOS_MIN_N^2): at
+# n = 200 a full eigvalsh is still the faster, from n = 256 Lanczos is.
+# Tolerances are in edge scales 2v n^{-2/3}
 LANCZOS_MIN_N = 256
 LANCZOS_STEPS = 300  # step ceiling, capped at n; reaching it falls back
 LANCZOS_CHECK = 8  # steps between convergence checks
@@ -261,17 +262,12 @@ class SampleStats:
                    min=float(arr.min()), max=float(arr.max()))
 
 
-def block_samples(n: int) -> int:
-    """Samples per block: up to BLOCK_ENTRIES matrix entries, at least one
-    (one sample per block once n >= 182)."""
-    return max(1, BLOCK_ENTRIES // (n * n))
-
-
 def sample_blocks(config: EnsembleConfig,
                   n_samples: int) -> Iterator[np.ndarray]:
-    """Samples 0..n_samples-1 as (b, n, n) stacks of block_samples(n)
-    consecutive samples (fewer in the last block)."""
-    step = block_samples(config.n)
+    """Samples 0..n_samples-1 as (b, n, n) stacks of consecutive samples:
+    up to BLOCK_ENTRIES matrix entries, at least one sample (one per block
+    once n >= 182), fewer in the last block."""
+    step = max(1, BLOCK_ENTRIES // (config.n * config.n))
     for start in range(0, n_samples, step):
         yield sample_block(config, start, min(start + step, n_samples))
 
@@ -351,6 +347,8 @@ def estimate_moments(config: EnsembleConfig, s_list: Sequence[int],
         raise ValueError("need n_samples >= 2")
     if min(s_list) < 1:
         raise ValueError("need every s >= 1, got %s" % (list(s_list),))
+    if len(set(s_list)) < len(s_list):
+        raise ValueError("need each s once, got %s" % (list(s_list),))
     refuse_over_sample_budget(config.n ** 2 * n_samples)
     traces: dict[int, list[np.ndarray]] = {s: [] for s in s_list}
     for eig in sample_spectra(config, n_samples):
@@ -419,7 +417,7 @@ def edge_tail(config: EnsembleConfig, x_grid: Sequence[float],
     if xs != sorted(xs):
         raise ValueError("x_grid must be sorted ascending")
     refuse_over_sample_budget(config.n ** 2 * n_samples)
-    lanczos = config.n >= LANCZOS_MIN_N and block_samples(config.n) == 1
+    lanczos = config.n >= LANCZOS_MIN_N
     counts = [0] * len(xs)
     steps = fallbacks = start = 0
     for block in sample_blocks(config, n_samples):

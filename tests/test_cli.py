@@ -693,6 +693,39 @@ class TestVerify:
         assert all(seconds >= 0 for seconds in timings.values())
         assert body == VERIFY_WALKS_FAST_BODY
 
+    @pytest.mark.parametrize("suite", ["catalan", "oracle", "cli"])
+    def test_fast_body(self, suite, capsys):
+        # exact arithmetic: the bodies written before the suites yielded
+        # their records
+        code, out, _ = run_cli(["verify", suite, "--fast"], capsys)
+        assert code == 0
+        assert out.split("\n", 1)[1] == VERIFY_FAST_BODIES[suite]
+
+    def test_sim_fast_rows(self, capsys):
+        # the details carry Monte Carlo floats, which the BLAS thread count
+        # can move: only the ids and statuses are pinned
+        code, out, _ = run_cli(["verify", "sim", "--fast"], capsys)
+        assert code == 0
+        rows = csv.DictReader(out.split("\n", 1)[1].splitlines())
+        assert [(row["check"], row["status"]) for row in rows] == [
+            ("sim." + name, "pass") for name in (
+                "determinism", "symmetry_diag", "entry_second_moment",
+                "oracle_consistency", "trace_identity",
+                "trace_powers_vs_eig", "edge_tail_monotone",
+                "student_truncation_path", "lanczos_vs_eig")]
+
+    def test_suite_choices(self):
+        # the parser keeps the names as a literal: importing verify loads
+        # numpy
+        from wignerlab import verify
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if action.dest == "subcommand")
+        suite = next(action for action in
+                     commands.choices["verify"]._actions
+                     if action.dest == "suite")
+        assert tuple(suite.choices) == ("all",) + tuple(verify.SUITES)
+
 
 VERIFY_WALKS_FAST_BODY = """\
 check,status,detail,suite
@@ -707,6 +740,38 @@ walks.cell_report_consistency,pass,s <= 4,walks
 walks.dyck_tree_bijection,pass,"s=6, 132 paths",walks
 walks.tree_type_reduces_empty,pass,,walks
 """
+
+VERIFY_FAST_BODIES = {
+    "catalan": """\
+check,status,detail,suite
+catalan.formula_vs_recurrence,pass,s <= 300,catalan
+catalan.subcluster_dual,pass,s <= 120,catalan
+catalan.subcluster_bound_6_6,pass,s <= 120,catalan
+catalan.lemma_6_1,pass,"boundary failures at [(1, 1)]",catalan
+catalan.multi_edge_enum_vs_gf,pass,"l <= 5, s <= 9",catalan
+catalan.closed_forms_l2_l3,pass,s <= 200,catalan
+catalan.n2_lower_bound,pass,equality at [4],catalan
+catalan.height_marginals,pass,s <= 150,catalan
+catalan.height_vs_brute,pass,s <= 10,catalan
+catalan.b_s_monotone,pass,"s=30 grid [0.0, 0.5, 1.0, 2.0, 4.0]",catalan
+""",
+    "oracle": """\
+check,status,detail,suite
+oracle.m2_closed_form,pass,n in 2..6,oracle
+oracle.n2_closed_form,pass,"s <= 4, rho in {1/2,1,2}",oracle
+oracle.dual_method,pass,"grid [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), \
+(3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]",oracle
+oracle.scaling_law,pass,"H -> 3H at n=4, s=3",oracle
+oracle.multi_edge_classes,pass,"1 <= l <= s <= 6, 21 cases",oracle
+oracle.v4_monotonicity,pass,M_4 at n=4,oracle
+oracle.insertion_bound,pass,s <= 12,oracle
+oracle.class_weight_audit,pass,"s <= 3, n <= 6, rho in {1/2,1}, k0=4",oracle
+""",
+    "cli": """\
+check,status,detail,suite
+cli.csv_determinism,pass,,cli
+""",
+}
 
 
 class TestManifestStamps:
@@ -1084,6 +1149,13 @@ class TestUsage:
         # a cell that would read inf, nan, or an underflowed 0.0 (the bound
         # behind lower_bound_ok included) is a usage error, not a body
         assert_usage_error(argv, tmp_path / "o.csv")
+
+    def test_repeated_s(self, tmp_path):
+        # each copy of the s = 1 row read n_samples 20
+        assert_usage_error(["sim", "moments", "--n", "8", "--rho", "2",
+                            "--s", "1", "--s", "1", "--s", "2",
+                            "--samples", "10", "--seed", "3"],
+                           tmp_path / "o.csv")
 
     def test_internal_error(self, monkeypatch, capsys, tmp_path):
         # an exception that is no input error, refusal or I/O error
@@ -1487,9 +1559,11 @@ class TestReports:
         # bool is tested before int: True is "true", never "1"
         assert reports._csv_cell(value, (Fraction,)) == cell
 
-    def test_fraction_serialization(self):
+    def test_fraction_serialization(self, capsys):
         from fractions import Fraction
-        body = reports.render_csv_body([{"v": Fraction(1, 4), "ok": True}])
+        reports.emit_report([{"v": Fraction(1, 4), "ok": True}], "csv", None,
+                            reports.run_manifest("test", {}))
+        body = capsys.readouterr().out.split("\n", 1)[1]
         assert body == "v,ok\n1/4,true\n"
 
     def test_json_fraction(self, capsys):

@@ -281,6 +281,8 @@ class TestBlockSampler:
                                                          curve.thresholds)
 
     def test_one_matrix_per_block_from_256(self):
+        # edge_tail's Lanczos route reads one matrix per block
+        assert sim.BLOCK_ENTRIES <= sim.LANCZOS_MIN_N ** 2
         assert block_size(255) == 1 and block_size(256) == 1
         cfg = sim.EnsembleConfig(n=256, rho=4.0, seed=2)
         blocks = list(sim.sample_spectra(cfg, 2))
@@ -422,6 +424,15 @@ class TestEstimators:
     def test_no_moment_outside_float_range(self, config, s):
         with pytest.raises(sim.SimConfigError, match="s=%d" % s):
             sim.estimate_moments(config, [1, s], 50)
+
+    def test_repeated_s(self, monkeypatch):
+        # a repeated s counted its samples twice; refused before any sample
+        def no_sample(*args):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(sim, "sample_spectra", no_sample)
+        cfg = sim.EnsembleConfig(n=8, rho=2.0, seed=3)
+        with pytest.raises(ValueError, match="once"):
+            sim.estimate_moments(cfg, [1, 1, 2], 10)
 
     def test_one_sample_alive(self):
         # estimate_moments frees each block after its eigvalsh, before the

@@ -6,23 +6,25 @@ from wignerlab import verify
 
 
 @pytest.fixture(scope="module")
-def fast_reports():
-    """Each suite's fast report, built once for the module's tests."""
-    return {name: fn(fast=True) for name, fn in verify.SUITES.items()}
+def fast_runs():
+    """Each suite's fast run, as (seconds, record) pairs, built once for the
+    module's tests."""
+    return {name: list(verify.run(name, fast=True)) for name in verify.SUITES}
 
 
-def test_fast_suites_pass(fast_reports):
-    for name, rep in fast_reports.items():
-        assert rep.suite == name
-        assert rep.checks, name
-        failed = [c["check"] for c in rep.checks if c["status"] == "fail"]
+def test_fast_suites_pass(fast_runs):
+    for name, pairs in fast_runs.items():
+        assert pairs, name
+        assert all(rec["suite"] == name and seconds >= 0
+                   for seconds, rec in pairs)
+        failed = [rec["check"] for _, rec in pairs if rec["status"] == "fail"]
         assert not failed, failed
 
 
-def test_check_ids_are_unique_and_addressable(fast_reports):
+def test_check_ids_are_unique_and_addressable(fast_runs):
     seen = set()
-    for name, rep in fast_reports.items():
-        for check in rep.checks:
+    for name, pairs in fast_runs.items():
+        for _, check in pairs:
             assert check["check"].startswith(name + "."), check["check"]
             assert check["check"] not in seen
             seen.add(check["check"])
