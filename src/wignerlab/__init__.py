@@ -8,7 +8,26 @@ Subpackages:
     cli     -- command line entry point
 """
 
+import math
+
 __version__ = "0.1.0"
+
+
+def _gaussian_moment(l, v, df):
+    return v ** (2 * l) * math.prod(range(1, 2 * l, 2))
+
+
+def _student_moment(l, v, df):
+    """V_2l of t_df rescaled to variance v^2, finite for 2l < df."""
+    if 2 * l >= df:
+        raise ValueError("student df=%s has no moment V_%d" % (df, 2 * l))
+    return _gaussian_moment(l, v, df) * (df - 2) ** l / math.prod(
+        df - 2 * i for i in range(1, l + 1))
+
+
+# Entry laws a_ij of variance v^2: V_2l(l, v, df), exact for Fraction v, df
+ENTRY_LAWS = {"rademacher": lambda l, v, df: v ** (2 * l),
+              "gaussian": _gaussian_moment, "student": _student_moment}
 
 
 class Refused(RuntimeError):

@@ -22,7 +22,7 @@ import os
 import sys
 from collections import Counter
 
-from . import Refused, reports
+from . import ENTRY_LAWS, Refused, reports
 
 
 # The largest size argument (--s-max, --l, --l-max) each count action
@@ -150,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_ensemble_flags(sp):
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--rho", type=float)
-        sp.add_argument("--dist",
-                        choices=("rademacher", "gaussian", "student"),
+        sp.add_argument("--dist", choices=tuple(ENTRY_LAWS),
                         default="rademacher")
         sp.add_argument("--samples", type=int, default=100)
 

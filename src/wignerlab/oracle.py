@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
-from . import Refused
+from . import ENTRY_LAWS, Refused
 from . import walks as wk
 from . import catalan as ct
 
@@ -66,31 +66,12 @@ class MomentSpec:
         return self.moments[l - 1]
 
 
-def rademacher_moments(s: int) -> tuple[Fraction, ...]:
-    """V_2l = v^{2l} for entries +-v, v = 1/2."""
-    return tuple(Fraction(1, 4) ** l for l in range(1, s + 1))
-
-
-def gaussian_moments(s: int) -> tuple[Fraction, ...]:
-    """V_2l = (2l-1)!! v^{2l} for centered Gaussian entries of variance v^2,
-    v = 1/2."""
-    out = []
-    double_fact = 1
-    for l in range(1, s + 1):
-        double_fact *= 2 * l - 1
-        out.append(double_fact * Fraction(1, 4) ** l)
-    return tuple(out)
-
-
 def make_spec(n: int, rho, s: int, dist: str = "rademacher") -> MomentSpec:
-    rho = Fraction(rho)
-    if dist == "rademacher":
-        moments = rademacher_moments(s)
-    elif dist == "gaussian":
-        moments = gaussian_moments(s)
-    else:
+    """The moments of an ENTRY_LAWS law at sim's defaults v = 1/2, df = 14."""
+    if dist not in ENTRY_LAWS:
         raise ValueError("unknown distribution %r" % dist)
-    return MomentSpec(n=n, rho=rho, s=s, moments=moments)
+    return MomentSpec(n=n, rho=Fraction(rho), s=s, moments=tuple(
+        ENTRY_LAWS[dist](l, Fraction(1, 2), 14) for l in range(1, s + 1)))
 
 
 def refuse_over_budget(n: int, s: int, method: str) -> None:

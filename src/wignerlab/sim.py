@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import Refused
+from . import ENTRY_LAWS, Refused
 
 DENSE_CAP = 4096
 # matrix entries, n^2 per sample, that one run may draw: above criterion 7
@@ -53,7 +53,7 @@ class SimConfigError(ValueError):
 class EnsembleConfig:
     """Dilute Wigner ensemble parameters.
 
-    dist is one of rademacher, gaussian, student; student entries use df
+    dist is a law of ENTRY_LAWS; student entries use df
     degrees of freedom and are rescaled so the variance is v^2, exercising
     the truncation path for laws with finitely many moments.  A delta that
     is not None zeroes the entries with |a_ij| > n^delta (the paper's H-hat).
@@ -85,7 +85,7 @@ class EnsembleConfig:
                                  % (self.rho, self.n))
         if self.v <= 0:
             raise SimConfigError("v must be > 0")
-        if self.dist not in ("rademacher", "gaussian", "student"):
+        if self.dist not in ENTRY_LAWS:
             raise SimConfigError("unknown dist %r" % self.dist)
         if self.dist == "student" and self.df <= 2:
             raise SimConfigError("student df must exceed 2")
@@ -457,6 +457,9 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
     """
     if not (math.isfinite(chi) and chi > 0):
         raise SimConfigError("chi must be a finite number > 0, got %r" % chi)
+    for name, values in (("n", n_list), ("eps", eps_grid)):
+        if len(set(values)) < len(values):  # a repeat samples its rows twice
+            raise ValueError("need each %s once, got %s" % (name, list(values)))
     # every grid point is checked before the budget and the first sample
     grid = [(n, eps, zeta * rho_of_eps(n, eps), chi * n ** (2.0 / 3.0))
             for n in n_list for eps in eps_grid]
@@ -472,8 +475,9 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
             raise SimConfigError(
                 "chi n^(2/3) at n=%d, chi=%r exceeds the float range"
                 % (n, chi))
-    # the bound does not depend on (n, eps); V4 is the Rademacher v^4
-    bound = theorem_7_1_rhs(chi, zeta, EnsembleConfig.v ** 4)
+    # the bound does not depend on (n, eps); V4 is the Rademacher one
+    bound = theorem_7_1_rhs(chi, zeta, ENTRY_LAWS["rademacher"](
+        2, EnsembleConfig.v, EnsembleConfig.df))
     if not 0.0 < bound < math.inf:
         raise SimConfigError(
             "the Theorem 7.1 lower bound at chi=%r, zeta=%r is %r: it "

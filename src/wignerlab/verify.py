@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ENTRY_LAWS
 from . import walks as wk
 from . import catalan as ct
 from . import oracle as orc
@@ -198,8 +199,7 @@ def oracle_suite(fast: bool = False) -> Iterator[dict]:
     ok = True
     for s in range(1, 5):
         for rho in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            got = orc.exact_moment_walk(
-                orc.MomentSpec(2, rho, s, orc.rademacher_moments(s)))
+            got = orc.exact_moment_walk(orc.make_spec(2, rho, s))
             ok = ok and got == Fraction(1, 4) ** s * rho ** (1 - s)
     yield check("oracle.n2_closed_form", ok, "s <= 4, rho in {1/2,1,2}")
 
@@ -282,16 +282,17 @@ def sim_suite(fast: bool = False) -> Iterator[dict]:
     yield check("sim.entry_second_moment", abs(z) <= 4.0,
                 "%d draws, z=%.2f" % (vals.size, z))
 
-    cfg = sim.EnsembleConfig(n=4, rho=2.0, seed=3)
     samples = 20000 if fast else 100000
-    stats = sim.estimate_moments(cfg, [1, 2, 3], samples)
     ok = True
     details = []
-    for s in (1, 2, 3):
-        exact = float(orc.exact_moment_walk(orc.make_spec(4, 2, s)))
-        z = (stats[s].mean - exact) / stats[s].stderr
-        ok = ok and abs(z) <= 4.0
-        details.append("s=%d z=%.2f" % (s, z))
+    for dist in ENTRY_LAWS:
+        cfg = sim.EnsembleConfig(n=4, rho=2.0, dist=dist, seed=3)
+        stats = sim.estimate_moments(cfg, [1, 2, 3], samples)
+        for s in (1, 2, 3):
+            exact = float(orc.exact_moment_walk(orc.make_spec(4, 2, s, dist)))
+            z = (stats[s].mean - exact) / stats[s].stderr
+            ok = ok and abs(z) <= 4.0
+            details.append("%s s=%d z=%.2f" % (dist, s, z))
     yield check("sim.oracle_consistency", ok, ", ".join(details))
 
     ok = True

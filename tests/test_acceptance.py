@@ -102,7 +102,7 @@ def test_criterion_5_oracle_closed_forms():
              Fraction(n - 1, 4) for n in range(2, 7))
     for s in range(1, 5):
         for rho in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            spec = orc.MomentSpec(2, rho, s, orc.rademacher_moments(s))
+            spec = orc.make_spec(2, rho, s)
             ok = ok and orc.exact_moment_walk(spec) == \
                 Fraction(1, 4) ** s * rho ** (1 - s)
     for n in range(2, 7):

@@ -18,6 +18,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import (assume, event, example, given, settings,
                         strategies as st)
@@ -892,7 +893,7 @@ UNUSED_STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
 def loaded_by(argv):
     """The sorted wignerlab.* modules, and the UNUSED_STDLIB modules, that
     main(argv) leaves loaded in a fresh ``python -S`` process, in which
-    the site hook loads nothing first."""
+    the site hook loads nothing first; numpy's folder is on its path."""
     code = ("import sys\n"
             "from wignerlab import cli\n"
             "assert cli.main(%r) == 0\n"
@@ -900,8 +901,9 @@ def loaded_by(argv):
             " if m.startswith('wignerlab.'))))\n"
             "print(' '.join(m for m in %r if m in sys.modules))"
             % (argv + ["--out", os.devnull], UNUSED_STDLIB))
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        os.path.dirname(os.path.dirname(module.__file__))
+        for module in (cli, numpy)))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -924,6 +926,14 @@ class TestLoadScope:
         library, stdlib = loaded_by(["walk", "enumerate", "--s", "3"])
         assert library == ["wignerlab.cli", "wignerlab.reports",
                            "wignerlab.walks"]
+        assert "fractions" not in stdlib and "decimal" not in stdlib
+
+    def test_sim(self):
+        # the entry-law table in the package root loads no exact layer
+        library, stdlib = loaded_by(["sim", "moments", "--n", "8", "--rho",
+                                     "2", "--s", "1", "--samples", "2"])
+        assert library == ["wignerlab.cli", "wignerlab.reports",
+                           "wignerlab.sim"]
         assert "fractions" not in stdlib and "decimal" not in stdlib
 
     def test_oracle(self):
@@ -1155,6 +1165,12 @@ class TestUsage:
         assert_usage_error(["sim", "moments", "--n", "8", "--rho", "2",
                             "--s", "1", "--s", "1", "--s", "2",
                             "--samples", "10", "--seed", "3"],
+                           tmp_path / "o.csv")
+
+    def test_repeated_crossover_n(self, tmp_path):
+        # each copy of the n = 64 row sampled anew
+        assert_usage_error(["sim", "crossover", "--n", "64", "--n", "64",
+                            "--eps", "0", "--samples", "4"],
                            tmp_path / "o.csv")
 
     def test_internal_error(self, monkeypatch, capsys, tmp_path):

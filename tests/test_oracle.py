@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from wignerlab import Refused
+from wignerlab import ENTRY_LAWS, Refused
 from wignerlab import catalan as ct
 from wignerlab import oracle as orc
 from wignerlab import verify
@@ -81,14 +81,54 @@ def ref_exact_moment_trajectory(spec):
     return total
 
 
+def ref_rademacher_moments(s):
+    """The oracle's Rademacher moments before the entry-law table."""
+    return tuple(Fraction(1, 4) ** l for l in range(1, s + 1))
+
+
+def ref_gaussian_moments(s):
+    """The oracle's Gaussian moments before the entry-law table."""
+    out = []
+    double_fact = 1
+    for l in range(1, s + 1):
+        double_fact *= 2 * l - 1
+        out.append(double_fact * Fraction(1, 4) ** l)
+    return tuple(out)
+
+
 class TestMomentSpec:
     def test_rademacher(self):
-        assert orc.rademacher_moments(3) == \
+        assert orc.make_spec(4, 2, 3).moments == \
             (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64))
+        assert orc.make_spec(4, 2, 12).moments == ref_rademacher_moments(12)
 
     def test_gaussian(self):
-        assert orc.gaussian_moments(3) == \
+        assert orc.make_spec(4, 2, 3, "gaussian").moments == \
             (Fraction(1, 4), Fraction(3, 16), Fraction(15, 64))
+        assert orc.make_spec(4, 2, 12, "gaussian").moments == \
+            ref_gaussian_moments(12)
+
+    def test_student(self):
+        # t with df = 14 rescaled to v = 1/2: V_2 ... V_12 are finite, the
+        # abstract's 6 + phi_0 moments at phi_0 = 0
+        assert orc.make_spec(4, 2, 3, "student").moments == \
+            (Fraction(1, 4), Fraction(9, 40), Fraction(27, 64))
+        assert len(orc.make_spec(4, 2, 6, "student").moments) == 6
+        with pytest.raises(ValueError, match="df=14"):
+            orc.make_spec(4, 2, 7, "student")
+
+    @pytest.mark.parametrize("df", [Fraction(5, 2), 3, Fraction(7, 2), 14,
+                                    Fraction(1001, 10)])
+    @pytest.mark.parametrize("v", [Fraction(1, 3), Fraction(1, 2), 2])
+    def test_student_variance(self, v, df):
+        # sim rescales t by v / sqrt(df / (df - 2)): variance v^2 at any
+        # df > 2
+        assert ENTRY_LAWS["student"](1, Fraction(v), df) == Fraction(v) ** 2
+
+    def test_student_refuses_past_df(self):
+        for df in (2, Fraction(5, 2), 4):
+            with pytest.raises(ValueError, match="df=%s" % df):
+                ENTRY_LAWS["student"](2, Fraction(1, 2), df)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -138,7 +178,7 @@ class TestExactMoment:
     def test_n2_all_s(self):
         for s in range(1, 5):
             for rho in (Fraction(1, 2), Fraction(1), Fraction(2)):
-                spec = orc.MomentSpec(2, rho, s, orc.rademacher_moments(s))
+                spec = orc.make_spec(2, rho, s)
                 assert orc.exact_moment_walk(spec) == \
                     Fraction(1, 4) ** s * rho ** (1 - s)
 

@@ -13,6 +13,7 @@ import pytest
 from wignerlab import Refused
 from wignerlab import sim
 from wignerlab import oracle as orc
+from wignerlab import verify
 
 
 # -- reference implementation ------------------------------------------------
@@ -476,6 +477,20 @@ class TestEstimators:
             exact = float(orc.exact_moment_walk(orc.make_spec(4, 2, s)))
             assert abs(stats[s].mean - exact) <= 4.0 * stats[s].stderr
 
+    @pytest.mark.parametrize("dist", [None, "gaussian", "student"])
+    def test_planted_scale_fault(self, monkeypatch, dist):
+        # each law's entries scaled by 1.02: only the exact moments of that
+        # law see it
+        sample_block = sim.sample_block
+
+        def scaled(config, start, stop):
+            h = sample_block(config, start, stop)
+            return h * 1.02 if config.dist == dist else h
+        monkeypatch.setattr(sim, "sample_block", scaled)
+        failed = [c["check"] for c in verify.sim_suite(True)
+                  if c["status"] == "fail"]
+        assert failed == ([] if dist is None else ["sim.oracle_consistency"])
+
     def test_stats_shape(self):
         st = sim.SampleStats.from_values([1.0, 2.0, 3.0])
         assert st.mean == pytest.approx(2.0)
@@ -529,6 +544,18 @@ class TestEdge:
             16.0 * 0.5 ** 4 / (1.0 * math.sqrt(math.pi * 0.5)) \
             * math.exp(-math.e * 0.5 ** 3)
         assert isinstance(row["lower_bound_ok"], bool)
+
+    @pytest.mark.parametrize("n_list, eps_grid", [([64, 64], [0.0]),
+                                                  ([8, 64], [0.0, -0.0])])
+    def test_crossover_repeated_value(self, monkeypatch, n_list, eps_grid):
+        # a repeated n or eps printed the same row twice, sampled twice;
+        # refused before the budget and before any sample
+        def no_call(*args):
+            raise AssertionError("budget checked or sampled")
+        monkeypatch.setattr(sim, "refuse_over_sample_budget", no_call)
+        monkeypatch.setattr(sim, "estimate_moments", no_call)
+        with pytest.raises(ValueError, match="once"):
+            sim.crossover_scan(n_list, eps_grid, 0.5, 4)
 
     def test_crossover_rho_guard(self):
         with pytest.raises(sim.SimConfigError):
