@@ -13,6 +13,27 @@ from collections.abc import Iterator
 from . import Refused
 
 
+# The largest size (s_max, l or l_max) each count table takes, keyed by
+# its `count` action; a larger request is refused before any row.
+COUNT_CAPS = {"catalan": 3000, "multi-edge": 600, "subcluster": 600,
+              "lemma61": 1000, "conjecture": 100, "heights": 1000}
+
+
+def _refuse_past_cap(action: str, size: int, entries: int) -> None:
+    """Refused when size exceeds the action's cap; entries counts the table
+    entries the request would compute, not the entries held: the rows
+    stream, and a run holds O(s_max) numbers at a time."""
+    cap = COUNT_CAPS[action]
+    if size > cap:
+        raise Refused("count %s at size %d exceeds cap %d"
+                      % (action, size, cap), entries)
+
+
+def _compared(value: int, closed: int, **keys) -> dict:
+    """A count row: its keys, the value and the closed form beside it."""
+    return dict(keys, value=value, closed_form=closed, match=value == closed)
+
+
 # ---------------------------------------------------------------------------
 # Catalan numbers
 # ---------------------------------------------------------------------------
@@ -36,10 +57,12 @@ def catalan_table_recurrence(s_max: int) -> list[int]:
     return t
 
 
-def catalan_check(s_max: int) -> bool:
-    """Formula and recurrence agree on 0..s_max."""
-    table = catalan_table_recurrence(s_max)
-    return all(table[s] == catalan(s) for s in range(s_max + 1))
+def catalan_rows(s_max: int) -> Iterator[dict]:
+    """count catalan: t_s by the recurrence against the formula, for
+    0 <= s <= s_max.  The recurrence row is built on the call."""
+    _refuse_past_cap("catalan", s_max, s_max + 1)
+    row = catalan_table_recurrence(s_max)
+    return (_compared(value, catalan(s), s=s) for s, value in enumerate(row))
 
 
 class SeriesExact:
@@ -96,42 +119,39 @@ def root_subcluster_ballot_table(s_max: int) -> Iterator[list[int]]:
                      for d in range(1, s + 1)]
 
 
-def check_lemma_6_1(s_max: int) -> dict:
-    """Exact sweep of t~_s(d) <= (3/4)^d t_s via 4^d t~ <= 3^d t_s, one
-    recurrence row at a time.
+def subcluster_rows(s_max: int) -> Iterator[dict]:
+    """count subcluster: t~_s(d) for 1 <= d <= s <= s_max by the recurrence,
+    against the ballot formula."""
+    _refuse_past_cap("subcluster", s_max, 2 * (s_max + 1) ** 2)
+    pairs = zip(root_subcluster_table(s_max),
+                root_subcluster_ballot_table(s_max))
+    return (_compared(row[d], ballot[d], s=s, d=d)
+            for s, (row, ballot) in enumerate(pairs) for d in range(1, s + 1))
+
+
+def lemma61_rows(s_max: int) -> list[dict]:
+    """count lemma61: one row, the exact sweep of t~_s(d) <= (3/4)^d t_s via
+    4^d t~ <= 3^d t_s over the recurrence rows s <= s_max.
 
     The inequality chain behind it is derived for d >= 3 and extended by the
-    d = 1, 2 identities, so small (s, d) boundary failures are reported
+    d = 1, 2 identities, so small (s, d) boundary failures are listed
     separately instead of counting as violations.
     """
+    _refuse_past_cap("lemma61", s_max, (s_max + 1) ** 2)
     t = catalan_table_recurrence(s_max)
-    violations = []
+    violations = 0
     boundary = []
     pow3 = [3 ** d for d in range(s_max + 1)]
     pow4 = [4 ** d for d in range(s_max + 1)]
     for s, row in enumerate(root_subcluster_table(s_max, t)):
         for d in range(1, s + 1):
             if pow4[d] * row[d] > pow3[d] * t[s]:
-                (boundary if d < 3 else violations).append((s, d))
-    return {
-        "s_max": s_max,
-        "holds_for_d_ge_3": not violations,
-        "violations": violations,
-        "boundary_failures": boundary,
-    }
-
-
-def check_6_6(s_max: int) -> dict:
-    """One pass over the recurrence and ballot rows s <= s_max: "dual" when
-    every pair of rows agrees, "holds" when t~_s(d) <= t_{s-1} for
-    1 <= d <= s."""
-    t = catalan_table_recurrence(max(s_max, 1))
-    dual = holds = True
-    for s, (row, ballot) in enumerate(zip(root_subcluster_table(s_max, t),
-                                          root_subcluster_ballot_table(s_max))):
-        dual = dual and row == ballot
-        holds = holds and all(x <= t[s - 1] for x in row[1:])
-    return {"dual": dual, "holds": holds}
+                if d < 3:
+                    boundary.append((s, d))
+                else:
+                    violations += 1
+    return [{"s_max": s_max, "holds_for_d_ge_3": not violations,
+             "violations": violations, "boundary_failures": str(boundary)}]
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +236,36 @@ def multi_edge_closed_form(l: int, s: int) -> int:
     return math.comb(2 * s, s - l)
 
 
-def conjecture_6_25_report(l_max: int, s_max: int) -> Iterator[dict]:
-    """Compare gf counts with the closed form, which equals the gf row for
-    every l, and with the 2^l s t_s bound, one row per (l, s).  The gf
-    itself is checked against tree enumeration for l <= 5 and s <= 12
-    only."""
+def multi_edge_rows(l: int, s_max: int, check_closed_form: bool = False
+                    ) -> Iterator[dict]:
+    """count multi-edge: N^(l)_s for l <= s <= s_max from the
+    generating-function row, built on the call; with check_closed_form,
+    against the closed form."""
+    size = max(l, s_max)
+    _refuse_past_cap("multi-edge", size, size + 1)
+    row = multi_edge_gf_row(l, s_max)
+    if check_closed_form:
+        return (_compared(row[s], multi_edge_closed_form(l, s), s=s, l=l)
+                for s in range(l, s_max + 1))
+    return ({"s": s, "l": l, "value": row[s]} for s in range(l, s_max + 1))
+
+
+def conjecture_rows(l_max: int, s_max: int) -> Iterator[dict]:
+    """count conjecture: the multi-edge rows against the closed form for
+    every l <= l_max, one gf row at a time, each with the 2^l s t_s and
+    s t_s bounds of Conjecture 6.25."""
+    size = max(l_max, s_max)
+    _refuse_past_cap("conjecture", size, l_max * (size + 1))
     t = catalan_table_recurrence(s_max)
-    for l in range(1, l_max + 1):
-        gf_row = multi_edge_gf_row(l, s_max)
-        for s in range(l, s_max + 1):
-            value = gf_row[s]
-            closed = multi_edge_closed_form(l, s)
-            yield {
-                "l": l, "s": s, "value": value, "closed_form": closed,
-                "match": value == closed,
-                "bound_2l_s_ts_holds": value <= (2 ** l) * s * t[s],
-                "bound_s_ts_holds": value <= s * t[s],
-            }
+
+    def rows():
+        for l in range(1, l_max + 1):
+            for rec in multi_edge_rows(l, s_max, check_closed_form=True):
+                s_ts = rec["s"] * t[rec["s"]]
+                yield {"l": l, **rec,
+                       "bound_2l_s_ts_holds": rec["value"] <= 2 ** l * s_ts,
+                       "bound_s_ts_holds": rec["value"] <= s_ts}
+    return rows()
 
 
 def check_n2_lower(s_max: int) -> dict:
@@ -266,6 +299,15 @@ def height_row(s: int) -> list[int]:
     cum = [sum(binom[s % w::w]) - sum(binom[(s - 1) % w::w])
            for w in range(2, s + 3)]
     return cum[:1] + [b - a for a, b in zip(cum, cum[1:])]
+
+
+def heights_rows(s_max: int) -> Iterator[dict]:
+    """count heights: the nonzero counts of height_row(s), 1 <= s <= s_max;
+    no second route, so closed_form and match are empty."""
+    _refuse_past_cap("heights", s_max, (s_max + 1) * (s_max + 2) // 2)
+    return ({"s": s, "u": u, "value": cnt, "closed_form": "", "match": ""}
+            for s in range(1, s_max + 1)
+            for u, cnt in enumerate(height_row(s)) if cnt)
 
 
 def b_s(x: float, s: int) -> float:

@@ -25,12 +25,6 @@ from collections import Counter
 from . import ENTRY_LAWS, Refused, reports
 
 
-# The largest size argument (--s-max, --l, --l-max) each count action
-# takes; a larger request refuses before any work.
-COUNT_CAPS = {"catalan": 3000, "multi-edge": 600, "subcluster": 600,
-              "lemma61": 1000, "conjecture": 100, "heights": 1000}
-
-
 def _set_threads(value):
     """Writes the BLAS thread count --threads asks for; 0 or None leaves the
     BLAS defaults alone.  A count outside 0..os.cpu_count() is refused
@@ -242,28 +236,6 @@ def cmd_walk(args) -> int:
     return 0
 
 
-def _refuse_large_count(args) -> None:
-    """Refused when a size argument exceeds the action's cap; the estimate
-    counts the table entries the request would compute, not the entries
-    held: the rows stream, and a run holds O(s_max) numbers at a time."""
-    m = max(args.s_max, getattr(args, "l", 0), getattr(args, "l_max", 0))
-    cap = COUNT_CAPS[args.action]
-    if m <= cap:
-        return
-    if args.action in ("catalan", "multi-edge"):
-        entries = m + 1                      # one row
-    elif args.action == "conjecture":
-        entries = args.l_max * (m + 1)       # one row per l
-    elif args.action == "heights":
-        entries = (m + 1) * (m + 2) // 2     # row s holds s + 1 counts
-    elif args.action == "subcluster":
-        entries = 2 * (m + 1) ** 2           # recurrence and ballot
-    else:
-        entries = (m + 1) ** 2
-    raise Refused("count %s at size %d exceeds cap %d"
-                  % (args.action, m, cap), entries)
-
-
 def cmd_count(args) -> int:
     from . import catalan as ct
     if args.s_max < 0:
@@ -280,53 +252,16 @@ def cmd_count(args) -> int:
     if args.action == "multi-edge" and args.s_max < args.l:
         raise ValueError("count multi-edge needs --s-max >= --l, got %d < %d"
                          % (args.s_max, args.l))
-    _refuse_large_count(args)
-    manifest = _manifest(args, {key: getattr(args, key) for key in (
-        "l", "l_max", "s_max", "check_closed_form") if hasattr(args, key)})
-    # the one-row tables are O(s_max) numbers, built before the stamp
-    if args.action == "catalan":
-        row = ct.catalan_table_recurrence(args.s_max)
-    elif args.action == "multi-edge":
-        row = ct.multi_edge_gf_row(args.l, args.s_max)
-
-    def records():
-        # one record at a time: no action holds a whole table
-        if args.action == "catalan":
-            for s, value in enumerate(row):
-                closed = ct.catalan(s)
-                yield {"s": s, "value": value, "closed_form": closed,
-                       "match": value == closed}
-        elif args.action == "multi-edge":
-            for s in range(args.l, args.s_max + 1):
-                rec = {"s": s, "l": args.l, "value": row[s]}
-                if args.check_closed_form:
-                    closed = ct.multi_edge_closed_form(args.l, s)
-                    rec["closed_form"] = closed
-                    rec["match"] = row[s] == closed
-                yield rec
-        elif args.action == "subcluster":
-            rows = zip(ct.root_subcluster_table(args.s_max),
-                       ct.root_subcluster_ballot_table(args.s_max))
-            for s, (value, closed) in enumerate(rows):
-                for d in range(1, s + 1):
-                    yield {"s": s, "d": d, "value": value[d],
-                           "closed_form": closed[d],
-                           "match": value[d] == closed[d]}
-        elif args.action == "lemma61":
-            rep = ct.check_lemma_6_1(args.s_max)
-            yield {"s_max": args.s_max,
-                   "holds_for_d_ge_3": rep["holds_for_d_ge_3"],
-                   "violations": len(rep["violations"]),
-                   "boundary_failures": str(rep["boundary_failures"])}
-        elif args.action == "conjecture":
-            yield from ct.conjecture_6_25_report(args.l_max, args.s_max)
-        else:  # heights
-            for s in range(1, args.s_max + 1):
-                for u, cnt in enumerate(ct.height_row(s)):
-                    if cnt:
-                        yield {"s": s, "u": u, "value": cnt,
-                               "closed_form": "", "match": ""}
-    _emit(args, records(), manifest)
+    config = {key: getattr(args, key) for key in (
+        "l", "l_max", "s_max", "check_closed_form") if hasattr(args, key)}
+    manifest = _manifest(args, config)
+    # refused past the action's cap; the one-row tables (catalan,
+    # multi-edge) are built on the call, between the two stamps
+    rows = {"catalan": ct.catalan_rows, "multi-edge": ct.multi_edge_rows,
+            "subcluster": ct.subcluster_rows, "lemma61": ct.lemma61_rows,
+            "conjecture": ct.conjecture_rows,
+            "heights": ct.heights_rows}[args.action](**config)
+    _emit(args, rows, manifest)
     return 0
 
 

@@ -135,18 +135,23 @@ def walks_suite(fast: bool = False) -> Iterator[dict]:
 
 def catalan_suite(fast: bool = False) -> Iterator[dict]:
     s_cat = 300 if fast else 2000
-    yield check("catalan.formula_vs_recurrence", ct.catalan_check(s_cat),
+    yield check("catalan.formula_vs_recurrence",
+                all(row["match"] for row in ct.catalan_rows(s_cat)),
                 "s <= %d" % s_cat)
 
+    # the count subcluster rows, one pass for both checks
     s_sub = 120 if fast else 500
-    rep66 = ct.check_6_6(s_sub)  # one row pass for both checks
-    yield check("catalan.subcluster_dual", rep66["dual"], "s <= %d" % s_sub)
-    yield check("catalan.subcluster_bound_6_6", rep66["holds"],
-                "s <= %d" % s_sub)
+    t = ct.catalan_table_recurrence(s_sub)
+    dual = bound = True
+    for row in ct.subcluster_rows(s_sub):
+        dual = dual and row["match"]
+        bound = bound and row["value"] <= t[row["s"] - 1]
+    yield check("catalan.subcluster_dual", dual, "s <= %d" % s_sub)
+    yield check("catalan.subcluster_bound_6_6", bound, "s <= %d" % s_sub)
 
-    rep61 = ct.check_lemma_6_1(300)
+    (rep61,) = ct.lemma61_rows(300)
     yield check("catalan.lemma_6_1", rep61["holds_for_d_ge_3"],
-                "boundary failures at %s" % (rep61["boundary_failures"],))
+                "boundary failures at %s" % rep61["boundary_failures"])
 
     s_enum = 9 if fast else 12
     ok = True
@@ -157,11 +162,8 @@ def catalan_suite(fast: bool = False) -> Iterator[dict]:
     yield check("catalan.multi_edge_enum_vs_gf", ok,
                 "l <= 5, s <= %d" % s_enum)
 
-    ok = True
-    for l in (2, 3):
-        row = ct.multi_edge_gf_row(l, 200)
-        ok = ok and all(row[s] == ct.multi_edge_closed_form(l, s)
-                        for s in range(l, 201))
+    ok = all(row["match"] for l in (2, 3)
+             for row in ct.multi_edge_rows(l, 200, check_closed_form=True))
     yield check("catalan.closed_forms_l2_l3", ok, "s <= 200")
 
     n2 = ct.check_n2_lower(300)

@@ -4,6 +4,7 @@ Each test records a single `criterion N: PASS|FAIL` line before asserting,
 so a red run still shows the full scoreboard in the terminal summary.
 """
 
+import ast
 import time
 from fractions import Fraction
 
@@ -72,7 +73,7 @@ def test_criterion_2_multi_edge_identities():
 
 
 def test_criterion_3_conjecture_grid(tmp_path):
-    rows = list(ct.conjecture_6_25_report(10, 10))
+    rows = list(ct.conjecture_rows(10, 10))
     manifest = reports.run_manifest("count", {"l_max": 10, "s_max": 10})
     out = tmp_path / "conjecture.csv"
     reports.emit_report(rows, "csv", str(out), manifest)
@@ -85,9 +86,10 @@ def test_criterion_3_conjecture_grid(tmp_path):
 
 def test_criterion_4_subcluster_sweeps():
     t0 = time.monotonic()
-    rep61 = ct.check_lemma_6_1(300)
-    ok = rep61["holds_for_d_ge_3"] and rep61["violations"] == []
-    ok = ok and all(d < 3 for _, d in rep61["boundary_failures"])
+    (rep61,) = ct.lemma61_rows(300)
+    ok = rep61["holds_for_d_ge_3"] and rep61["violations"] == 0
+    ok = ok and all(d < 3 for _, d in
+                    ast.literal_eval(rep61["boundary_failures"]))
     n2 = ct.check_n2_lower(300)
     ok = ok and n2["holds"] and n2["equality_at"] == [4]
     ok = ok and ct.multi_edge_count_gf(2, 4) == 28

@@ -1,10 +1,11 @@
 """Unit tests for exact Catalan-family counting and the bound evaluators."""
 
+import csv
 import math
 
 import pytest
 
-from wignerlab import Refused
+from wignerlab import Refused, cli, verify
 from wignerlab import catalan as ct
 from wignerlab import walks as wk
 
@@ -55,7 +56,9 @@ class TestCatalan:
         assert [ct.catalan(s) for s in range(11)] == FIRST_CATALANS
 
     def test_formula_vs_recurrence(self):
-        assert ct.catalan_check(400)
+        rows = list(ct.catalan_rows(400))
+        assert [row["s"] for row in rows] == list(range(401))
+        assert all(row["match"] for row in rows)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -87,14 +90,17 @@ class TestRootSubcluster:
                 assert rec[s][d] == ballot[s][d] == counts.get(d, 0)
 
     def test_geometric_bound(self):
-        rep = ct.check_lemma_6_1(300)
-        assert rep["holds_for_d_ge_3"]
-        assert rep["violations"] == []
-        assert rep["boundary_failures"] == [(1, 1)]
+        (row,) = ct.lemma61_rows(300)
+        assert row["holds_for_d_ge_3"]
+        assert row["violations"] == 0
+        assert row["boundary_failures"] == "[(1, 1)]"
 
     def test_dominated_by_previous_catalan(self):
-        rep = ct.check_6_6(300)
-        assert rep["holds"] and rep["dual"]
+        t = ct.catalan_table_recurrence(300)
+        rows = list(ct.subcluster_rows(300))
+        assert len(rows) == 300 * 301 // 2
+        assert all(row["value"] <= t[row["s"] - 1] for row in rows)
+        assert all(row["match"] for row in rows)
 
 
 class TestMultiEdge:
@@ -148,7 +154,7 @@ class TestMultiEdge:
                 assert row[s] == ct.multi_edge_closed_form(l, s)
 
     def test_report_grid(self):
-        rows = list(ct.conjecture_6_25_report(10, 10))
+        rows = list(ct.conjecture_rows(10, 10))
         assert all(r["match"] for r in rows)
         assert all(r["bound_2l_s_ts_holds"] for r in rows)
 
@@ -183,6 +189,96 @@ class TestHeights:
         assert ct.b_s(0.0, 30) == pytest.approx(1.0)
         vals = [ct.b_s(x, 30) for x in (0.0, 1.0, 2.0, 4.0)]
         assert vals == sorted(vals)
+
+
+# each count table's row function: its arguments one past its cap and at
+# its cap, the estimate of the refused request and the same request as a
+# count argv
+PAST_CAP = {
+    "catalan_rows": ((3001,), (3000,), 3002,
+                     ["catalan", "--s-max", "3001"]),
+    "multi_edge_rows": ((2, 601), (2, 600), 602,
+                        ["multi-edge", "--l", "2", "--s-max", "601"]),
+    "subcluster_rows": ((601,), (600,), 2 * 602 ** 2,
+                        ["subcluster", "--s-max", "601"]),
+    "lemma61_rows": ((1001,), (1000,), 1002 ** 2,
+                     ["lemma61", "--s-max", "1001"]),
+    "conjecture_rows": ((101, 5), (100, 5), 101 * 102,
+                        ["conjecture", "--l-max", "101", "--s-max", "5"]),
+    "heights_rows": ((1001,), (1000,), 1002 * 1003 // 2,
+                     ["heights", "--s-max", "1001"])}
+BUILDERS = ("catalan", "catalan_table_recurrence", "root_subcluster_table",
+            "root_subcluster_ballot_table", "multi_edge_gf_row",
+            "multi_edge_closed_form", "height_row")
+
+
+class TestCountRows:
+    @pytest.mark.parametrize("name", list(PAST_CAP))
+    def test_refused_before_any_builder(self, name, monkeypatch,
+                                        first_nested_call, capsys):
+        past, at_cap, estimate, argv = PAST_CAP[name]
+
+        def builder(*args):
+            raise AssertionError("a table builder ran")
+        for attr in BUILDERS:
+            monkeypatch.setattr(ct, attr, builder)
+        # at the cap the rows reach a builder
+        with pytest.raises(AssertionError, match="a table builder ran"):
+            list(getattr(ct, name)(*at_cap))
+        step, result = first_nested_call(ct, getattr(ct, name), *past)
+        assert step is None and isinstance(result, Refused)
+        assert result.estimate == estimate
+        # the CLI refuses the same request with the same line
+        assert cli.main(["count"] + argv) == 3
+        assert capsys.readouterr().err == \
+            "refused: %s (estimated work: %d)\n" % (result, estimate)
+
+
+def ballot_off_by_one(ballot):
+    # t~_200(3) by the ballot formula, one too large
+    def faulty(s_max):
+        for s, row in enumerate(ballot(s_max)):
+            yield [x + 1 if (s, d) == (200, 3) else x
+                   for d, x in enumerate(row)]
+    return faulty
+
+
+def recurrence_off_by_one(recurrence):
+    # t_1000 by the recurrence, one too large
+    def faulty(s_max):
+        t = recurrence(s_max)
+        if s_max >= 1000:
+            t[1000] += 1
+        return t
+    return faulty
+
+
+class TestPlantedFaults:
+    """A table entry off by one past the --fast range fails the one verify
+    check that compares its rows at full range, none under --fast, and
+    shows as the one false row of the count body that holds it."""
+
+    @pytest.mark.parametrize("builder, fault, failing, argv, false_row", [
+        ("root_subcluster_ballot_table", ballot_off_by_one,
+         "catalan.subcluster_dual", ["subcluster", "--s-max", "200"],
+         {"s": "200", "d": "3"}),
+        ("catalan_table_recurrence", recurrence_off_by_one,
+         "catalan.formula_vs_recurrence", ["catalan", "--s-max", "1000"],
+         {"s": "1000"})], ids=["ballot", "recurrence"])
+    def test_one_check_and_one_row(self, builder, fault, failing, argv,
+                                   false_row, monkeypatch, tmp_path):
+        monkeypatch.setattr(ct, builder, fault(getattr(ct, builder)))
+        for fast, want in ((True, []), (False, [failing])):
+            failed = [c["check"] for c in verify.catalan_suite(fast)
+                      if c["status"] == "fail"]
+            assert failed == want
+        out = tmp_path / "t.csv"
+        assert cli.main(["count"] + argv + ["--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        false = [row for row in rows if row["match"] == "false"]
+        assert len(false) == 1 and all(row["match"] == "true"
+                                       for row in rows if row not in false)
+        assert {key: false[0][key] for key in false_row} == false_row
 
 
 class TestAgainstReference:

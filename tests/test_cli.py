@@ -24,6 +24,7 @@ from hypothesis import (assume, event, example, given, settings,
                         strategies as st)
 
 from wignerlab import Refused, cli
+from wignerlab import catalan as ct
 from wignerlab import oracle as orc
 from wignerlab import reports
 from wignerlab import sim
@@ -312,7 +313,7 @@ class TestCount:
         assert proc.returncode == 3 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("refused:")
-        assert "exceeds cap %d" % cli.COUNT_CAPS[argv[0]] in lines[0]
+        assert "exceeds cap %d" % ct.COUNT_CAPS[argv[0]] in lines[0]
         assert not out_file.exists()
 
     @pytest.mark.parametrize("argv, fmt", list(COUNT_BODY_SHA256))
@@ -373,12 +374,12 @@ class TestCount:
         assert max(peaks[1:]) < peaks[0] + 8 * 1024, peaks
 
     def test_caps_cover_verify_and_benchmark_sizes(self):
-        # verify's catalan_check(2000), subcluster and heights at 500,
+        # verify's catalan rows at 2000, subcluster and heights at 500,
         # lemma61 and multi-edge at 300, conjecture at l_max = s_max = 10
         # and the parser's defaults all run
         sizes = {"catalan": 2000, "subcluster": 500, "heights": 500,
                  "lemma61": 300, "multi-edge": 300, "conjecture": 60}
-        assert all(cli.COUNT_CAPS[a] >= m for a, m in sizes.items())
+        assert all(ct.COUNT_CAPS[a] >= m for a, m in sizes.items())
 
 
 class TestOracle:
@@ -1330,7 +1331,8 @@ TRAJECTORIES = st.one_of(
               st.sampled_from([",1", "", ",3", ",3,1"])).map(
         lambda a: ",".join(["1,2"] * a[0]) + a[1]),
     st.integers(0, 2 ** 32).map(_random_walk))
-# count action -> (flag, runnable sizes) per flag; the caps are COUNT_CAPS
+# count action -> (flag, runnable sizes) per flag; the caps are
+# catalan.COUNT_CAPS
 COUNT_FLAGS = {"catalan": [("--s-max", (0, 100))],
                "multi-edge": [("--l", (1, 8)), ("--s-max", (0, 60))],
                "subcluster": [("--s-max", (0, 40))],
@@ -1350,7 +1352,7 @@ def walk_count_argvs(draw):
         argv = ["count", action]
         for flag, small in COUNT_FLAGS[action]:
             if draw(sometimes):
-                argv += [flag, draw(_sizes(small, cli.COUNT_CAPS[action]))]
+                argv += [flag, draw(_sizes(small, ct.COUNT_CAPS[action]))]
         if action == "multi-edge" and draw(st.booleans()):
             argv.append("--check-closed-form")
         return argv

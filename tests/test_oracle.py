@@ -443,6 +443,47 @@ class TestBounds:
         assert got == pytest.approx(expect)
         assert got == pytest.approx(14038.76365, rel=1e-9)
 
+    # the first walk that carries each other factor at k0 = 4, the census
+    # counts it carries, those counts' factors of eq. (3.7) expanded by hand
+    # at n = 6, rho = 2, U^2 = 3/2, k0 = 4 (every count is 1, so each
+    # factor is its base), and the pinned bound
+    @pytest.mark.parametrize("traj, counts, factors, pinned", [
+        ("1,2,1,2,1", {"p": 1},
+         lambda s, u, D: [3 * s * D * 1.5 / 2.0], 0.5175249832),
+        ("1,2,1,2,1,2,1", {"p": 1, "u2": 1},
+         lambda s, u, D: [3 * s * D * 1.5 / 2.0,
+                          8 * 4 ** 4 * s * 1 * 1.5 / 2.0],  # mu2' = 1
+         1341.424757),
+        ("1,2,1,3,2,3,1", {"mu2_pp": 1},
+         lambda s, u, D: [s * s / (2 * 6)], 0.02519055389),
+        ("1,2,1,3,2,3,1,2,1", {"mu3_p": 1},
+         lambda s, u, D: [9 * (D + 4) * s * s * 1.5 / (6 * 2.0)],
+         2.468674281),
+        ("1,2,3,1,2,1,2,3,1", {"q": 1},
+         lambda s, u, D: [3 * s * 4 * 1.5 / 2.0], 0.3321327324),
+        ("1,2,3,4,2,3,4,2,1", {"r": 1},
+         lambda s, u, D: [6 * s * u / 6], 0.02952290955),
+        ("1,2,1,3,2,3,1,2,1,2,1", {"mu3_p": 1, "u3": 1},
+         lambda s, u, D: [9 * (D + 4) * s * s * 1.5 / (6 * 2.0),
+                          16 * 4 ** 5 * s * 1 * 1.5 / 2.0],  # mu3 = 1
+         145097.5904),
+        ("1,2,1,3,2,3,1,4,2,4,1", {"mu3_pp": 1},
+         lambda s, u, D: [3 * s ** 3 / (2 * 6 ** 2)], 0.03603870794)],
+        ids=["p", "u2", "mu2_pp", "mu3_p", "q", "r", "u3", "mu3_pp"])
+    def test_factor_class_bound(self, traj, counts, factors, pinned):
+        walk = wk.walk_from_trajectory(wk.Trajectory.from_string(traj))
+        dp = wk.diagram_params(walk, 4)
+        census = {f: getattr(dp, f) for f in (
+            "r", "p", "q", "mu2_pp", "u2", "mu3_p", "mu3_pp", "u3")}
+        assert {f: c for f, c in census.items() if c} == counts
+        assert dp.nu_bar == ()
+        s, u, D = walk.s, walk.analysis.theta_star, wk.max_exit_degree(walk)[1]
+        got = orc.bound_3_7(dp, u, D, s, 6, 2.0, 1.5, 0.25, 4)
+        trivial = 0.25 ** s * ct.height_row(s)[u] \
+            * math.exp(-(s - dp.sigma_census_b) ** 2 / (2.0 * 6))
+        assert got == pytest.approx(trivial * math.prod(factors(s, u, D)))
+        assert got == pytest.approx(pinned, rel=1e-9)
+
     def test_class_bound_outside_heights(self):
         # no tree of s edges has height 0 or above s
         s, n = 4, 10
