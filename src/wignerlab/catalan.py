@@ -20,9 +20,11 @@ COUNT_CAPS = {"catalan": 3000, "multi-edge": 600, "subcluster": 600,
 
 
 def _refuse_past_cap(action: str, size: int, entries: int) -> None:
-    """Refused when size exceeds the action's cap; entries counts the table
-    entries the request would compute, not the entries held: the rows
-    stream, and a run holds O(s_max) numbers at a time."""
+    """ValueError below size 0, refused past the action's cap; entries counts
+    the table entries the request would compute, not the entries held: the
+    rows stream, and a run holds O(s_max) numbers at a time."""
+    if size < 0:
+        raise ValueError("count %s needs a size >= 0, got %d" % (action, size))
     cap = COUNT_CAPS[action]
     if size > cap:
         raise Refused("count %s at size %d exceeds cap %d"
@@ -47,7 +49,8 @@ def catalan(s: int) -> int:
 
 def catalan_table_recurrence(s_max: int) -> list[int]:
     """t_0..t_{s_max} from t_{s+1} = sum_j t_j t_{s-j}, summing each
-    symmetric pair j, s-j once: 2 sum_{j < s/2} t_j t_{s-j} (+ t_{s/2}^2)."""
+    symmetric pair j, s-j once: 2 sum_{j < s/2} t_j t_{s-j} (+ t_{s/2}^2).
+    Only catalan_rows reads it; every other table takes t_s from catalan."""
     t = [1]
     for s in range(s_max):
         total = 2 * sum(t[j] * t[s - j] for j in range((s + 1) // 2))
@@ -88,15 +91,12 @@ class SeriesExact:
 # Root sub-cluster counts t~_s(d)
 # ---------------------------------------------------------------------------
 
-def root_subcluster_table(s_max: int, t: list[int] | None = None
-                          ) -> Iterator[list[int]]:
+def root_subcluster_table(s_max: int) -> Iterator[list[int]]:
     """Rows s = 0..s_max, row[d] = plane trees of s edges whose root has
     exactly d children (row[0] = 0), each built from the row before by the
     recurrence t~_s(1) = t~_s(2) = t_{s-1} and
-    t~_s(d) = t~_s(d-1) - t~_{s-1}(d-2) for 3 <= d <= s.  t holds the
-    Catalan numbers t_0..t_{s_max-1} at least; built when not given."""
-    if t is None:
-        t = catalan_table_recurrence(max(s_max, 1))
+    t~_s(d) = t~_s(d-1) - t~_{s-1}(d-2) for 3 <= d <= s."""
+    t = [catalan(s) for s in range(s_max)]
     row = [0]
     yield row
     for s in range(1, s_max + 1):
@@ -138,12 +138,12 @@ def lemma61_rows(s_max: int) -> list[dict]:
     separately instead of counting as violations.
     """
     _refuse_past_cap("lemma61", s_max, (s_max + 1) ** 2)
-    t = catalan_table_recurrence(s_max)
+    t = [catalan(s) for s in range(s_max + 1)]
     violations = 0
     boundary = []
     pow3 = [3 ** d for d in range(s_max + 1)]
     pow4 = [4 ** d for d in range(s_max + 1)]
-    for s, row in enumerate(root_subcluster_table(s_max, t)):
+    for s, row in enumerate(root_subcluster_table(s_max)):
         for d in range(1, s + 1):
             if pow4[d] * row[d] > pow3[d] * t[s]:
                 if d < 3:
@@ -217,7 +217,7 @@ def multi_edge_gf_row(l: int, s_max: int) -> list[int]:
     k P_k = sum_{j=1..k} ((2l+1) j - k) t_j P_{k-j}, exact in integers."""
     if l < 1:
         raise ValueError("l must be >= 1, got %d" % l)
-    t = catalan_table_recurrence(max(s_max - l, 0))
+    t = [catalan(j) for j in range(s_max - l + 1)]
     power = [1]
     for k in range(1, len(t)):
         power.append(sum(((2 * l + 1) * j - k) * t[j] * power[k - j]
@@ -256,7 +256,7 @@ def conjecture_rows(l_max: int, s_max: int) -> Iterator[dict]:
     s t_s bounds of Conjecture 6.25."""
     size = max(l_max, s_max)
     _refuse_past_cap("conjecture", size, l_max * (size + 1))
-    t = catalan_table_recurrence(s_max)
+    t = [catalan(s) for s in range(s_max + 1)]
 
     def rows():
         for l in range(1, l_max + 1):
@@ -270,7 +270,7 @@ def conjecture_rows(l_max: int, s_max: int) -> Iterator[dict]:
 
 def check_n2_lower(s_max: int) -> dict:
     """N^(2)_s >= s t_s / 2 for 4 <= s <= s_max, with equality exactly at s=4."""
-    t = catalan_table_recurrence(s_max)
+    t = [catalan(s) for s in range(s_max + 1)]
     row = multi_edge_gf_row(2, s_max)
     holds = all(2 * row[s] >= s * t[s] for s in range(4, s_max + 1))
     equality = [s for s in range(4, s_max + 1) if 2 * row[s] == s * t[s]]

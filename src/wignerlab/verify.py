@@ -141,7 +141,7 @@ def catalan_suite(fast: bool = False) -> Iterator[dict]:
 
     # the count subcluster rows, one pass for both checks
     s_sub = 120 if fast else 500
-    t = ct.catalan_table_recurrence(s_sub)
+    t = [ct.catalan(s) for s in range(s_sub)]
     dual = bound = True
     for row in ct.subcluster_rows(s_sub):
         dual = dual and row["match"]
@@ -273,12 +273,9 @@ def sim_suite(fast: bool = False) -> Iterator[dict]:
 
     n = 200
     cfg = sim.EnsembleConfig(n=n, rho=10.0, seed=1)
-    chunks = []
-    for k in range(10 if fast else 50):
-        h = sim.sample_matrix(cfg, k)
-        iu = np.triu_indices(n, 1)
-        chunks.append(h[iu] ** 2)
-    vals = np.concatenate(chunks)
+    iu = np.triu_indices(n, 1)
+    vals = np.concatenate([sim.sample_matrix(cfg, k)[iu] ** 2
+                           for k in range(10 if fast else 50)])
     target = cfg.v ** 2 / n
     z = (vals.mean() - target) / (vals.std(ddof=1) / math.sqrt(vals.size))
     yield check("sim.entry_second_moment", abs(z) <= 4.0,
@@ -351,8 +348,8 @@ def sim_suite(fast: bool = False) -> Iterator[dict]:
     if not fast:
         curves = []
         for eps in (0.3, 0.5):
-            rho = n ** (2.0 / 3.0 * (1.0 + eps))
-            cfg = sim.EnsembleConfig(n=n, rho=min(rho, float(n)), seed=13)
+            cfg = sim.EnsembleConfig(n=n, rho=min(sim.rho_of_eps(n, eps),
+                                                  float(n)), seed=13)
             curves.append(sim.edge_tail(cfg, [-2.0, 0.0, 2.0], 60))
         agree = all(
             abs(p1 - p2) <= 3.0 * math.hypot(e1, e2) + 1e-9

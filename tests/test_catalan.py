@@ -1,6 +1,7 @@
 """Unit tests for exact Catalan-family counting and the bound evaluators."""
 
 import csv
+import functools
 import math
 
 import pytest
@@ -233,6 +234,13 @@ class TestCountRows:
         assert capsys.readouterr().err == \
             "refused: %s (estimated work: %d)\n" % (result, estimate)
 
+    @pytest.mark.parametrize("name", list(PAST_CAP))
+    def test_negative_size_rejected(self, name):
+        # every size at -1; the CLI refuses these with its own usage lines
+        args = (-1,) * len(PAST_CAP[name][0])
+        with pytest.raises(ValueError, match="needs a size >= 0, got -1"):
+            getattr(ct, name)(*args)
+
 
 def ballot_off_by_one(ballot):
     # t~_200(3) by the ballot formula, one too large
@@ -243,21 +251,44 @@ def ballot_off_by_one(ballot):
     return faulty
 
 
-def recurrence_off_by_one(recurrence):
-    # t_1000 by the recurrence, one too large
+def recurrence_off_by_one(recurrence, at=1000):
+    # t_at by the recurrence, one too large
     def faulty(s_max):
         t = recurrence(s_max)
-        if s_max >= 1000:
-            t[1000] += 1
+        if s_max >= at:
+            t[at] += 1
         return t
     return faulty
+
+
+def formula_off_by_one(formula):
+    # t_100 by the closed form, one too large
+    return lambda s: formula(s) + 1 if s == 100 else formula(s)
+
+
+def assert_one_false_row(argv, false_row, tmp_path):
+    # the count body of argv holds exactly one false row, keyed false_row
+    out = tmp_path / "t.csv"
+    assert cli.main(["count"] + argv + ["--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    false = [row for row in rows if row["match"] == "false"]
+    assert len(false) == 1 and all(row["match"] == "true"
+                                   for row in rows if row not in false)
+    assert {key: false[0][key] for key in false_row} == false_row
+
+
+def catalan_failures(fast):
+    return [c["check"] for c in verify.catalan_suite(fast)
+            if c["status"] == "fail"]
 
 
 class TestPlantedFaults:
     """A table entry off by one past the --fast range fails the one verify
     check that compares its rows at full range, none under --fast, and
-    shows as the one false row of the count body that holds it."""
+    shows as the one false row of the count body that holds it.  Every
+    table but count catalan reads t_s from the closed form alone."""
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("builder, fault, failing, argv, false_row", [
         ("root_subcluster_ballot_table", ballot_off_by_one,
          "catalan.subcluster_dual", ["subcluster", "--s-max", "200"],
@@ -269,16 +300,43 @@ class TestPlantedFaults:
                                    false_row, monkeypatch, tmp_path):
         monkeypatch.setattr(ct, builder, fault(getattr(ct, builder)))
         for fast, want in ((True, []), (False, [failing])):
-            failed = [c["check"] for c in verify.catalan_suite(fast)
-                      if c["status"] == "fail"]
-            assert failed == want
-        out = tmp_path / "t.csv"
-        assert cli.main(["count"] + argv + ["--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
-        false = [row for row in rows if row["match"] == "false"]
-        assert len(false) == 1 and all(row["match"] == "true"
-                                       for row in rows if row not in false)
-        assert {key: false[0][key] for key in false_row} == false_row
+            assert catalan_failures(fast) == want
+        assert_one_false_row(argv, false_row, tmp_path)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("builder, fault, failing", [
+        ("catalan_table_recurrence",
+         functools.partial(recurrence_off_by_one, at=100),
+         ["catalan.formula_vs_recurrence"]),
+        ("catalan", formula_off_by_one,
+         ["catalan.formula_vs_recurrence", "catalan.subcluster_dual",
+          "catalan.closed_forms_l2_l3", "catalan.height_marginals"])],
+        ids=["recurrence", "formula"])
+    def test_t100_inside_the_fast_range(self, builder, fault, failing,
+                                        monkeypatch, tmp_path):
+        # a recurrence fault fails its own check alone; a formula fault
+        # fails every check whose table reads t_100; each is the one false
+        # row s = 100 of count catalan
+        monkeypatch.setattr(ct, builder, fault(getattr(ct, builder)))
+        for fast in (True, False):
+            assert catalan_failures(fast) == failing
+        assert_one_false_row(["catalan", "--s-max", "1000"], {"s": "100"},
+                             tmp_path)
+
+    def test_tables_without_the_recurrence(self, monkeypatch):
+        tables = [lambda: list(ct.subcluster_rows(20)),
+                  lambda: ct.lemma61_rows(20),
+                  lambda: list(ct.multi_edge_rows(2, 20, True)),
+                  lambda: list(ct.conjecture_rows(5, 10)),
+                  lambda: list(ct.heights_rows(10)),
+                  lambda: ct.check_n2_lower(20),
+                  lambda: ct.multi_edge_gf_row(3, 20)]
+        want = [table() for table in tables]
+
+        def recurrence(s_max):
+            raise AssertionError("the recurrence ran")
+        monkeypatch.setattr(ct, "catalan_table_recurrence", recurrence)
+        assert [table() for table in tables] == want
 
 
 class TestAgainstReference:
