@@ -8,9 +8,12 @@ Subpackages:
     cli     -- command line entry point
 """
 
+import collections
 import math
 
 __version__ = "0.1.0"
+
+DEFAULT_V, DEFAULT_DF = 0.5, 14.0  # the ensemble's default v and df
 
 
 def _gaussian_moment(l, v, df):
@@ -25,9 +28,22 @@ def _student_moment(l, v, df):
         df - 2 * i for i in range(1, l + 1))
 
 
-# Entry laws a_ij of variance v^2: V_2l(l, v, df), exact for Fraction v, df
-ENTRY_LAWS = {"rademacher": lambda l, v, df: v ** (2 * l),
-              "gaussian": _gaussian_moment, "student": _student_moment}
+# An entry law a_ij of variance v^2: moment(l, v, df) is V_2l, exact for
+# Fraction v and df; draw(rng, size, v, df) takes size raw values from a
+# numpy Generator, and the map x -> (x c1 - c2) c3, (c1, c2, c3) =
+# affine(v, df), makes them a_ij.  A new law is one more row
+EntryLaw = collections.namedtuple("EntryLaw", "moment draw affine")
+ENTRY_LAWS = {
+    "rademacher": EntryLaw(lambda l, v, df: v ** (2 * l),
+                           lambda rng, size, v, df: rng.integers(0, 2, size),
+                           lambda v, df: (2.0, 1.0, v)),
+    "gaussian": EntryLaw(_gaussian_moment,
+                         lambda rng, size, v, df: rng.normal(0.0, v, size),
+                         lambda v, df: (1.0, 0.0, 1.0)),
+    "student": EntryLaw(_student_moment,
+                        lambda rng, size, v, df: rng.standard_t(df, size),
+                        lambda v, df: (1.0, 0.0, v / math.sqrt(
+                            df / (df - 2.0))))}
 
 
 class Refused(RuntimeError):

@@ -238,8 +238,6 @@ def cmd_walk(args) -> int:
 
 def cmd_count(args) -> int:
     from . import catalan as ct
-    if args.s_max < 0:
-        raise ValueError("--s-max must be >= 0, got %d" % args.s_max)
     if getattr(args, "l", 1) < 1:
         raise ValueError("--l must be >= 1, got %d" % args.l)
     if getattr(args, "l_max", 1) < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
-from . import ENTRY_LAWS, Refused
+from . import DEFAULT_DF, DEFAULT_V, ENTRY_LAWS, Refused
 from . import walks as wk
 from . import catalan as ct
 
@@ -67,11 +67,12 @@ class MomentSpec:
 
 
 def make_spec(n: int, rho, s: int, dist: str = "rademacher") -> MomentSpec:
-    """The moments of an ENTRY_LAWS law at sim's defaults v = 1/2, df = 14."""
+    """The moments of an ENTRY_LAWS law at the default v and df, exactly."""
     if dist not in ENTRY_LAWS:
         raise ValueError("unknown distribution %r" % dist)
+    v, df = Fraction(DEFAULT_V), Fraction(DEFAULT_DF)
     return MomentSpec(n=n, rho=Fraction(rho), s=s, moments=tuple(
-        ENTRY_LAWS[dist](l, Fraction(1, 2), 14) for l in range(1, s + 1)))
+        ENTRY_LAWS[dist].moment(l, v, df) for l in range(1, s + 1)))
 
 
 def refuse_over_budget(n: int, s: int, method: str) -> None:

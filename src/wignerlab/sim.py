@@ -2,15 +2,13 @@
 
 Entries are H_ij = a_ij b_ij for i < j, symmetric, zero diagonal, with
 b_ij = rho^{-1/2} Bernoulli(rho/n) masks and i.i.d. symmetric a_ij of
-variance v^2.  Sampling uses counter-based Philox substreams keyed by
-(seed, sample index), so a sample's matrix does not depend on the block or
-the sample range that holds it: spectra are taken one stacked block of
-samples at a time.  Each sample's stream is read in chunks of at most CHUNK
-values straight into its matrix, which gives the bytes of one read, so the
-sampler holds the block's matrices, a 1-byte mask per entry and O(CHUNK)
-scratch; eigvalsh adds one copy of its matrix.  Once a block holds one
-large matrix, edge_tail reads lambda_max by Lanczos, whose basis is its
-extra memory, instead of a full spectrum.
+variance v^2, drawn and scaled by their ENTRY_LAWS row (crossover_scan,
+which compares two laws, alone names one).  Philox substreams keyed by
+(seed, sample index) make a sample's matrix independent of the block
+that holds it: spectra are taken one stacked block of samples at a time,
+in the memory sample_block states.  Once a block holds one large matrix,
+edge_tail reads lambda_max by Lanczos, whose basis is its extra memory,
+instead of a full spectrum.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import ENTRY_LAWS, Refused
+from . import DEFAULT_DF, DEFAULT_V, ENTRY_LAWS, Refused
 
 DENSE_CAP = 4096
 # matrix entries, n^2 per sample, that one run may draw: above criterion 7
@@ -53,19 +51,18 @@ class SimConfigError(ValueError):
 class EnsembleConfig:
     """Dilute Wigner ensemble parameters.
 
-    dist is a law of ENTRY_LAWS; student entries use df
-    degrees of freedom and are rescaled so the variance is v^2, exercising
-    the truncation path for laws with finitely many moments.  A delta that
-    is not None zeroes the entries with |a_ij| > n^delta (the paper's H-hat).
+    dist names a row of ENTRY_LAWS, which refuses a df that leaves its law
+    no V_2 (student: df <= 2).  A delta that is not None zeroes the
+    entries with |a_ij| > n^delta (the paper's H-hat).
     """
 
     n: int
     rho: float
     dist: str = "rademacher"
-    v: float = 0.5
+    v: float = DEFAULT_V
     seed: int = 0
     delta: Optional[float] = None
-    df: float = 14.0
+    df: float = DEFAULT_DF
 
     def __post_init__(self):
         for name in ("n", "rho", "v", "df", "delta"):
@@ -87,8 +84,10 @@ class EnsembleConfig:
             raise SimConfigError("v must be > 0")
         if self.dist not in ENTRY_LAWS:
             raise SimConfigError("unknown dist %r" % self.dist)
-        if self.dist == "student" and self.df <= 2:
-            raise SimConfigError("student df must exceed 2")
+        try:  # the row refuses a df that leaves no V_2; v = 1 overflows no law
+            ENTRY_LAWS[self.dist].moment(1, 1.0, self.df)
+        except ValueError as exc:
+            raise SimConfigError(str(exc)) from None
 
     def truncation_level(self) -> Optional[float]:
         if self.delta is None:
@@ -154,15 +153,16 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     """Samples start..stop-1 as a (stop - start, n, n) stack.
 
     Sample k depends on (seed, k) alone, so a matrix does not depend on the
-    block that holds it.  Each sample is built inside its own matrix: its
-    m = n(n-1)/2 entries are drawn, at most CHUNK per generator call, into
-    the matrix's last m slots, then transformed CHUNK at a time and
-    expanded in place.  Philox is counter-based, so reading a stream in
-    chunks gives the bytes of one read.  A dropped entry is stored as
-    +0.0; a kept entry that leaves the float range is a SimConfigError.
-    Beside the block's matrices the sampler holds a 1-byte mask per entry
-    and O(CHUNK) scratch; a caller's eigvalsh adds one copy of its matrix,
-    Lanczos its basis.
+    block that holds it.  Each sample is built inside its own matrix: the
+    law's row draws its m = n(n-1)/2 entries, at most CHUNK per generator
+    call, into the matrix's last m slots (Philox is counter-based, so a
+    stream read in chunks gives the bytes of one read); CHUNK at a time
+    they are mapped by the row's x -> (x c1 - c2) c3, truncated, masked and
+    scaled by rho^{-1/2}, then expanded in place.  A dropped entry is
+    stored as +0.0; a kept entry that leaves the float range is a
+    SimConfigError.  Beside the block's matrices the sampler holds a 1-byte
+    mask per entry and O(CHUNK) scratch; a caller's eigvalsh adds one copy
+    of its matrix, Lanczos its basis.
     """
     n = config.n
     if n > DENSE_CAP:
@@ -179,32 +179,23 @@ def sample_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     drop = np.empty((b, m), dtype=bool) if p < 1.0 else None
     spans = [(slice(lo, min(lo + CHUNK, m)), min(CHUNK, m - lo))
              for lo in range(0, m, CHUNK)]
-    if config.dist == "rademacher":
-        def draw(rng, size):
-            return rng.integers(0, 2, size=size)
-    elif config.dist == "gaussian":
-        def draw(rng, size):
-            return rng.normal(0.0, config.v, size=size)
-    else:
-        def draw(rng, size):
-            return rng.standard_t(config.df, size=size)
+    law = ENTRY_LAWS[config.dist]
+    draw, v, df = law.draw, config.v, config.df
     for row, rng in enumerate(_sample_streams(config, start, stop)):
         for span, size in spans:
-            a[row, span] = draw(rng, size)
+            a[row, span] = draw(rng, size, v, df)
         if drop is not None:
             for span, size in spans:
                 np.greater_equal(rng.random(size), p, drop[row, span])
+    c1, c2, c3 = law.affine(v, df)
     level = config.truncation_level()
     width = max(1, CHUNK // max(b, 1))  # columns per chunk: CHUNK values
     for lo in range(0, m, width):
         x = a[:, lo:lo + width]
         with np.errstate(over="ignore"):  # an inf is refused below
-            if config.dist == "rademacher":
-                x *= 2.0
-                x -= 1.0
-                x *= config.v
-            elif config.dist == "student":
-                x *= config.v / math.sqrt(config.df / (config.df - 2.0))
+            x *= c1
+            x -= c2
+            x *= c3
             if level is not None:
                 x[np.abs(x) > level] = 0.0
             if drop is not None:
@@ -236,11 +227,6 @@ def refuse_over_sample_budget(entries: int) -> None:
     if entries > SAMPLE_BUDGET:
         raise Refused("%d matrix entries exceed the sample budget %d"
                       % (entries, SAMPLE_BUDGET), entries)
-
-
-def sample_matrix(config: EnsembleConfig, sample_index: int) -> np.ndarray:
-    """One symmetric dilute Wigner matrix, deterministic in (seed, index)."""
-    return sample_block(config, sample_index, sample_index + 1)[0]
 
 
 @dataclass(frozen=True)
@@ -476,8 +462,8 @@ def crossover_scan(n_list: Sequence[int], eps_grid: Sequence[float],
                 "chi n^(2/3) at n=%d, chi=%r exceeds the float range"
                 % (n, chi))
     # the bound does not depend on (n, eps); V4 is the Rademacher one
-    bound = theorem_7_1_rhs(chi, zeta, ENTRY_LAWS["rademacher"](
-        2, EnsembleConfig.v, EnsembleConfig.df))
+    bound = theorem_7_1_rhs(chi, zeta, ENTRY_LAWS["rademacher"].moment(
+        2, DEFAULT_V, DEFAULT_DF))
     if not 0.0 < bound < math.inf:
         raise SimConfigError(
             "the Theorem 7.1 lower bound at chi=%r, zeta=%r is %r: it "

@@ -265,8 +265,7 @@ def oracle_suite(fast: bool = False) -> Iterator[dict]:
 
 def sim_suite(fast: bool = False) -> Iterator[dict]:
     cfg = sim.EnsembleConfig(n=16, rho=4.0, seed=99)
-    h1 = sim.sample_matrix(cfg, 3)
-    h2 = sim.sample_matrix(cfg, 3)
+    h1, h2 = (sim.sample_block(cfg, 3, 4)[0] for _ in range(2))
     yield check("sim.determinism", np.array_equal(h1, h2))
     yield check("sim.symmetry_diag",
                 np.array_equal(h1, h1.T) and not np.any(np.diag(h1)))
@@ -274,8 +273,8 @@ def sim_suite(fast: bool = False) -> Iterator[dict]:
     n = 200
     cfg = sim.EnsembleConfig(n=n, rho=10.0, seed=1)
     iu = np.triu_indices(n, 1)
-    vals = np.concatenate([sim.sample_matrix(cfg, k)[iu] ** 2
-                           for k in range(10 if fast else 50)])
+    vals = sim.sample_block(cfg, 0, 10 if fast else 50)[:, iu[0], iu[1]]
+    vals = vals.ravel() ** 2
     target = cfg.v ** 2 / n
     z = (vals.mean() - target) / (vals.std(ddof=1) / math.sqrt(vals.size))
     yield check("sim.entry_second_moment", abs(z) <= 4.0,
@@ -297,15 +296,15 @@ def sim_suite(fast: bool = False) -> Iterator[dict]:
     ok = True
     cfg = sim.EnsembleConfig(n=32, rho=8.0, seed=7)
     spectra = np.concatenate(list(sim.sample_spectra(cfg, 20)))
-    for k, eig in enumerate(spectra):
+    for eig, h in zip(spectra, sim.sample_block(cfg, 0, 20)):
         tr = float(np.sum(eig ** 2))
-        frob = float(np.sum(sim.sample_matrix(cfg, k) ** 2))
+        frob = float(np.sum(h ** 2))
         ok = ok and (frob == 0 or abs(tr - frob) <= 1e-10 * frob)
     yield check("sim.trace_identity", ok, "20 samples, n=32")
 
     cfg = sim.EnsembleConfig(n=64, rho=16.0, seed=21)
     a = sim.estimate_moments(cfg, [1, 2, 3, 4, 5], 10)
-    hs = [sim.sample_matrix(cfg, k) for k in range(10)]
+    hs = sim.sample_block(cfg, 0, 10)
     ok = True
     for s in (1, 2, 3, 4, 5):
         ref = float(np.mean([np.trace(np.linalg.matrix_power(h, 2 * s))
@@ -324,7 +323,7 @@ def sim_suite(fast: bool = False) -> Iterator[dict]:
 
     cfg = sim.EnsembleConfig(n=50, rho=10.0, dist="student", df=14.0,
                              delta=sim.default_delta(0.5, 1.0), seed=9)
-    h = sim.sample_matrix(cfg, 0)
+    h = sim.sample_block(cfg, 0, 1)[0]
     yield check("sim.student_truncation_path",
                 np.array_equal(h, h.T) and np.isfinite(h).all())
 

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wignerlab import Refused
+from wignerlab import ENTRY_LAWS, EntryLaw, Refused
+from wignerlab import cli
 from wignerlab import sim
 from wignerlab import oracle as orc
 from wignerlab import verify
@@ -84,7 +85,9 @@ class TestConfig:
             sim.EnsembleConfig(n=4, rho=5.0)
         with pytest.raises(sim.SimConfigError):
             sim.EnsembleConfig(n=4, rho=1.0, dist="cauchy")
-        with pytest.raises(sim.SimConfigError):
+        # the law's row refuses a df that leaves it no variance
+        with pytest.raises(sim.SimConfigError,
+                           match="^student df=2.0 has no moment V_2$"):
             sim.EnsembleConfig(n=4, rho=1.0, dist="student", df=2.0)
         # numeric fields that are not finite real numbers (a --config file
         # can set v, df and delta)
@@ -114,8 +117,8 @@ class TestConfig:
         # OverflowError, an exit 5)
         cfg = sim.EnsembleConfig(n=8, rho=2.0, seed=3, delta=1e300)
         assert cfg.truncation_level() == math.inf
-        assert sim.sample_matrix(cfg, 0).tobytes() == sim.sample_matrix(
-            dataclasses.replace(cfg, delta=None), 0).tobytes()
+        assert sim.sample_block(cfg, 0, 1).tobytes() == sim.sample_block(
+            dataclasses.replace(cfg, delta=None), 0, 1).tobytes()
 
     def test_default_delta(self):
         assert sim.default_delta(0.0, 0.0) == pytest.approx(1.0 / 12.0)
@@ -124,19 +127,20 @@ class TestConfig:
 class TestSampling:
     def test_deterministic_per_index(self):
         cfg = sim.EnsembleConfig(n=20, rho=5.0, seed=11)
-        assert np.array_equal(sim.sample_matrix(cfg, 7),
-                              sim.sample_matrix(cfg, 7))
-        assert not np.array_equal(sim.sample_matrix(cfg, 7),
-                                  sim.sample_matrix(cfg, 8))
+        assert np.array_equal(sim.sample_block(cfg, 7, 8),
+                              sim.sample_block(cfg, 7, 8))
+        assert not np.array_equal(sim.sample_block(cfg, 7, 8),
+                                  sim.sample_block(cfg, 8, 9))
 
     def test_symmetric_zero_diagonal(self):
-        h = sim.sample_matrix(sim.EnsembleConfig(n=30, rho=6.0, seed=2), 0)
+        h = sim.sample_block(sim.EnsembleConfig(n=30, rho=6.0, seed=2),
+                             0, 1)[0]
         assert np.array_equal(h, h.T)
         assert not np.any(np.diag(h))
 
     def test_rademacher_support(self):
         cfg = sim.EnsembleConfig(n=40, rho=10.0, seed=4)
-        h = sim.sample_matrix(cfg, 0)
+        h = sim.sample_block(cfg, 0, 1)[0]
         nz = h[h != 0]
         expected = 0.5 / math.sqrt(10.0)
         assert np.allclose(np.abs(nz), expected)
@@ -144,19 +148,18 @@ class TestSampling:
     def test_dense_cap(self):
         cfg = sim.EnsembleConfig(n=4096, rho=10.0)
         with pytest.raises(Refused):
-            sim.sample_matrix(
-                sim.EnsembleConfig(n=4097, rho=10.0), 0)
+            sim.sample_block(
+                sim.EnsembleConfig(n=4097, rho=10.0), 0, 1)
         assert cfg.n == 4096  # boundary value is allowed
         # the estimate counts matrix entries
         with pytest.raises(Refused) as exc:
-            sim.sample_matrix(sim.EnsembleConfig(n=5000, rho=10.0), 0)
+            sim.sample_block(sim.EnsembleConfig(n=5000, rho=10.0), 0, 1)
         assert exc.value.estimate == 25_000_000
 
     def test_entry_variance(self):
         cfg = sim.EnsembleConfig(n=300, rho=30.0, seed=8)
         vals = []
-        for k in range(20):
-            h = sim.sample_matrix(cfg, k)
+        for h in sim.sample_block(cfg, 0, 20):
             iu = np.triu_indices(300, 1)
             vals.append(h[iu] ** 2)
         arr = np.concatenate(vals)
@@ -178,7 +181,7 @@ class TestBlockSampler:
         cfg = sim.EnsembleConfig(n=n, rho=min(3.0, float(n)), seed=23, **law)
         for k in range(3):
             for c in (cfg, full):
-                h = sim.sample_matrix(c, k)
+                h = sim.sample_block(c, k, k + 1)[0]
                 ref = ref_sample_matrix(c, k)
                 assert h.shape == ref.shape and h.dtype == ref.dtype
                 assert h.tobytes() == ref.tobytes()
@@ -199,7 +202,7 @@ class TestBlockSampler:
         assert m % 2 == 1 and sim.CHUNK < m < 2 * sim.CHUNK
         for rho in (3.0, float(n)):
             cfg = sim.EnsembleConfig(n=n, rho=rho, seed=23, **law)
-            assert (sim.sample_matrix(cfg, 0).tobytes()
+            assert (sim.sample_block(cfg, 0, 1)[0].tobytes()
                     == ref_sample_matrix(cfg, 0).tobytes())
             block = sim.sample_block(cfg, 5, 9)
             assert block.shape == (4, n, n)
@@ -240,8 +243,8 @@ class TestBlockSampler:
         cfg = sim.EnsembleConfig(n=200, rho=200.0, dist="gaussian", seed=23,
                                  delta=0.05)
         full = dataclasses.replace(cfg, delta=None)
-        assert (np.count_nonzero(sim.sample_matrix(cfg, 0))
-                < np.count_nonzero(sim.sample_matrix(full, 0)))
+        assert (np.count_nonzero(sim.sample_block(cfg, 0, 1))
+                < np.count_nonzero(sim.sample_block(full, 0, 1)))
 
     def test_streams_match_fresh_generators(self):
         # one Philox reset per sample draws what a fresh one per sample does,
@@ -328,7 +331,7 @@ class TestLanczos:
         cfg = sim.EnsembleConfig(n=300, rho=30.0, dist="gaussian", seed=3)
         scale = edge_scale(cfg)
         for k in range(3):
-            h = sim.sample_matrix(cfg, k)
+            h = sim.sample_block(cfg, k, k + 1)[0]
             value, steps = sim.lanczos_lambda_max(
                 h, sim.lanczos_start(cfg, k), 2.0 * cfg.v)
             want = float(np.max(np.abs(np.linalg.eigvalsh(h))))
@@ -452,7 +455,7 @@ class TestEstimators:
     def test_trace_vs_frobenius(self):
         # Tr H^2 and lambda_max read off the spectrum sample_spectra yields
         cfg = sim.EnsembleConfig(n=25, rho=5.0, seed=3)
-        h = sim.sample_matrix(cfg, 1)
+        h = sim.sample_block(cfg, 1, 2)[0]
         eig = np.concatenate(list(sim.sample_spectra(cfg, 2)))[1]
         assert float(np.sum(eig ** 2)) == \
             pytest.approx(float(np.sum(h * h)), rel=1e-12)
@@ -463,7 +466,7 @@ class TestEstimators:
         # the spectral estimates against Tr H^{2s} from matrix powers
         cfg = sim.EnsembleConfig(n=50, rho=10.0, seed=17)
         a = sim.estimate_moments(cfg, [1, 2, 3, 4, 5], 8)
-        hs = [sim.sample_matrix(cfg, k) for k in range(8)]
+        hs = sim.sample_block(cfg, 0, 8)
         for s in (1, 2, 3, 4, 5):
             b = sim.SampleStats.from_values(
                 [np.trace(np.linalg.matrix_power(h, 2 * s)) for h in hs])
@@ -497,6 +500,47 @@ class TestEstimators:
         assert st.n_samples == 3
         with pytest.raises(ValueError):
             sim.SampleStats.from_values([1.0])
+
+
+def uniform_law(c3_factor=1.0):
+    """Uniform entries on (-v sqrt 3, v sqrt 3), variance v^2, V_2l =
+    v^(2l) 3^l / (2l + 1); c3_factor plants a scale fault in the map."""
+    return EntryLaw(lambda l, v, df: v ** (2 * l) * 3 ** l / (2 * l + 1),
+                    lambda rng, size, v, df: rng.uniform(-1.0, 1.0, size),
+                    lambda v, df: (1.0, 0.0, c3_factor * v * math.sqrt(3.0)))
+
+
+class TestOneRow:
+    """A law added as one ENTRY_LAWS row is sampled, named by sim --dist
+    and checked against its exact moments, with no other code changed."""
+
+    def test_sim_moments_runs(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(ENTRY_LAWS, "uniform", uniform_law())
+        out = tmp_path / "m.csv"
+        assert cli.main(["sim", "moments", "--n", "8", "--rho", "2", "--s",
+                         "1", "--dist", "uniform", "--samples", "20",
+                         "--out", str(out)]) == 0
+        assert '"dist": "uniform"' in out.read_text()
+        cfg = sim.EnsembleConfig(n=8, rho=8.0, dist="uniform", seed=1)
+        entries = sim.sample_block(cfg, 0, 1)[0][np.triu_indices(8, 1)]
+        assert np.all(np.abs(entries) < 0.5 * math.sqrt(3.0 / 8.0))
+
+    @pytest.mark.parametrize("c3_factor", [1.0, 1.02],
+                             ids=["exact", "c3-2%-high"])
+    def test_oracle_consistency(self, monkeypatch, c3_factor):
+        monkeypatch.setitem(ENTRY_LAWS, "uniform", uniform_law(c3_factor))
+        records = {c["check"]: c for c in verify.sim_suite(True)}
+        failed = [name for name, c in records.items()
+                  if c["status"] == "fail"]
+        detail = records["sim.oracle_consistency"]["detail"]
+        zs = [float(part.split("z=")[1]) for part in detail.split(", ")
+              if part.startswith("uniform ")]
+        assert len(zs) == 3
+        if c3_factor == 1.0:
+            assert failed == [] and max(map(abs, zs)) <= 4.0
+        else:
+            assert failed == ["sim.oracle_consistency"]
+            assert min(zs) > 4.0
 
 
 class TestEdge:
